@@ -26,12 +26,11 @@ from .lattice import (
     SetWord,
     elements_of,
     full_mask,
-    iter_submasks,
     mask_of,
     subsets_by_rank,
 )
 
-MAX_BASE_DIM = 24
+MAX_BASE_DIM = 20
 MAX_WIDTH = 20
 MAX_SWEEP_WIDTH = 8
 
@@ -102,7 +101,8 @@ def embed_with_permutation(
 
     Ties are broken deterministically: failure propagates from the colex-first
     failed proper subset, and the blocking-chain prefix is copied from the
-    colex-first proper subset attaining the maximum level.
+    colex-first proper subset attaining the maximum level.  Both are read
+    from per-subset tables, so a run does O(n * 2^n) work, not O(3^n).
     """
     if coloring.ground_n != n + k:
         raise ValueError(
@@ -116,34 +116,41 @@ def embed_with_permutation(
         raise ValueError(f"width capped at {MAX_WIDTH}")
 
     size = 1 << n
+    full = size - 1
     prefixes = [perm.prefix_mask(i) for i in range(k + 1)]
     is_blue = coloring.is_blue
 
     images: list[Optional[SetWord]] = [None] * size
     levels = [0] * size
     chains: list[Optional[Chain]] = [None] * size
-    failed = bytearray(size)
+    # Per-subset tables over all submasks s of A, A included, each filled from
+    # the n immediate subsets A - {x} (every proper submask lies below one):
+    # least_failed[A] is the least failed s (numeric = colex order), or `size`;
+    # best[A] packs the lexicographic max of (levels[s], -s) over non-failed s
+    # as levels[s] * 2^n + (2^n - 1 - s).  Once a subset fails, every superset
+    # fails too, so best[A] is left unset for a failed A.
+    least_failed = [size] * size
+    best = [0] * size
 
     for a in subsets_by_rank(n):
         # Failure propagates from the colex-first failed proper subset.
-        beta = 0
-        base_sub: Optional[SetWord] = None
-        propagate: Optional[SetWord] = None
-        if a:
-            for s in iter_submasks(a):
-                if s == a:
-                    continue
-                if failed[s]:
-                    propagate = s
-                    break
-                if base_sub is None or levels[s] > beta:
-                    beta = levels[s]
-                    base_sub = s
-        if propagate is not None:
-            failed[a] = 1
+        propagate = size
+        top = 0
+        rest = a
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            s = a ^ low
+            if least_failed[s] < propagate:
+                propagate = least_failed[s]
+            if best[s] > top:
+                top = best[s]
+        if propagate < size:
+            least_failed[a] = propagate
             levels[a] = k + 1
             chains[a] = chains[propagate]
             continue
+        beta = top >> n
 
         level = k + 1
         for i in range(beta, k + 1):
@@ -153,12 +160,14 @@ def embed_with_permutation(
         levels[a] = level
         if level <= k:
             images[a] = a | prefixes[level]
+            best[a] = max(top, (level << n) | (full ^ a))
         else:
-            failed[a] = 1
+            least_failed[a] = a
 
         prefix_chain: tuple[SetWord, ...] = ()
-        if a and beta > 0:
-            prefix_chain = chains[base_sub].sets  # type: ignore[union-attr]
+        if beta > 0:
+            # The colex-first proper subset attaining the maximum level.
+            prefix_chain = chains[full ^ (top & full)].sets  # type: ignore[union-attr]
         new_blue = tuple(a | prefixes[i] for i in range(beta, min(level, k + 1)))
         chains[a] = Chain(prefix_chain + new_blue)
 

@@ -9,6 +9,7 @@ package's searchers is what the equivalence tests assert.
 from itertools import combinations, permutations
 
 from latticeramsey.lattice import is_proper_subset, is_subset
+from latticeramsey.verifier import CheckResult
 
 
 def _pattern_pairs(m):
@@ -132,6 +133,70 @@ def naive_embed(is_blue, n, k, perm_image):
         levels_hit = range(beta, min(level, k + 1))
         chains[a] = head + tuple(a | prefix[i] for i in levels_hit)
     return images, levels, chains
+
+
+def naive_verify_embedding(rec, coloring):
+    """The embedding re-check with nothing skipped.
+
+    Runs the checks of verifier.verify_embedding in the same order with the
+    same witnesses, but walks every submask for monotonicity and every pair of
+    images for strict containment, which the package derives instead.
+    """
+    n, k = rec.n, rec.k
+    size = 1 << n
+    if not (len(rec.images) == len(rec.levels) == len(rec.chains) == size):
+        return CheckResult(False, None, "table sizes do not match 2^n")
+    prefixes = [sum(1 << (v - 1) for v in rec.perm.image[:i]) for i in range(k + 1)]
+
+    for a in range(size):
+        lvl, img = rec.levels[a], rec.images[a]
+        if not 0 <= lvl <= k + 1:
+            return CheckResult(False, (a,), "level out of range")
+        if lvl == k + 1:
+            if img is not None:
+                return CheckResult(False, (a,), "failed level but image assigned")
+        else:
+            if img is None:
+                return CheckResult(False, (a,), "image missing at non-failure level")
+            if img != a | prefixes[lvl]:
+                return CheckResult(False, (a,), "image is not A + permuted prefix")
+            if img & (size - 1) != a:
+                return CheckResult(False, (a,), "image meets [n] beyond A")
+            if coloring.is_blue(img):
+                return CheckResult(False, (a,), "image is not red")
+
+    for a in range(size):
+        for b in range(a):
+            if is_subset(b, a) and rec.levels[b] > rec.levels[a]:
+                return CheckResult(False, (b, a), "level not monotone under inclusion")
+
+    for a in range(size):
+        if rec.images[a] is None:
+            continue
+        for b in range(size):
+            if b == a or rec.images[b] is None:
+                continue
+            want = is_proper_subset(b, a)
+            got = is_proper_subset(rec.images[b], rec.images[a])
+            if want != got:
+                return CheckResult(
+                    False, (b, a), "strict containment not preserved exactly"
+                )
+
+    for a in range(size):
+        chain = rec.chains[a]
+        if len(chain) != min(rec.levels[a], k + 1):
+            return CheckResult(False, (a,), "chain length differs from level")
+        for i, s in enumerate(chain):
+            if not coloring.is_blue(s):
+                return CheckResult(False, (a,), "chain contains a red set")
+            if s & ~(size - 1) != prefixes[i]:
+                return CheckResult(False, (a,), "chain step has wrong top part")
+        if 1 <= rec.levels[a] <= k:
+            if not is_subset(chain[rec.levels[a] - 1], rec.images[a]):
+                return CheckResult(False, (a,), "chain top not below the image")
+
+    return CheckResult(True, detail="all embedding properties verified")
 
 
 FANO_LINES = [

@@ -194,14 +194,18 @@ def test_embed_matches_independent_reimplementation():
     from naive import naive_embed
 
     rng = random.Random(271)
-    for trial in range(120):
-        n = rng.choice((1, 2, 3))
-        k = rng.choice((1, 2, 3))
+    successes = ties = 0
+    for trial in range(150):
+        n = rng.randint(1, 6)
+        k = rng.randint(1, 4)
         ground = n + k
-        coloring = random_dense(ground, seed=9000 + trial, density=rng.random())
+        # low densities let runs succeed and put several donors at one level
+        density = rng.choice((0.02, 0.08, 0.2, rng.random()))
+        coloring = random_dense(ground, seed=9000 + trial, density=density)
         image = list(range(n + 1, n + k + 1))
         rng.shuffle(image)
         rec = embed_with_permutation(coloring, n, k, Permutation(n, k, tuple(image)))
+        successes += rec.succeeded
 
         def is_blue(fs):
             return coloring.is_blue(mask_of(fs))
@@ -216,6 +220,12 @@ def test_embed_matches_independent_reimplementation():
                 assert frozenset(elements_of(got)) == want
             assert rec.levels[a] == levels[fs]
             assert tuple(frozenset(elements_of(s)) for s in rec.chains[a]) == chains[fs]
+            if fs:
+                beta = max(levels[s] for s in levels if s < fs)
+                donors = {chains[s] for s in levels if s < fs and levels[s] == beta}
+                ties += 0 < beta <= k and len(donors) > 1
+    assert successes > 10
+    assert ties > 10
 
 
 def test_counting_bound_exact_small():

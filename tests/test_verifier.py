@@ -1,6 +1,7 @@
 """Tests for the structural verifiers and the embedding re-checker."""
 
 import random
+from dataclasses import replace
 from math import comb, e
 
 import numpy as np
@@ -35,7 +36,12 @@ from latticeramsey.verifier import (
     verify_embedding,
 )
 
-from naive import naive_dp_count, two_fold_triples_7, two_fold_triples_8
+from naive import (
+    naive_dp_count,
+    naive_verify_embedding,
+    two_fold_triples_7,
+    two_fold_triples_8,
+)
 
 
 def test_min_distance_examples():
@@ -304,3 +310,53 @@ def test_verify_embedding_catches_level_tampering():
         rec.n, rec.k, rec.perm, rec.images, tuple(levels), rec.chains
     )
     assert not verify_embedding(forged, coloring).ok
+
+
+def _tampered_records(rec, coloring, rng):
+    """The honest record, then level-, image- and chain-tampered copies."""
+    n, k = rec.n, rec.k
+    prefixes = [rec.perm.prefix_mask(i) for i in range(k + 1)]
+    a = rng.randrange(1 << n)
+    out = [rec]
+
+    levels = list(rec.levels)
+    levels[a] = rng.randrange(k + 2)
+    out.append(replace(rec, levels=tuple(levels)))
+
+    # a new red level with a matching image passes the image checks and
+    # reaches the monotonicity check
+    red = [i for i in range(k + 1) if not coloring.is_blue(a | prefixes[i])]
+    if red:
+        levels, images = list(rec.levels), list(rec.images)
+        levels[a] = rng.choice(red)
+        images[a] = a | prefixes[levels[a]]
+        out.append(replace(rec, images=tuple(images), levels=tuple(levels)))
+
+    images = list(rec.images)
+    images[a] = rng.choice((None, rng.randrange(1 << (n + k))))
+    out.append(replace(rec, images=tuple(images)))
+
+    chains = list(rec.chains)
+    chains[a] = rec.chains[rng.randrange(1 << n)]
+    out.append(replace(rec, chains=tuple(chains)))
+    return out
+
+
+def test_verify_embedding_matches_all_pairs_oracle():
+    rng = random.Random(4242)
+    details = set()
+    for trial in range(150):
+        n, k = rng.randint(1, 6), rng.randint(1, 4)
+        density = rng.choice((0.05, 0.2, rng.random()))
+        coloring = Coloring.dense(
+            n + k, [s for s in range(1 << (n + k)) if rng.random() < density]
+        )
+        image = list(range(n + 1, n + k + 1))
+        rng.shuffle(image)
+        rec = embed_with_permutation(coloring, n, k, Permutation(n, k, tuple(image)))
+        for forged in _tampered_records(rec, coloring, rng):
+            got = verify_embedding(forged, coloring)
+            assert got == naive_verify_embedding(forged, coloring)
+            details.add(got.detail)
+    assert "all embedding properties verified" in details
+    assert "level not monotone under inclusion" in details
