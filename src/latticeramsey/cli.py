@@ -176,7 +176,7 @@ def _cmd_construct(args, cert: _Certificate) -> int:
         cert.obj["result"] = {"construction": "layered", "coloring": coloring.to_obj()}
     elif args.variant == "pairs":
         code = cons.greedy_pair_code(args.n)
-        coloring = cons.induced_q2_coloring(args.n)
+        coloring = cons.pair_code_coloring(code)
         cert.obj["result"] = {
             "construction": "pairs",
             "k": code.k,
@@ -401,12 +401,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     }
     try:
         return handlers[args.cmd](args, cert)
-    except SearchExhausted as exc:
-        cert.obj["outcome"] = "exhausted"
-        cert.obj["result"] = {"error": str(exc)}
-        cert.emit(None)
-        return EXIT_EXHAUSTED
-    except cons.ResampleBudgetExceeded as exc:
+    except (SearchExhausted, cons.ResampleBudgetExceeded) as exc:
         cert.obj["outcome"] = "exhausted"
         cert.obj["result"] = {"error": str(exc)}
         cert.emit(None)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import comb, e, isqrt
 from typing import Iterable, Optional
 
@@ -29,8 +30,10 @@ from .lattice import (
     SetWord,
     WeightedFamily,
     elements_of,
+    event_counts,
     full_mask,
     layer,
+    lex_key,
     mask_of,
     sorted_family,
 )
@@ -157,17 +160,20 @@ def greedy_pair_code(n: int) -> PairCode:
     return PairCode(n, k, tuple(assignments), candidates, max_blocked)
 
 
-def induced_q2_coloring(n: int) -> Coloring:
-    """Coloring of Q_{n+2}: layers k and k+3 blue plus the greedy pair code.
+def pair_code_coloring(code: PairCode) -> Coloring:
+    """Coloring of Q_{n+2}: layers k and k+3 blue plus the pair code's sets.
 
     Any blue copy of Q_2 would need two size-(k+1) blue sets at symmetric
     difference 2, which the pair code rules out.
     """
-    code = greedy_pair_code(n)
-    ground = n + 2
     return Coloring.structured(
-        ground, blue_layers={code.k, code.k + 3}, blue_extra=code.masks()
+        code.n + 2, blue_layers={code.k, code.k + 3}, blue_extra=code.masks()
     )
+
+
+def induced_q2_coloring(n: int) -> Coloring:
+    """pair_code_coloring of the greedy pair code over [n+2]."""
+    return pair_code_coloring(greedy_pair_code(n))
 
 
 def _is_prime(p: int) -> bool:
@@ -476,10 +482,6 @@ class ResampleBudgetExceeded(Exception):
         self.resamples = resamples
 
 
-def _lex_key(mask: SetWord) -> tuple[int, ...]:
-    return tuple(elements_of(mask))
-
-
 def lll_family(cfg: LllConfig) -> WeightedFamily:
     """Sample and repair a family of m-sets over [n+m] by event resampling.
 
@@ -493,56 +495,51 @@ def lll_family(cfg: LllConfig) -> WeightedFamily:
     """
     n, m = cfg.n, cfg.m
     ground = n + m
+    bits = [1 << i for i in range(ground)]
     p = cfg.density
     rng = random.Random(cfg.seed)
 
-    fam: set[SetWord] = set()
-    for f in layer(ground, m):
-        if rng.random() < p:
-            fam.add(f)
+    fam = {f for f in layer(ground, m) if rng.random() < p}
 
-    # Membership counters for both event classes, maintained incrementally.
-    sup_count: dict[SetWord, int] = {s: 0 for s in layer(ground, m - 1)}
-    sub_count: dict[SetWord, int] = {}
-    for f in fam:
-        for el in elements_of(f):
-            sup_count[f & ~(1 << (el - 1))] += 1
-        rest = full_mask(ground) & ~f
-        while rest:
-            low = rest & -rest
-            t = f | low
-            sub_count[t] = sub_count.get(t, 0) + 1
-            rest ^= low
-
-    viol_a = {s for s, cnt in sup_count.items() if cnt <= 1}
+    # Counts are maintained incrementally.  Each violated event sits in its
+    # set and has at least one (lex_key, mask) entry in its class's heap; an
+    # entry whose event has since healed is dropped when it reaches the top.
+    sup_count, sub_count = event_counts(fam, ground)
+    viol_a = {s for s in layer(ground, m - 1) if sup_count[s] <= 1}
     viol_b = {t for t, cnt in sub_count.items() if cnt >= m}
+    heap_a = [(lex_key(s, ground), s) for s in viol_a]
+    heap_b = [(lex_key(t, ground), t) for t in viol_b]
+    heapify(heap_a)
+    heapify(heap_b)
 
     def toggle(f: SetWord) -> None:
+        # An event changes class only when its count crosses the threshold:
+        # sup 2 -> 1 or sub m-1 -> m enters violation, the reverse leaves it.
         adding = f not in fam
         delta = 1 if adding else -1
         if adding:
             fam.add(f)
         else:
             fam.remove(f)
-        for el in elements_of(f):
-            s = f & ~(1 << (el - 1))
-            cnt = sup_count[s] + delta
-            sup_count[s] = cnt
-            if cnt <= 1:
-                viol_a.add(s)
+        for b in bits:
+            if f & b:
+                s = f ^ b
+                cnt = sup_count[s] + delta
+                sup_count[s] = cnt
+                if cnt == 2 and adding:
+                    viol_a.discard(s)
+                elif cnt == 1 and not adding:
+                    viol_a.add(s)
+                    heappush(heap_a, (lex_key(s, ground), s))
             else:
-                viol_a.discard(s)
-        rest = full_mask(ground) & ~f
-        while rest:
-            low = rest & -rest
-            t = f | low
-            cnt = sub_count.get(t, 0) + delta
-            sub_count[t] = cnt
-            if cnt >= m:
-                viol_b.add(t)
-            else:
-                viol_b.discard(t)
-            rest ^= low
+                t = f | b
+                cnt = sub_count[t] + delta
+                sub_count[t] = cnt
+                if cnt == m and adding:
+                    viol_b.add(t)
+                    heappush(heap_b, (lex_key(t, ground), t))
+                elif cnt == m - 1 and not adding:
+                    viol_b.discard(t)
 
     resamples = 0
     while viol_a or viol_b:
@@ -553,15 +550,15 @@ def lll_family(cfg: LllConfig) -> WeightedFamily:
                 resamples,
             )
         if viol_a:
-            s = min(viol_a, key=_lex_key)
-            indicators = [
-                s | (1 << (el - 1))
-                for el in range(1, ground + 1)
-                if not s & (1 << (el - 1))
-            ]
+            while heap_a[0][1] not in viol_a:
+                heappop(heap_a)
+            s = heap_a[0][1]
+            indicators = [s | b for b in bits if not s & b]
         else:
-            t = min(viol_b, key=_lex_key)
-            indicators = [t & ~(1 << (el - 1)) for el in elements_of(t)]
+            while heap_b[0][1] not in viol_b:
+                heappop(heap_b)
+            t = heap_b[0][1]
+            indicators = [t ^ b for b in bits if t & b]
         resamples += 1
         for f in indicators:
             want = rng.random() < p

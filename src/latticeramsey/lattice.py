@@ -15,6 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
@@ -95,6 +96,41 @@ def layer(n: int, s: int) -> Iterator[SetWord]:
         low = m & -m
         lift = m + low
         m = lift | (((m ^ lift) >> 2) // low)
+
+
+def lex_key(mask: SetWord, ground: int) -> int:
+    """Int key putting equal-size subsets of [ground] in lexicographic order.
+
+    The key is the negated bit reversal of the mask over `ground` bits, so
+    element i sits at bit ground - i and small elements weigh most.  For
+    equal-size sets A != B, A comes first in the lexicographic order of sorted
+    elements iff the least element x of the symmetric difference lies in A:
+    both sorted lists agree below x, and at the first position they differ A
+    holds x while B holds something larger.  In the reversal x is the highest
+    differing bit, so rev(A) > rev(B), and -rev(A) is the smaller key.
+    """
+    return -int(f"{mask:0{ground}b}"[::-1], 2)
+
+
+def event_counts(
+    members: Iterable[SetWord], ground: int
+) -> tuple[defaultdict[SetWord, int], defaultdict[SetWord, int]]:
+    """Superset and subset counts of a fixed-weight family over [ground].
+
+    For a family of m-sets, sup_count[S] is the number of members covering the
+    (m-1)-set S and sub_count[T] the number of members inside the (m+1)-set T.
+    Both are returned as defaultdict(int) holding only the nonzero counts.
+    """
+    sup_count: defaultdict[SetWord, int] = defaultdict(int)
+    sub_count: defaultdict[SetWord, int] = defaultdict(int)
+    bits = [1 << i for i in range(ground)]
+    for f in members:
+        for b in bits:
+            if f & b:
+                sup_count[f ^ b] += 1
+            else:
+                sub_count[f | b] += 1
+    return sup_count, sub_count
 
 
 def iter_submasks(mask: SetWord) -> Iterator[SetWord]:

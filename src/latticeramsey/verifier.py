@@ -1,10 +1,12 @@
 """Independent structural certification of colorings, codes, and embeddings.
 
-Nothing in this module reuses the machinery it checks: embeddings are
-re-verified from color lookups and subset tests alone, code coverage is
-counted by an independent dynamic program, and monochromatic-freeness of the
-package's colorings is certified by the layer-forcing arguments their shapes
-support (cross-checked against the exhaustive oracle wherever both can run).
+Embeddings are re-verified from color lookups and subset tests alone, code
+coverage is counted by an independent dynamic program, and
+monochromatic-freeness of the package's colorings is certified by the
+layer-forcing arguments their shapes support (cross-checked against the
+exhaustive oracle wherever both can run).  The family conditions are read off
+lattice.event_counts, the counting routine the resampler also keeps its event
+counts with; the test suite checks them against a brute-force scan.
 """
 
 from __future__ import annotations
@@ -22,10 +24,12 @@ from .lattice import (
     SetWord,
     WeightedFamily,
     elements_of,
+    event_counts,
     full_mask,
     is_subset,
     iter_submasks,
     layer,
+    lex_key,
 )
 
 
@@ -186,29 +190,17 @@ def check_conditions(fam: WeightedFamily) -> ConditionsResult:
     if not fam.is_explicit:
         raise ValueError("conditions are checked on explicit families")
     ground, m = fam.ground_n, fam.weight
-    univ = full_mask(ground)
-    sup_count: dict[SetWord, int] = {}
-    sub_count: dict[SetWord, int] = {}
-    for f in fam.members:
-        for el in elements_of(f):
-            s = f & ~(1 << (el - 1))
-            sup_count[s] = sup_count.get(s, 0) + 1
-        rest = univ & ~f
-        while rest:
-            low = rest & -rest
-            t = f | low
-            sub_count[t] = sub_count.get(t, 0) + 1
-            rest ^= low
+    sup_count, sub_count = event_counts(fam.members, ground)
 
-    def lex(mask: SetWord) -> tuple[int, ...]:
-        return tuple(elements_of(mask))
+    def lex(mask: SetWord) -> int:
+        return lex_key(mask, ground)
 
     under = sorted(
-        (s for s in layer(ground, m - 1) if sup_count.get(s, 0) < 2), key=lex
+        (s for s in layer(ground, m - 1) if sup_count[s] < 2), key=lex
     )
     over = sorted((t for t, cnt in sub_count.items() if cnt >= m), key=lex)
     violations = tuple(
-        [("undersupplied", s, sup_count.get(s, 0)) for s in under]
+        [("undersupplied", s, sup_count[s]) for s in under]
         + [("oversubscribed", t, sub_count[t]) for t in over]
     )
     return ConditionsResult(not violations, violations)
@@ -245,6 +237,20 @@ def _detect_shape(coloring: Coloring) -> tuple[str, int, int]:
     if layers == list(range(0, m - 1)) + [m + 1]:
         return "low-block", 0, m
     raise UnknownShape(f"layers {layers} with extras at {w} match no known shape")
+
+
+def _partial_layer(coloring: Coloring, m: int) -> WeightedFamily:
+    """The blue sets on layer m of a low-block coloring, as an explicit family.
+
+    They are the extras, or the members of a blue_code of weight m (the shape
+    admits one of the two, never both).
+    """
+    code = coloring.blue_code
+    if code is not None:
+        members = code.enumerated_members()
+    else:
+        members = sorted(coloring.blue_extra)
+    return WeightedFamily(coloring.ground_n, m, members=tuple(members))
 
 
 def certify_blue_free(coloring: Coloring, m: int, kind) -> CheckResult:
@@ -286,10 +292,7 @@ def certify_blue_free(coloring: Coloring, m: int, kind) -> CheckResult:
     # low-block: the m level-(m-1) images are forced into the partial layer
     # and under a common top of size m+1, so the subset-count condition kills
     # every copy.
-    fam = WeightedFamily(
-        coloring.ground_n, m, members=tuple(sorted(coloring.blue_extra))
-    )
-    result = check_conditions(fam)
+    result = check_conditions(_partial_layer(coloring, m))
     over = [v for v in result.violations if v[0] == "oversubscribed"]
     if over:
         return CheckResult(False, (over[0][1],), "a top hosts m family members")
@@ -300,8 +303,9 @@ def certify_red_singleton_bound(coloring: Coloring, n: int, m: int) -> CheckResu
     """Red side of the resampled coloring cannot host Q_n: every candidate
     bottom on layer m-1 has at most n-1 red supersets on layer m.
 
-    Counted directly from color lookups; equivalent to the family's
-    at-least-2-supersets condition.
+    Layer m is not a blue layer, so S has (N - m + 1) - sup_count[S] red
+    supersets there, sup_count being the event count of the partial layer's
+    blue family; the bound is that family's at-least-2-supersets condition.
     """
     shape, _, shape_m = _detect_shape(coloring)
     if shape != "low-block" or shape_m != m:
@@ -309,14 +313,9 @@ def certify_red_singleton_bound(coloring: Coloring, n: int, m: int) -> CheckResu
     ground = coloring.ground_n
     if ground != n + m:
         raise ValueError(f"coloring ground {ground} != n + m = {n + m}")
+    sup_count, _ = event_counts(_partial_layer(coloring, m).members, ground)
     for s in layer(ground, m - 1):
-        red = 0
-        for el in range(1, ground + 1):
-            bit = 1 << (el - 1)
-            if s & bit:
-                continue
-            if coloring.color_of(s | bit) is Color.RED:
-                red += 1
+        red = ground - m + 1 - sup_count[s]
         if red > n - 1:
             return CheckResult(False, (s,), f"{red} red supersets > {n - 1}")
     return CheckResult(True, detail="every bottom has <= n-1 red supersets")

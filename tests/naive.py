@@ -6,9 +6,20 @@ counts are taken by materializing subsets.  Agreement between these and the
 package's searchers is what the equivalence tests assert.
 """
 
+import random
 from itertools import combinations, permutations
 
-from latticeramsey.lattice import is_proper_subset, is_subset
+from latticeramsey.constructions import ResampleBudgetExceeded
+from latticeramsey.lattice import (
+    Color,
+    SetWord,
+    elements_of,
+    full_mask,
+    is_proper_subset,
+    is_subset,
+    layer,
+    sorted_family,
+)
 from latticeramsey.verifier import CheckResult
 
 
@@ -197,6 +208,156 @@ def naive_verify_embedding(rec, coloring):
                 return CheckResult(False, (a,), "chain top not below the image")
 
     return CheckResult(True, detail="all embedding properties verified")
+
+
+def naive_check_conditions(fam):
+    """The family conditions by brute force over every (m-1)- and (m+1)-set.
+
+    Sets are enumerated as sorted tuples in lexicographic order and counted by
+    subset tests against every member; returns the violation triples in the
+    order check_conditions promises.
+    """
+    ground, m = fam.ground_n, fam.weight
+    members = [frozenset(elements_of(f)) for f in fam.members]
+    out = []
+    for kind, size in (("undersupplied", m - 1), ("oversubscribed", m + 1)):
+        for combo in combinations(range(1, ground + 1), size):
+            box = frozenset(combo)
+            if kind == "undersupplied":
+                cnt = sum(1 for f in members if box <= f)
+                bad = cnt < 2
+            else:
+                cnt = sum(1 for f in members if f <= box)
+                bad = cnt >= m
+            if bad:
+                out.append((kind, sum(1 << (x - 1) for x in combo), cnt))
+    return tuple(out)
+
+
+def naive_low_block_blue_free(coloring, m):
+    """certify_blue_free's verdict on a low-block coloring with explicit extras.
+
+    The first oversubscribed (m+1)-set of the brute-force condition scan is
+    the witness, as in the package's original certifier.
+    """
+    fam = sorted_family(coloring.blue_extra, coloring.ground_n, m)
+    over = [v for v in naive_check_conditions(fam) if v[0] == "oversubscribed"]
+    if over:
+        return CheckResult(False, (over[0][1],), "a top hosts m family members")
+    return CheckResult(True, detail="forced sizes + subset cap on the partial layer")
+
+
+def naive_certify_red_singleton_bound(coloring, n, m):
+    """certify_red_singleton_bound's verdict from a color lookup per superset.
+
+    The package's original counting loop, without the shape detection: every
+    (m-1)-set S in colex order, and every element outside it, asks the
+    coloring for the color of S plus that element.
+    """
+    ground = coloring.ground_n
+    for s in layer(ground, m - 1):
+        red = 0
+        for el in range(1, ground + 1):
+            bit = 1 << (el - 1)
+            if s & bit:
+                continue
+            if coloring.color_of(s | bit) is Color.RED:
+                red += 1
+        if red > n - 1:
+            return CheckResult(False, (s,), f"{red} red supersets > {n - 1}")
+    return CheckResult(True, detail="every bottom has <= n-1 red supersets")
+
+
+def _lex_key(mask):
+    return tuple(elements_of(mask))
+
+
+def naive_lll_family(cfg):
+    """The event resampler with a linear min scan over the violated events.
+
+    The package's original lll_family, kept as the reference: every resample
+    takes the lexicographically least violated event by comparing sorted
+    element tuples, and every toggle rewrites the violation sets of all the
+    neighbouring events.  lll_family must draw, repair and raise identically.
+    """
+    n, m = cfg.n, cfg.m
+    ground = n + m
+    p = cfg.density
+    rng = random.Random(cfg.seed)
+
+    fam: set[SetWord] = set()
+    for f in layer(ground, m):
+        if rng.random() < p:
+            fam.add(f)
+
+    # Membership counters for both event classes, maintained incrementally.
+    sup_count: dict[SetWord, int] = {s: 0 for s in layer(ground, m - 1)}
+    sub_count: dict[SetWord, int] = {}
+    for f in fam:
+        for el in elements_of(f):
+            sup_count[f & ~(1 << (el - 1))] += 1
+        rest = full_mask(ground) & ~f
+        while rest:
+            low = rest & -rest
+            t = f | low
+            sub_count[t] = sub_count.get(t, 0) + 1
+            rest ^= low
+
+    viol_a = {s for s, cnt in sup_count.items() if cnt <= 1}
+    viol_b = {t for t, cnt in sub_count.items() if cnt >= m}
+
+    def toggle(f: SetWord) -> None:
+        adding = f not in fam
+        delta = 1 if adding else -1
+        if adding:
+            fam.add(f)
+        else:
+            fam.remove(f)
+        for el in elements_of(f):
+            s = f & ~(1 << (el - 1))
+            cnt = sup_count[s] + delta
+            sup_count[s] = cnt
+            if cnt <= 1:
+                viol_a.add(s)
+            else:
+                viol_a.discard(s)
+        rest = full_mask(ground) & ~f
+        while rest:
+            low = rest & -rest
+            t = f | low
+            cnt = sub_count.get(t, 0) + delta
+            sub_count[t] = cnt
+            if cnt >= m:
+                viol_b.add(t)
+            else:
+                viol_b.discard(t)
+            rest ^= low
+
+    resamples = 0
+    while viol_a or viol_b:
+        if resamples >= cfg.max_resamples:
+            raise ResampleBudgetExceeded(
+                sorted_family(fam, ground, m),
+                len(viol_a) + len(viol_b),
+                resamples,
+            )
+        if viol_a:
+            s = min(viol_a, key=_lex_key)
+            indicators = [
+                s | (1 << (el - 1))
+                for el in range(1, ground + 1)
+                if not s & (1 << (el - 1))
+            ]
+        else:
+            t = min(viol_b, key=_lex_key)
+            indicators = [t & ~(1 << (el - 1)) for el in elements_of(t)]
+        resamples += 1
+        for f in indicators:
+            want = rng.random() < p
+            if want != (f in fam):
+                toggle(f)
+
+    return sorted_family(fam, ground, m)
 
 
 FANO_LINES = [

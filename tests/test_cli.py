@@ -148,6 +148,18 @@ def test_verify_distance_flag(tmp_path, capsys):
     assert cert["result"]["distance"]["ok"] is True
 
 
+def test_construct_pairs_writes_the_pair_code_coloring(tmp_path, capsys):
+    from latticeramsey.constructions import induced_q2_coloring
+
+    out = tmp_path / "pairs.json"
+    code, cert = run_cli(capsys, "construct", "pairs", "--n", "18", "-o", str(out))
+    want = induced_q2_coloring(18).to_obj()
+    assert code == 0
+    assert cert["result"]["assignments"] == 380
+    assert cert["result"]["coloring"] == want
+    assert out.read_text() == json.dumps(want, sort_keys=True) + "\n"
+
+
 def test_code_subcommand(capsys):
     code, cert = run_cli(
         capsys,

@@ -1,10 +1,12 @@
 """Tests for the lower-bound constructions."""
 
 import random
+from collections import Counter
 from math import comb, isqrt
 
 import pytest
 
+from latticeramsey.cli import derive_seed
 from latticeramsey.constructions import (
     GreedyStuck,
     LllConfig,
@@ -34,7 +36,7 @@ from latticeramsey.lattice import (
 from latticeramsey.oracle import CopyKind, coloring_is_ramsey, find_chain
 from latticeramsey.verifier import check_conditions, check_min_distance
 
-from naive import two_fold_triples_8
+from naive import naive_lll_family, two_fold_triples_8
 
 
 def test_layered_defaults_and_oracle():
@@ -254,6 +256,59 @@ def test_lll_budget_exceeded_carries_partial():
         lll_family(cfg)
     assert info.value.violations > 0
     assert info.value.family.ground_n == 16
+
+
+def _resample_outcome(sampler, cfg):
+    try:
+        return ("ok", sampler(cfg).members)
+    except ResampleBudgetExceeded as exc:
+        return ("exhausted", exc.family.members, exc.violations, exc.resamples)
+
+
+def test_lll_family_matches_min_scan_oracle():
+    # Small cubes rarely admit a family meeting both conditions, so random
+    # configs mostly exhaust their budget; equal partial families, violation
+    # counts and resample counts pin the whole repair sequence.  The m = 5 and
+    # (12, 4) configs converge within 10^5 resamples.
+    rng = random.Random(404)
+    configs = []
+    for seed in range(240):
+        m = rng.randint(3, 5)
+        n = rng.randint(m, 12)
+        p = rng.uniform(0.05, 0.5)
+        budget = rng.choice((1, 4, 30, 300))
+        configs.append(LllConfig(n, m, p_inclusion=p, seed=seed, max_resamples=budget))
+    for n, p in ((8, 0.3), (9, 0.2), (10, 0.3), (11, 0.1), (12, 0.2)):
+        configs += [LllConfig(n, 5, p_inclusion=p, seed=seed) for seed in range(3)]
+    configs += [LllConfig(12, 4, p_inclusion=0.1, seed=seed) for seed in (1, 2)]
+    outcomes = Counter()
+    for cfg in configs:
+        got = _resample_outcome(lll_family, cfg)
+        assert got == _resample_outcome(naive_lll_family, cfg), cfg
+        outcomes[got[0]] += 1
+    assert outcomes["ok"] >= 15 and outcomes["exhausted"] >= 200
+
+
+@pytest.mark.parametrize(
+    "n, m, p, seed, budget",
+    [
+        # the certify benchmark's construct lll runs (CLI seeds 1, 2, 6, 9)
+        (16, 4, 0.10, derive_seed(1, 0), 10**6),
+        (20, 4, 0.08, derive_seed(2, 0), 10**6),
+        (24, 4, 0.07, derive_seed(6, 0), 10**6),
+        (24, 4, 0.07, derive_seed(9, 0), 10**6),
+        # A6's pinned (40, 3) run
+        (40, 3, 0.02, 6, 10**6),
+        # the same runs cut short
+        (24, 4, 0.07, derive_seed(6, 0), 40),
+        (40, 3, 0.02, 6, 500),
+    ],
+)
+def test_lll_family_matches_min_scan_oracle_on_pinned_runs(n, m, p, seed, budget):
+    cfg = LllConfig(n, m, p_inclusion=p, seed=seed, max_resamples=budget)
+    got = _resample_outcome(lll_family, cfg)
+    assert got == _resample_outcome(naive_lll_family, cfg)
+    assert got[0] == ("ok" if budget == 10**6 else "exhausted")
 
 
 def test_probabilistic_coloring_toy():

@@ -1,6 +1,7 @@
 """Tests for the structural verifiers and the embedding re-checker."""
 
 import random
+from collections import Counter
 from dataclasses import replace
 from math import comb, e
 
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from latticeramsey.constructions import (
+    LllConfig,
     induced_q2_coloring,
+    lll_family,
     modp_code,
     probabilistic_coloring,
 )
@@ -37,7 +40,10 @@ from latticeramsey.verifier import (
 )
 
 from naive import (
+    naive_certify_red_singleton_bound,
+    naive_check_conditions,
     naive_dp_count,
+    naive_low_block_blue_free,
     naive_verify_embedding,
     two_fold_triples_7,
     two_fold_triples_8,
@@ -203,6 +209,59 @@ def test_certify_red_singleton_bound_toy():
     col_bad = Coloring.structured(8, blue_layers={0, 1, 4}, blue_extra=pruned)
     res = certify_red_singleton_bound(col_bad, 5, 3)
     assert not res.ok and res.witness == (pair,)
+
+
+def test_conditions_match_brute_force_scan():
+    rng = random.Random(77)
+    both = 0
+    for _ in range(60):
+        m = rng.choice((3, 4))
+        ground = rng.randint(m + 2, 9)
+        density = rng.uniform(0.1, 0.7)
+        members = [f for f in layer(ground, m) if rng.random() < density]
+        fam = sorted_family(members, ground, m)
+        got = check_conditions(fam).violations
+        assert got == naive_check_conditions(fam)
+        both += {v[0] for v in got} == {"undersupplied", "oversubscribed"}
+    assert both >= 20
+
+
+def test_low_block_certifiers_match_color_lookups():
+    rng = random.Random(91)
+    colorings = []
+    for _ in range(80):
+        m = rng.choice((3, 4))
+        n = rng.randint(m, 7)
+        density = rng.uniform(0.05, 0.6)
+        extras = [f for f in layer(n + m, m) if rng.random() < density]
+        if extras:
+            colorings.append((n, m, sorted_family(extras, n + m, m)))
+    for n, p in ((8, 0.3), (12, 0.2)):
+        colorings.append((n, 5, lll_family(LllConfig(n, 5, p_inclusion=p, seed=3))))
+    verdicts = Counter()
+    for n, m, fam in colorings:
+        col = Coloring.structured(
+            n + m, blue_layers=set(range(m - 1)) | {m + 1}, blue_extra=fam.members
+        )
+        blue = certify_blue_free(col, m, CopyKind.WEAK)
+        red = certify_red_singleton_bound(col, n, m)
+        assert blue == naive_low_block_blue_free(col, m)
+        assert red == naive_certify_red_singleton_bound(col, n, m)
+        verdicts[blue.ok, red.ok] += 1
+    assert len(verdicts) == 4, verdicts
+
+
+def test_low_block_certifiers_read_a_blue_code():
+    # a weight-3 code mod 2 puts three of its members under some 4-set, so
+    # the blue side holds a Q_3; the code's sets are the partial layer
+    col = Coloring.structured(
+        7, blue_layers={0, 1, 4}, blue_code=WeightedFamily(7, 3, modp_p=2, modp_d=1)
+    )
+    res = certify_blue_free(col, 3, CopyKind.WEAK)
+    assert not res.ok
+    assert find_copy(col.blue_family(), 3, CopyKind.WEAK) is not None
+    red = certify_red_singleton_bound(col, 4, 3)
+    assert red == naive_certify_red_singleton_bound(col, 4, 3)
 
 
 def test_red_bound_cross_checked_by_oracle_weak_q4():
