@@ -90,6 +90,17 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(x) for x in text.replace(",", " ").split()]
 
 
+def _worker_count(flag: Optional[int]) -> int:
+    """--threads if given, else RLL_THREADS, else 1."""
+    if flag is not None:
+        return flag
+    text = os.environ.get("RLL_THREADS", "1")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"RLL_THREADS must be an integer, got {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="latticeramsey",
@@ -98,8 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument(
         "--threads",
         type=int,
-        default=int(os.environ.get("RLL_THREADS", "1")),
-        help="worker cap for parallel scans (default: RLL_THREADS or 1)",
+        help="worker cap for parallel scans, at most the CPU count (default: RLL_THREADS or 1)",
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -400,6 +410,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         "code": _cmd_code,
     }
     try:
+        args.threads = _worker_count(args.threads)
         return handlers[args.cmd](args, cert)
     except (SearchExhausted, cons.ResampleBudgetExceeded) as exc:
         cert.obj["outcome"] = "exhausted"

@@ -429,8 +429,7 @@ class LllConfig:
 
     p_inclusion defaults to (4(m+1)(n^2-1)e)^(-1/m), the density at which the
     local-lemma bound closes; that only happens at very large n, so callers
-    typically override it.  x_y and x_z are the event weights used by the
-    inequality report.
+    typically override it.
     """
 
     n: int
@@ -438,8 +437,6 @@ class LllConfig:
     p_inclusion: Optional[float] = None
     seed: int = 0
     max_resamples: int = 10**6
-    x_y: Optional[float] = None
-    x_z: Optional[float] = None
 
     def __post_init__(self):
         if self.m < 3:
@@ -460,14 +457,6 @@ class LllConfig:
     @staticmethod
     def default_density(n: int, m: int) -> float:
         return (4 * (m + 1) * (n * n - 1) * e) ** (-1.0 / m)
-
-    @property
-    def weight_a(self) -> float:
-        return self.x_y if self.x_y is not None else 1.0 / (4 * (self.m - 1) * (self.n + 1))
-
-    @property
-    def weight_b(self) -> float:
-        return self.x_z if self.x_z is not None else 1.0 / (4 * (self.n - 1) * (self.n + 1))
 
 
 class ResampleBudgetExceeded(Exception):

@@ -412,24 +412,10 @@ def counting_bound(n: int, c: float) -> BoundReport:
 
 
 def minimal_k(n: int) -> int:
-    """Least k with k! > 2^(2(n+k)), decided exactly.
-
-    The gap log2 k! - 2(n+k) grows by log2 k - 2 per step, so it is monotone
-    beyond k = 4; a log-domain scan locates the crossing and big-integer
-    comparisons pin it down.
-    """
+    """Least k with k! > 2^(2(n+k)), decided exactly by a linear scan from 1."""
     if n < 2:
         raise ValueError("n must be >= 2")
     k = 1
-    while _log2_factorial(k) - 2 * (n + k) <= -1.0:
+    while not _factorial_exceeds_power(k, 2 * (n + k))[0]:
         k += 1
-    # Back up to cover float slack, then confirm exactly going forward.
-    k = max(1, k - 2)
-    f = factorial(k)
-    while True:
-        e = 2 * (n + k)
-        bl = f.bit_length()
-        if bl > e + 1 or (bl == e + 1 and f != 1 << e):
-            return k
-        k += 1
-        f *= k
+    return k

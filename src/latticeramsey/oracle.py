@@ -9,6 +9,7 @@ these results.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -319,10 +320,12 @@ def _scan_ground(
     """First coloring index of Q_ground with neither copy, and count scanned.
 
     With workers > 1 the index range is split into ordered chunks processed by
-    a process pool; results are consumed in chunk order, so the reported
-    counterexample is the smallest one regardless of scheduling.
+    a process pool of at most os.cpu_count() workers; results are consumed in
+    chunk order, so the reported counterexample is the smallest one regardless
+    of scheduling.
     """
     total = 1 << (1 << ground)
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or total < 8192:
         idx = _scan_chunk((ground, m, n, kind.value, 0, total, node_budget))
         return (idx, idx + 1) if idx is not None else (None, total)

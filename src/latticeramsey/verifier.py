@@ -12,10 +12,8 @@ counts with; the test suite checks them against a brute-force scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from typing import Optional
-
-import mpmath
-import numpy as np
 
 from .embedder import EmbedRecord
 from .lattice import (
@@ -75,38 +73,48 @@ class DpTable:
     """Counts of s-subsets of a ground set by element-sum residue.
 
     counts[s][r] is the number of s-subsets of the allowed elements whose
-    element sum is congruent to r mod the modulus; counts[0][0] == 1.
+    element sum is congruent to r mod the modulus; counts[0][0] == 1.  Rows
+    are lists of exact ints, never mutated once the table is built.
     """
 
     ground: SetWord
     size_cap: int
     modulus: int
-    counts: tuple[tuple[int, ...], ...]
+    counts: tuple[list[int], ...]
 
     def count(self, size: int, residue: int) -> int:
         return self.counts[size][residue % self.modulus]
 
+    def without(self, el: int) -> DpTable:
+        """The table of ground - {el}, by inverting the add-one-element step:
+        G[s][r] = F[s][r] - G[s-1][(r - el) mod p], for s from 1 up."""
+        if not (el >= 1 and self.ground >> (el - 1) & 1):
+            raise ValueError(f"element {el} is not in the table's ground set")
+        rest = self.ground & ~(1 << (el - 1))
+        if self.size_cap > rest.bit_count():
+            raise ValueError("size cap exceeds the number of allowed elements")
+        shift = el % self.modulus
+        rows = [self.counts[0]]
+        for row in self.counts[1:]:
+            below = rows[-1]
+            rows.append([a - b for a, b in zip(row, below[-shift:] + below[:-shift])])
+        return DpTable(rest, self.size_cap, self.modulus, tuple(rows))
+
 
 def build_dp_table(ground: SetWord, size_cap: int, modulus: int) -> DpTable:
-    """Size-and-residue subset counts over the elements of `ground`.
-
-    Exact: the table is int64 internally, which cannot overflow for ground
-    sets of at most 64 elements (total counts are bounded by C(64, 32)).
-    """
+    """Exact size-and-residue subset counts over the elements of `ground`:
+    adding element el adds row s-1, rotated by el places, to each row s."""
+    if modulus < 1 or size_cap < 0:
+        raise ValueError("need modulus >= 1 and size cap >= 0")
     if size_cap > ground.bit_count():
         raise ValueError("size cap exceeds the number of allowed elements")
-    p = modulus
-    table = np.zeros((size_cap + 1, p), dtype=np.int64)
-    table[0][0] = 1
+    rows = [[1] + [0] * (modulus - 1)] + [[0] * modulus for _ in range(size_cap)]
     for el in elements_of(ground):
-        shifted = np.roll(table[:-1], el % p, axis=1)
-        table[1:] += shifted
-    return DpTable(
-        ground,
-        size_cap,
-        p,
-        tuple(tuple(int(x) for x in row) for row in table),
-    )
+        shift = el % modulus
+        for s in range(size_cap, 0, -1):
+            below = rows[s - 1]
+            rows[s] = [a + b for a, b in zip(rows[s], below[-shift:] + below[:-shift])]
+    return DpTable(ground, size_cap, modulus, tuple(rows))
 
 
 def dp_count(ground: SetWord, k: int, p: int, r: int) -> int:
@@ -140,7 +148,8 @@ def check_code_statement(
     """For every m-set Y and y in Y: some k-subset of [ground] - Y completes
     with y to a code member (element sum d mod p).
 
-    Decided by exact counting, one residue table per Y.  The size-window
+    Decided by exact counting: one residue table of the whole ground set,
+    from which each Y's m elements are divided out.  The size-window
     hypotheses under which this is guaranteed are evaluated and reported, but
     parameters outside them are still checked (exploratory use).
     """
@@ -153,9 +162,11 @@ def check_code_statement(
         and (n - k) * (n - k) >= window
     )
     pairs = 0
-    univ = full_mask(ground)
+    full = build_dp_table(full_mask(ground), k, p)
     for avoid in layer(ground, m):
-        table = build_dp_table(univ & ~avoid, k, p)
+        table = full
+        for y in elements_of(avoid):
+            table = table.without(y)
         for y in elements_of(avoid):
             pairs += 1
             if table.count(k, (d - y) % p) < 1:
@@ -376,21 +387,21 @@ def lll_inequality_report(
     An undersupplied event depends on n(n+1)/2 oversubscription events and
     (m-1)(n+1) other undersupply events; an oversubscription event depends on
     m(m+1)/2 undersupply events and (n-1)(m+1) other oversubscriptions.
-    Computed with 60-digit arithmetic so boundary parameters are not
-    misclassified; no satisfaction value is asserted here (at moderate n the
-    undersupply side genuinely fails).
+    Computed in dps-digit decimal arithmetic (60 by default) over the widest
+    exponent range, so boundary parameters are not misclassified and tiny
+    probabilities do not flush to zero; no satisfaction value is asserted
+    here (at moderate n the undersupply side genuinely fails).
     """
     if m < 2 or n < 2:
         raise ValueError("need n, m >= 2")
-    with mpmath.workdps(dps):
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emin, ctx.Emax = dps, MIN_EMIN, MAX_EMAX
         if p_incl is None:
-            p = (4 * (m + 1) * (mpmath.mpf(n) ** 2 - 1) * mpmath.e) ** (
-                mpmath.mpf(-1) / m
-            )
+            p = (4 * (m + 1) * (Decimal(n) ** 2 - 1) * Decimal(1).exp()) ** (Decimal(-1) / m)
         else:
-            p = mpmath.mpf(p_incl)
-        y = mpmath.mpf(x_y) if x_y is not None else mpmath.mpf(1) / (4 * (m - 1) * (n + 1))
-        z = mpmath.mpf(x_z) if x_z is not None else mpmath.mpf(1) / (4 * (n - 1) * (n + 1))
+            p = Decimal(p_incl)
+        y = Decimal(x_y) if x_y is not None else 1 / Decimal(4 * (m - 1) * (n + 1))
+        z = Decimal(x_z) if x_z is not None else 1 / Decimal(4 * (n - 1) * (n + 1))
 
         q = 1 - p
         p_as = (n + 1) * q**n * p + q ** (n + 1)

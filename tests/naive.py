@@ -7,7 +7,9 @@ package's searchers is what the equivalence tests assert.
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
+from math import factorial, lgamma
 
 from latticeramsey.constructions import ResampleBudgetExceeded
 from latticeramsey.lattice import (
@@ -20,7 +22,7 @@ from latticeramsey.lattice import (
     layer,
     sorted_family,
 )
-from latticeramsey.verifier import CheckResult
+from latticeramsey.verifier import CheckResult, CodeStatementResult, build_dp_table
 
 
 def _pattern_pairs(m):
@@ -94,6 +96,63 @@ def pair_logic_has_copy(family, m, induced):
 def naive_dp_count(elements, k, p, r):
     """Count k-subsets of the element list with sum congruent to r mod p."""
     return sum(1 for c in combinations(elements, k) if sum(c) % p == r % p)
+
+
+def naive_check_code_statement(ground, m, k, p, d):
+    """check_code_statement with a freshly built residue table per avoided Y.
+
+    The package's original loop: every m-set Y in colex order gets the table
+    of [ground] - Y, which is then asked about each y in Y.
+    """
+    n = ground - m
+    window = 8 * ground - 15
+    hypotheses_ok = (
+        n >= 1
+        and k * k >= window
+        and k <= n
+        and (n - k) * (n - k) >= window
+    )
+    pairs = 0
+    univ = full_mask(ground)
+    for avoid in layer(ground, m):
+        table = build_dp_table(univ & ~avoid, k, p)
+        for y in elements_of(avoid):
+            pairs += 1
+            if table.count(k, (d - y) % p) < 1:
+                return CodeStatementResult(False, (avoid, y), pairs, hypotheses_ok)
+    return CodeStatementResult(True, None, pairs, hypotheses_ok)
+
+
+def naive_minimal_k(n):
+    """The package's original minimal_k: a float scan to near the crossing,
+    a back-up of two steps, then exact big-integer comparisons going forward."""
+    k = 1
+    while lgamma(k + 1) / 0.6931471805599453 - 2 * (n + k) <= -1.0:
+        k += 1
+    k = max(1, k - 2)
+    f = factorial(k)
+    while True:
+        e = 2 * (n + k)
+        bl = f.bit_length()
+        if bl > e + 1 or (bl == e + 1 and f != 1 << e):
+            return k
+        k += 1
+        f *= k
+
+
+def naive_lll_sides(n, m, p_incl):
+    """Exact rational P_AS, P_BT and both satisfaction verdicts at density
+    p_incl, with the default event weights 1/(4(m-1)(n+1)) and
+    1/(4(n-1)(n+1)) and the dependency counts of lll_inequality_report."""
+    p = Fraction(p_incl)
+    q = 1 - p
+    y = Fraction(1, 4 * (m - 1) * (n + 1))
+    z = Fraction(1, 4 * (n - 1) * (n + 1))
+    p_as = (n + 1) * q**n * p + q ** (n + 1)
+    p_bt = (m + 1) * p**m * q + p ** (m + 1)
+    rhs_as = y * (1 - z) ** ((n + 1) * n // 2) * (1 - y) ** ((m - 1) * (n + 1))
+    rhs_bt = z * (1 - y) ** ((m + 1) * m // 2) * (1 - z) ** ((n - 1) * (m + 1))
+    return p_as, p_bt, p_as <= rhs_as, p_bt <= rhs_bt
 
 
 def _colex_key(sets):

@@ -1,6 +1,13 @@
 """End-to-end tests of the command-line driver and its certificates."""
 
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from latticeramsey.cli import main
 
@@ -213,3 +220,102 @@ def test_unknown_subcommand_is_usage(capsys):
 def test_missing_file_is_usage(capsys):
     assert main(["verify", "--coloring", "/nonexistent.json", "--conditions"]) == 2
     capsys.readouterr()
+
+
+def usage_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "10,2,3,0,5",  # p = 0
+        "10,2,-1,11,5",  # k < 0
+        "10,2,9,11,5",  # k exceeds the N - m elements left after removing Y
+        "10,12,3,11,5",  # m > N
+    ],
+)
+def test_bad_code_statement_is_usage(tmp_path, capsys, statement):
+    from latticeramsey.lattice import Coloring, dumps
+
+    path = tmp_path / "any.json"
+    path.write_text(dumps(Coloring.structured(5, blue_layers={1})))
+    argv = ["verify", "--coloring", str(path), "--code-statement", statement]
+    assert main(argv) == 2
+    usage_error_line(capsys)
+
+
+def test_malformed_thread_variable_is_usage(monkeypatch, capsys):
+    monkeypatch.setenv("RLL_THREADS", "abc")
+    assert main(["bound", "--n", "2", "--minimal"]) == 2
+    assert "RLL_THREADS" in usage_error_line(capsys)
+
+
+class RecordingPool:
+    """Stands in for multiprocessing.Pool: records the worker count asked for
+    and runs the tasks in this process, so no worker is ever started."""
+
+    created: list = []
+
+    def __init__(self, processes=None):
+        self.created.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, fn, tasks):
+        return map(fn, tasks)
+
+    def terminate(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "flag, env, workers",
+    [(["--threads", "1000"], None, 3), ([], "1000", 3), (["--threads", "2"], None, 2)],
+)
+def test_thread_count_capped_at_cpu_count(monkeypatch, capsys, flag, env, workers):
+    # (3,3) weak at N = 4 is the first scan large enough to use the pool; its
+    # first avoiding coloring is index 279, in the first chunk
+    argv = ["ramsey", "--m", "3", "--n", "3", "--kind", "weak", "--max-N", "4"]
+    code, serial = run_cli(capsys, *argv)
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "created", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    if env is not None:
+        monkeypatch.setenv("RLL_THREADS", env)
+    code2, pooled = run_cli(capsys, *flag, *argv)
+    assert RecordingPool.created == [workers]
+    assert code == code2 == 0
+    assert pooled["result"] == serial["result"]
+    assert pooled["result"]["counterexamples"]["4"] == 279
+
+
+def test_thread_count_below_one_runs_serially(monkeypatch, capsys):
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "created", [])
+    argv = ["--threads", "0", "ramsey", "--m", "3", "--n", "3", "--kind", "weak", "--max-N", "4"]
+    code, cert = run_cli(capsys, *argv)
+    assert code == 0 and RecordingPool.created == []
+
+
+def test_cli_imports_neither_numpy_nor_mpmath():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "from latticeramsey.cli import main\n"
+        "assert main(['bound', '--n', '2', '--minimal']) == 0\n"
+        "print(sorted(set(sys.modules) & {'numpy', 'mpmath'}))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines()[-1] == "[]"

@@ -236,8 +236,6 @@ def test_code_witness_hypothesis_enforced():
 def test_lll_config_defaults():
     cfg = LllConfig(40, 3)
     assert 0 < cfg.density < 1
-    assert cfg.weight_a == 1.0 / (4 * 2 * 41)
-    assert cfg.weight_b == 1.0 / (4 * 39 * 41)
     with pytest.raises(ValueError):
         LllConfig(40, 2)
 

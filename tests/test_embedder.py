@@ -263,6 +263,13 @@ def test_minimal_k_small_values_exact():
         assert minimal_k(n) == brute(n)
 
 
+def test_minimal_k_matches_original_scan():
+    from naive import naive_minimal_k
+
+    for n in list(range(2, 501)) + [10**4, 10**5, 10**6]:
+        assert minimal_k(n) == naive_minimal_k(n)
+
+
 def test_stirling_remark_fields_reported_not_asserted():
     r = counting_bound(2, 6.14)
     # the 0.8797-coefficient shortcut genuinely fails at k = 12

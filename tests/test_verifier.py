@@ -41,8 +41,10 @@ from latticeramsey.verifier import (
 
 from naive import (
     naive_certify_red_singleton_bound,
+    naive_check_code_statement,
     naive_check_conditions,
     naive_dp_count,
+    naive_lll_sides,
     naive_low_block_blue_free,
     naive_verify_embedding,
     two_fold_triples_7,
@@ -91,6 +93,49 @@ def test_dp_count_partition_identity(ground, k, p):
     k = min(k, ground.bit_count())
     total = sum(dp_count(ground, k, p, r) for r in range(p))
     assert total == comb(ground.bit_count(), k)
+
+
+def test_dp_table_without_matches_fresh_build():
+    rng = random.Random(2024)
+    for _ in range(300):
+        elems = rng.sample(range(1, 40), rng.randint(1, 16))
+        removed = rng.sample(elems, rng.randint(1, min(3, len(elems))))
+        rest = [e for e in elems if e not in removed]
+        k = rng.randint(0, len(rest))
+        p = rng.randint(1, 13)
+        table = build_dp_table(mask_of(elems), k, p)
+        for el in removed:
+            table = table.without(el)
+        assert table == build_dp_table(mask_of(rest), k, p)
+        r = rng.randrange(p)
+        assert table.count(k, r) == naive_dp_count(rest, k, p, r)
+
+
+def test_dp_table_rejects_bad_parameters():
+    with pytest.raises(ValueError, match="size cap exceeds"):
+        build_dp_table(mask_of([1, 2, 3]), 3, 5).without(2)
+    with pytest.raises(ValueError, match="not in"):
+        build_dp_table(mask_of([1, 2, 3]), 1, 5).without(4)
+    for k, p in ((1, 0), (-1, 5)):
+        with pytest.raises(ValueError):
+            build_dp_table(mask_of([1, 2, 3]), k, p)
+    for args in ((10, 2, 3, 0, 5), (10, 2, -1, 11, 5), (10, 11, 0, 11, 5), (10, -1, 3, 11, 5)):
+        with pytest.raises(ValueError):
+            check_code_statement(*args)
+
+
+def test_code_statement_matches_per_set_tables():
+    rng = random.Random(5)
+    verdicts = Counter()
+    for ground in range(1, 15):
+        for m in range(min(3, ground) + 1):
+            p = rng.choice([1, 2, 3, 4, 5, 6, 7, 9, 11, 13])
+            for k in range(ground - m + 1):
+                for d in range(p):
+                    res = check_code_statement(ground, m, k, p, d)
+                    assert res == naive_check_code_statement(ground, m, k, p, d)
+                    verdicts[res.ok] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def test_code_statement_tiny_pair():
@@ -307,6 +352,21 @@ def test_lll_report_large_n_computes():
     assert isinstance(rep.satisfied_bt, bool)
     # the oversubscription side is comfortably satisfied at the default density
     assert rep.satisfied_bt
+
+
+def test_lll_report_matches_exact_rationals():
+    rng = random.Random(11)
+    verdicts = Counter()
+    for _ in range(150):
+        n, m = rng.randint(2, 60), rng.randint(2, 6)
+        p_incl = rng.choice([rng.random(), 10 ** -rng.uniform(1, 4)])
+        rep = lll_inequality_report(n, m, p_incl)
+        p_as, p_bt, sat_as, sat_bt = naive_lll_sides(n, m, p_incl)
+        assert (rep.p_as, rep.p_bt) == (float(p_as), float(p_bt))
+        assert (rep.satisfied_as, rep.satisfied_bt) == (sat_as, sat_bt)
+        verdicts[sat_as, sat_bt] += 1
+    # both verdicts occur on each side, so the comparison has teeth
+    assert {a for a, _ in verdicts} == {b for _, b in verdicts} == {True, False}
 
 
 def test_lll_report_monte_carlo_agreement():
