@@ -5,8 +5,13 @@ certificate object recording the command, package version, seeds, input file
 digests, the outcome, and the result payload; identical runs produce
 byte-identical certificates except for the wall-clock field.
 
-Exit codes: 0 property holds / artifact produced, 1 witness or counterexample
-found, 2 usage error, 3 search or resample budget exhausted.
+Each handler fills the certificate's result and returns an outcome; `main`
+alone records it, emits the certificate and maps it to the exit code:
+"ok" 0 (property holds / artifact produced), "witness" 1 (witness or
+counterexample found), "unknown" 0 (threshold above the scanned range),
+"exhausted" 3 (search or resample budget exhausted).  A usage error exits 2
+with one `error:` line on stderr.  `construct -o` names the coloring file;
+every other `-o` names the certificate file.
 """
 
 from __future__ import annotations
@@ -40,6 +45,12 @@ EXIT_OK = 0
 EXIT_WITNESS = 1
 EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
+EXIT_CODES = {
+    "ok": EXIT_OK,
+    "witness": EXIT_WITNESS,
+    "unknown": EXIT_OK,
+    "exhausted": EXIT_EXHAUSTED,
+}
 
 
 def derive_seed(master: int, counter: int) -> int:
@@ -50,11 +61,6 @@ def derive_seed(master: int, counter: int) -> int:
     """
     digest = hashlib.sha256(f"{master}:{counter}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-def _digest_file(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _load_coloring(path: str) -> tuple[Coloring, str]:
@@ -86,8 +92,12 @@ class _Certificate:
             print(text)
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(x) for x in text.replace(",", " ").split()]
+def _parse_int_list(text: str, count: Optional[int] = None, usage: str = "") -> list[int]:
+    """Comma- or space-separated ints; exactly `count` of them if given."""
+    vals = [int(x) for x in text.replace(",", " ").split()]
+    if count is not None and len(vals) != count:
+        raise ValueError(usage)
+    return vals
 
 
 def _worker_count(flag: Optional[int]) -> int:
@@ -101,8 +111,15 @@ def _worker_count(flag: Optional[int]) -> int:
         raise ValueError(f"RLL_THREADS must be an integer, got {text!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad command line as a ValueError, which `main` reports in one line."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="latticeramsey",
         description="Boolean-lattice coloring constructions, embeddings, and verification",
     )
@@ -149,20 +166,20 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--all", action="store_true", help="sweep all k! permutations")
     g.add_argument("--sample", type=int, help="sweep this many sampled permutations")
     e.add_argument("--seed", type=int, default=0)
-    e.add_argument("-o", "--output", type=str)
+    e.add_argument("-o", "--output", type=str, help="write the certificate here")
 
     r = sub.add_parser("ramsey", help="exhaustive tiny-scale threshold scan")
     r.add_argument("--m", type=int, required=True)
     r.add_argument("--n", type=int, required=True)
     r.add_argument("--kind", choices=["induced", "weak"], required=True)
     r.add_argument("--max-N", type=int, default=4, dest="max_n")
-    r.add_argument("-o", "--output", type=str)
+    r.add_argument("-o", "--output", type=str, help="write the certificate here")
 
     b = sub.add_parser("bound", help="exact factorial-versus-power counting bound")
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--c", type=float)
     b.add_argument("--minimal", action="store_true", help="report the least usable k")
-    b.add_argument("-o", "--output", type=str)
+    b.add_argument("-o", "--output", type=str, help="write the certificate here")
 
     w = sub.add_parser("code", help="constructive witness for the residue code")
     w.add_argument("--n", type=int, required=True)
@@ -171,13 +188,12 @@ def _build_parser() -> argparse.ArgumentParser:
     w.add_argument("--d", type=int)
     w.add_argument("--avoid", type=str, required=True, help="the m-set Y, e.g. '35,36'")
     w.add_argument("--y", type=int, required=True, help="element of Y to re-add")
-    w.add_argument("-o", "--output", type=str)
+    w.add_argument("-o", "--output", type=str, help="write the certificate here")
 
     return ap
 
 
-def _cmd_construct(args, cert: _Certificate) -> int:
-    out: Optional[str] = args.output
+def _cmd_construct(args, cert: _Certificate) -> str:
     if args.variant == "layered":
         if args.m is None:
             raise ValueError("layered construction needs --m")
@@ -218,37 +234,25 @@ def _cmd_construct(args, cert: _Certificate) -> int:
             seed=seed,
             max_resamples=args.max_resamples,
         )
+        cert.obj["result"] = result = {
+            "construction": "lll",
+            "density": cfg.density,
+            "default_density": cons.LllConfig.default_density(args.n, args.m),
+        }
         try:
             fam = cons.lll_family(cfg)
         except cons.ResampleBudgetExceeded as exc:
-            cert.obj["outcome"] = "exhausted"
-            cert.obj["result"] = {
-                "construction": "lll",
-                "resamples": exc.resamples,
-                "violations": exc.violations,
-                "density": cfg.density,
-                "default_density": cons.LllConfig.default_density(args.n, args.m),
-            }
-            cert.emit(out)
-            return EXIT_EXHAUSTED
+            # no coloring exists, so nothing is written to -o
+            result.update(resamples=exc.resamples, violations=exc.violations)
+            return "exhausted"
         coloring = cons.probabilistic_coloring(args.n, args.m, fam)
-        cert.obj["result"] = {
-            "construction": "lll",
-            "members": len(fam.members),
-            "density": cfg.density,
-            "default_density": cons.LllConfig.default_density(args.n, args.m),
-            "coloring": coloring.to_obj(),
-        }
-    cert.obj["outcome"] = "ok"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        result.update(members=len(fam.members), coloring=coloring.to_obj())
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(coloring.to_obj(), fh, sort_keys=True)
             fh.write("\n")
-        cert.obj["result"]["written"] = out
-        cert.emit(None)
-    else:
-        cert.emit(None)
-    return EXIT_OK
+        cert.obj["result"]["written"] = args.output
+    return "ok"
 
 
 def _extras_family(coloring: Coloring) -> WeightedFamily:
@@ -262,44 +266,27 @@ def _extras_family(coloring: Coloring) -> WeightedFamily:
     )
 
 
-def _cmd_verify(args, cert: _Certificate) -> int:
+def _cmd_verify(args, cert: _Certificate) -> str:
     coloring, digest = _load_coloring(args.coloring)
     cert.obj["inputs"][args.coloring] = digest
-    checks: dict = {}
-    witness_found = False
-
+    results: dict = {}
     if args.blue_free is not None:
-        kind = CopyKind(args.kind)
-        res = ver.certify_blue_free(coloring, args.blue_free, kind)
-        checks["blue_free"] = res.to_obj()
-        witness_found |= not res.ok
+        results["blue_free"] = ver.certify_blue_free(coloring, args.blue_free)
     if args.conditions:
-        res2 = ver.check_conditions(_extras_family(coloring))
-        checks["conditions"] = res2.to_obj()
-        witness_found |= not res2.ok
+        results["conditions"] = ver.check_conditions(_extras_family(coloring))
     if args.distance is not None:
-        res3 = ver.check_min_distance(_extras_family(coloring), args.distance)
-        checks["distance"] = res3.to_obj()
-        witness_found |= not res3.ok
+        results["distance"] = ver.check_min_distance(_extras_family(coloring), args.distance)
     if args.code_statement:
-        vals = _parse_int_list(args.code_statement)
-        if len(vals) != 5:
-            raise ValueError("--code-statement needs N,m,k,p,d")
-        res4 = ver.check_code_statement(*vals)
-        checks["code_statement"] = res4.to_obj()
-        witness_found |= not res4.ok
+        vals = _parse_int_list(args.code_statement, 5, "--code-statement needs N,m,k,p,d")
+        results["code_statement"] = ver.check_code_statement(*vals)
     if args.red_bound:
-        vals = _parse_int_list(args.red_bound)
-        if len(vals) != 2:
-            raise ValueError("--red-bound needs n,m")
-        res5 = ver.certify_red_singleton_bound(coloring, vals[0], vals[1])
-        checks["red_bound"] = res5.to_obj()
-        witness_found |= not res5.ok
+        n, m = _parse_int_list(args.red_bound, 2, "--red-bound needs n,m")
+        results["red_bound"] = ver.certify_red_singleton_bound(coloring, n, m)
+    checks = {name: res.to_obj() for name, res in results.items()}
+    witness_found = not all(res.ok for res in results.values())
     if args.ramsey:
-        vals = _parse_int_list(args.ramsey)
-        if len(vals) != 2:
-            raise ValueError("--ramsey needs m,n")
-        outcome = coloring_is_ramsey(coloring, vals[0], vals[1], CopyKind(args.kind))
+        m, n = _parse_int_list(args.ramsey, 2, "--ramsey needs m,n")
+        outcome = coloring_is_ramsey(coloring, m, n, CopyKind(args.kind))
         checks["ramsey"] = {
             "neither": outcome.neither,
             "blue_witness": None
@@ -314,12 +301,10 @@ def _cmd_verify(args, cert: _Certificate) -> int:
     if not checks:
         raise ValueError("no verification requested")
     cert.obj["result"] = checks
-    cert.obj["outcome"] = "witness" if witness_found else "ok"
-    cert.emit(None)
-    return EXIT_WITNESS if witness_found else EXIT_OK
+    return "witness" if witness_found else "ok"
 
 
-def _cmd_embed(args, cert: _Certificate) -> int:
+def _cmd_embed(args, cert: _Certificate) -> str:
     coloring, digest = _load_coloring(args.coloring)
     cert.obj["inputs"][args.coloring] = digest
     n, k = args.n, args.k
@@ -327,9 +312,7 @@ def _cmd_embed(args, cert: _Certificate) -> int:
         perm = Permutation(n, k, tuple(_parse_int_list(args.pi)))
         rec = embed_with_permutation(coloring, n, k, perm)
         cert.obj["result"] = rec.to_obj()
-        cert.obj["outcome"] = "ok" if rec.succeeded else "witness"
-        cert.emit(args.output)
-        return EXIT_OK if rec.succeeded else EXIT_WITNESS
+        return "ok" if rec.succeeded else "witness"
     if args.all:
         report = sweep_permutations(coloring, n, k, mode="all")
     else:
@@ -339,27 +322,21 @@ def _cmd_embed(args, cert: _Certificate) -> int:
             coloring, n, k, mode="sample", sample_count=args.sample, seed=seed
         )
     cert.obj["result"] = report.to_obj()
-    cert.obj["outcome"] = "ok" if report.success is not None else "witness"
-    cert.emit(args.output)
-    return EXIT_OK if report.success is not None else EXIT_WITNESS
+    return "ok" if report.success is not None else "witness"
 
 
-def _cmd_ramsey(args, cert: _Certificate) -> int:
+def _cmd_ramsey(args, cert: _Certificate) -> str:
     kind = CopyKind(args.kind)
     result = exhaustive_ramsey_number(
         args.m, args.n, kind, max_n=args.max_n, workers=args.threads
     )
     cert.obj["result"] = result.to_obj()
     if result.status == "exhausted":
-        cert.obj["outcome"] = "exhausted"
-        cert.emit(args.output)
-        return EXIT_EXHAUSTED
-    cert.obj["outcome"] = "ok" if result.value is not None else "unknown"
-    cert.emit(args.output)
-    return EXIT_OK
+        return "exhausted"
+    return "ok" if result.value is not None else "unknown"
 
 
-def _cmd_bound(args, cert: _Certificate) -> int:
+def _cmd_bound(args, cert: _Certificate) -> str:
     result: dict = {"n": args.n}
     if args.c is not None:
         result["report"] = counting_bound(args.n, args.c).to_obj()
@@ -368,12 +345,10 @@ def _cmd_bound(args, cert: _Certificate) -> int:
     if args.c is None and not args.minimal:
         raise ValueError("bound needs --c and/or --minimal")
     cert.obj["result"] = result
-    cert.obj["outcome"] = "ok"
-    cert.emit(args.output)
-    return EXIT_OK
+    return "ok"
 
 
-def _cmd_code(args, cert: _Certificate) -> int:
+def _cmd_code(args, cert: _Certificate) -> str:
     params = cons.weak_parameters(args.n, args.m, args.k, args.d)
     code = cons.modp_code(params.ground, params.k, params.d, params.p)
     avoid = mask_of(_parse_int_list(args.avoid))
@@ -387,39 +362,38 @@ def _cmd_code(args, cert: _Certificate) -> int:
         "witness": elements_of(witness),
         "member": elements_of(witness | (1 << (args.y - 1))),
     }
-    cert.obj["outcome"] = "ok"
-    cert.emit(args.output)
-    return EXIT_OK
+    return "ok"
+
+
+_HANDLERS = {
+    "construct": _cmd_construct,
+    "verify": _cmd_verify,
+    "embed": _cmd_embed,
+    "ramsey": _cmd_ramsey,
+    "bound": _cmd_bound,
+    "code": _cmd_code,
+}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
-
     cert = _Certificate(argv)
-    handlers = {
-        "construct": _cmd_construct,
-        "verify": _cmd_verify,
-        "embed": _cmd_embed,
-        "ramsey": _cmd_ramsey,
-        "bound": _cmd_bound,
-        "code": _cmd_code,
-    }
     try:
+        args = _build_parser().parse_args(argv)
         args.threads = _worker_count(args.threads)
-        return handlers[args.cmd](args, cert)
-    except (SearchExhausted, cons.ResampleBudgetExceeded) as exc:
-        cert.obj["outcome"] = "exhausted"
+        outcome = _HANDLERS[args.cmd](args, cert)
+    except SystemExit:  # --help has been printed
+        return EXIT_OK
+    except SearchExhausted as exc:
+        outcome = "exhausted"
         cert.obj["result"] = {"error": str(exc)}
-        cert.emit(None)
-        return EXIT_EXHAUSTED
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    cert.obj["outcome"] = outcome
+    # construct -o names the coloring file, so its certificate goes to stdout
+    cert.emit(None if args.cmd == "construct" else getattr(args, "output", None))
+    return EXIT_CODES[outcome]
 
 
 if __name__ == "__main__":

@@ -63,7 +63,7 @@ def layered_coloring(
     return Coloring.structured(ground, blue_layers=blue)
 
 
-class GreedyStuck(Exception):
+class GreedyStuck(ValueError):
     """The greedy pair-code scan ran out of candidates for some ordered pair."""
 
     def __init__(self, pair: tuple[int, int]):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .lattice import Chain, Coloring, SetWord, elements_of, is_subset
+from .lattice import Chain, Coloring, SetWord, elements_of, is_subset, subsets_by_rank
 
 DEFAULT_NODE_BUDGET = 10**8
 
@@ -76,10 +76,6 @@ class CopyWitness:
             "dim": self.dim,
             "images": [elements_of(s) for s in self.images],
         }
-
-
-def _pattern_order(m: int) -> list[int]:
-    return sorted(range(1 << m), key=lambda q: (q.bit_count(), q))
 
 
 def find_copy(
@@ -157,7 +153,7 @@ def find_copy(
                 bits |= 1 << i
         rank_candidates.append(bits)
 
-    patterns = _pattern_order(m)
+    patterns = list(subsets_by_rank(m))
     induced = kind is CopyKind.INDUCED
     # For each pattern position, precompute the earlier positions that are
     # strict sub-patterns / incomparable patterns.
@@ -376,17 +372,17 @@ def exhaustive_ramsey_number(
 
     checked = 0
     counterexamples: dict = {}
+    value, status = None, "complete"
     try:
         for ground in range(1, max_n + 1):
             idx, scanned = _scan_ground(ground, m, n, kind, node_budget, workers)
             checked += scanned
             if idx is None:
-                return RamseyScanResult(
-                    m, n, kind, max_n, ground, counterexamples, checked, lower
-                )
+                value = ground
+                break
             counterexamples[ground] = idx
     except SearchExhausted:
-        return RamseyScanResult(
-            m, n, kind, max_n, None, counterexamples, checked, lower, status="exhausted"
-        )
-    return RamseyScanResult(m, n, kind, max_n, None, counterexamples, checked, lower)
+        status = "exhausted"
+    return RamseyScanResult(
+        m, n, kind, max_n, value, counterexamples, checked, lower, status
+    )

@@ -217,7 +217,7 @@ def check_conditions(fam: WeightedFamily) -> ConditionsResult:
     return ConditionsResult(not violations, violations)
 
 
-class UnknownShape(Exception):
+class UnknownShape(ValueError):
     """The coloring does not match any construction this verifier certifies."""
 
 
@@ -264,14 +264,13 @@ def _partial_layer(coloring: Coloring, m: int) -> WeightedFamily:
     return WeightedFamily(coloring.ground_n, m, members=tuple(members))
 
 
-def certify_blue_free(coloring: Coloring, m: int, kind) -> CheckResult:
+def certify_blue_free(coloring: Coloring, m: int) -> CheckResult:
     """Certify that the blue side contains no copy of Q_m (weak, hence induced).
 
     Shape-aware: the blue layers force the size of every image level, so the
     only freedom a copy would have sits on the partial layer, where it is
-    killed by the pairwise-distance or subset-count property.  The kind
-    argument is accepted for interface symmetry; certificates cover weak
-    copies, which subsume induced ones.
+    killed by the pairwise-distance or subset-count property.  Certificates
+    cover weak copies, which subsume induced ones.
     """
     shape, k, shape_m = _detect_shape(coloring)
     if m != shape_m:

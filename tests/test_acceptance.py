@@ -153,7 +153,7 @@ def test_a4_pair_code_at_18():
     fam = sorted_family(code.masks(), 20, 10)
     assert check_min_distance(fam, 4).ok
     coloring = induced_q2_coloring(18)
-    assert certify_blue_free(coloring, 2, CopyKind.INDUCED).ok
+    assert certify_blue_free(coloring, 2).ok
     elapsed = time.time() - t0
     report("A4", elapsed < 30, f"380 pairs, 48620 > 31078, distance+certify ok ({elapsed:.1f}s)")
 
@@ -202,7 +202,7 @@ def test_a6_resampled_family_constructions():
         fam = lll_family(cfg)  # raises ResampleBudgetExceeded beyond the budget
         assert check_conditions(fam).ok, (n, m)
         coloring = probabilistic_coloring(n, m, fam)
-        assert certify_blue_free(coloring, m, CopyKind.WEAK).ok
+        assert certify_blue_free(coloring, m).ok
         assert certify_red_singleton_bound(coloring, n, m).ok
         densities.append(
             f"({n},{m}): tuned {p} vs default {LllConfig.default_density(n, m):.2e}"

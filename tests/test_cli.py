@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from latticeramsey.cli import main
+from latticeramsey.oracle import SearchExhausted
 
 
 def run_cli(capsys, *argv):
@@ -214,7 +215,17 @@ def test_exhausted_budget_exit_code(capsys):
 
 def test_unknown_subcommand_is_usage(capsys):
     assert main(["nonsense"]) == 2
-    capsys.readouterr()
+    usage_error_line(capsys)
+
+
+def test_malformed_thread_flag_is_usage(capsys):
+    assert main(["--threads", "abc", "bound", "--n", "2", "--minimal"]) == 2
+    assert "--threads" in usage_error_line(capsys)
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert "construct" in capsys.readouterr().out
 
 
 def test_missing_file_is_usage(capsys):
@@ -246,6 +257,59 @@ def test_bad_code_statement_is_usage(tmp_path, capsys, statement):
     argv = ["verify", "--coloring", str(path), "--code-statement", statement]
     assert main(argv) == 2
     usage_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "construct, verify",
+    [
+        (["pairs", "--n", "12"], None),  # the greedy scan sticks below n = 18
+        (["layered", "--m", "1", "--n", "1"], ["--blue-free", "1"]),  # no known shape
+        (["modp", "--n", "34", "--m", "2"], ["--red-bound", "34,2"]),  # not low-block
+    ],
+)
+def test_construction_and_shape_errors_are_usage(tmp_path, capsys, construct, verify):
+    path = str(tmp_path / "c.json")
+    code = main(["construct", *construct, "-o", path])
+    if verify is not None:
+        assert code == 0
+        capsys.readouterr()
+        code = main(["verify", "--coloring", path, *verify])
+    assert code == 2
+    usage_error_line(capsys)
+
+
+def _search_exhausted(*args):
+    raise SearchExhausted(7)
+
+
+@pytest.mark.parametrize(
+    "outcome, code, command, exhaust_oracle",
+    [
+        ("ok", 0, "bound --n 2 --minimal", False),
+        ("witness", 1, "verify --coloring {blue} --ramsey 1,1", False),
+        ("unknown", 0, "ramsey --m 2 --n 2 --kind weak --max-N 3", False),
+        ("exhausted", 3, "construct lll --n 12 --m 4 --p-incl 0.1 --max-resamples 2 -o {out}",
+         False),
+        ("exhausted", 3, "verify --coloring {blue} --ramsey 1,1", True),
+    ],
+    ids=["ok", "witness", "unknown", "exhausted-construct", "exhausted-verify"],
+)
+def test_each_outcome_maps_to_its_exit_code(
+    tmp_path, monkeypatch, capsys, outcome, code, command, exhaust_oracle
+):
+    from latticeramsey import cli
+    from latticeramsey.lattice import Coloring, dumps
+
+    blue, out = tmp_path / "allblue.json", tmp_path / "out.json"
+    blue.write_text(dumps(Coloring.dense(2, range(4))))
+    if exhaust_oracle:
+        monkeypatch.setattr(cli, "coloring_is_ramsey", _search_exhausted)
+    got, cert = run_cli(capsys, *command.format(blue=blue, out=out).split())
+    assert (got, cert["outcome"]) == (code, outcome) and cli.EXIT_CODES[outcome] == code
+    # an exhausted construct has no coloring: -o stays unwritten, the certificate is on stdout
+    assert not out.exists()
+    if exhaust_oracle:
+        assert cert["result"] == {"error": "search exhausted after 7 nodes"}
 
 
 def test_malformed_thread_variable_is_usage(monkeypatch, capsys):

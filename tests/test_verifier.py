@@ -183,15 +183,14 @@ def test_conditions_two_fold_cover_ok():
 
 def test_certify_pair_code_coloring():
     c = induced_q2_coloring(18)
-    assert certify_blue_free(c, 2, CopyKind.INDUCED).ok
-    assert certify_blue_free(c, 2, CopyKind.WEAK).ok
+    assert certify_blue_free(c, 2).ok
     with pytest.raises(ValueError):
-        certify_blue_free(c, 3, CopyKind.WEAK)
+        certify_blue_free(c, 3)
 
 
 def test_certify_rejects_dense():
     with pytest.raises(UnknownShape):
-        certify_blue_free(Coloring.dense(3, [0]), 2, CopyKind.WEAK)
+        certify_blue_free(Coloring.dense(3, [0]), 2)
 
 
 def test_certify_spread_shape_agrees_with_oracle_small():
@@ -199,14 +198,14 @@ def test_certify_spread_shape_agrees_with_oracle_small():
     ground, k = 9, 3
     good = modp_code(9, 3, 5, 11)
     col = Coloring.structured(ground, blue_layers={k, k + 3}, blue_code=good)
-    res = certify_blue_free(col, 2, CopyKind.WEAK)
+    res = certify_blue_free(col, 2)
     assert res.ok
     blue = col.blue_family()
     assert find_copy(blue, 2, CopyKind.WEAK) is None
 
     bad_members = [mask_of([1, 2, 3, 4]), mask_of([1, 2, 3, 5])]
     col_bad = Coloring.structured(ground, blue_layers={k, k + 3}, blue_extra=bad_members)
-    res = certify_blue_free(col_bad, 2, CopyKind.WEAK)
+    res = certify_blue_free(col_bad, 2)
     assert not res.ok
     # for the two-middle shape a distance violation is a genuine copy
     assert find_copy(col_bad.blue_family(), 2, CopyKind.WEAK) is not None
@@ -225,7 +224,7 @@ def test_certify_spread_random_extras_sound():
         col = Coloring.structured(
             ground, blue_layers={k, k + 3}, blue_extra=members
         )
-        res = certify_blue_free(col, 2, CopyKind.WEAK)
+        res = certify_blue_free(col, 2)
         found = find_copy(col.blue_family(), 2, CopyKind.WEAK) is not None
         assert res.ok == (not found)
 
@@ -233,13 +232,13 @@ def test_certify_spread_random_extras_sound():
 def test_certify_low_block_agrees_with_oracle():
     fam7 = sorted_family([mask_of(t) for t in two_fold_triples_7()], 7, 3)
     col = probabilistic_coloring(4, 3, fam7)
-    assert certify_blue_free(col, 3, CopyKind.WEAK).ok
+    assert certify_blue_free(col, 3).ok
     assert find_copy(col.blue_family(), 3, CopyKind.WEAK) is None
 
     # inject a third triple into one 4-set: both paths must flip
     spoiled = set(fam7.members) | {mask_of([1, 2, 3])}
     col_bad = Coloring.structured(7, blue_layers={0, 1, 4}, blue_extra=spoiled)
-    res = certify_blue_free(col_bad, 3, CopyKind.WEAK)
+    res = certify_blue_free(col_bad, 3)
     assert not res.ok
     assert find_copy(col_bad.blue_family(), 3, CopyKind.WEAK) is not None
 
@@ -288,7 +287,7 @@ def test_low_block_certifiers_match_color_lookups():
         col = Coloring.structured(
             n + m, blue_layers=set(range(m - 1)) | {m + 1}, blue_extra=fam.members
         )
-        blue = certify_blue_free(col, m, CopyKind.WEAK)
+        blue = certify_blue_free(col, m)
         red = certify_red_singleton_bound(col, n, m)
         assert blue == naive_low_block_blue_free(col, m)
         assert red == naive_certify_red_singleton_bound(col, n, m)
@@ -302,7 +301,7 @@ def test_low_block_certifiers_read_a_blue_code():
     col = Coloring.structured(
         7, blue_layers={0, 1, 4}, blue_code=WeightedFamily(7, 3, modp_p=2, modp_d=1)
     )
-    res = certify_blue_free(col, 3, CopyKind.WEAK)
+    res = certify_blue_free(col, 3)
     assert not res.ok
     assert find_copy(col.blue_family(), 3, CopyKind.WEAK) is not None
     red = certify_red_singleton_bound(col, 4, 3)
