@@ -146,7 +146,12 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run structural checks against a coloring file")
     v.add_argument("--coloring", type=str, required=True)
     v.add_argument("--blue-free", type=int, help="certify no blue copy of this dimension")
-    v.add_argument("--kind", choices=["induced", "weak"], default="weak")
+    v.add_argument(
+        "--kind",
+        choices=["induced", "weak"],
+        default="weak",
+        help="copy kind for --ramsey only (default weak); --blue-free certifies weak copies",
+    )
     v.add_argument("--conditions", action="store_true", help="check the family conditions")
     v.add_argument("--distance", type=int, help="check pairwise distance of the extras")
     v.add_argument(

@@ -149,6 +149,32 @@ def subsets_by_rank(n: int) -> Iterator[SetWord]:
         yield from layer(n, s)
 
 
+_JSON_TYPES = {dict: "object", str: "string", int: "integer"}
+
+
+def _json_field(value, kind: type, name: str):
+    """value if json.loads gave it the Python type `kind`, else ValueError."""
+    if type(value) is not kind:  # type(True) is bool, so no bool passes as int
+        raise ValueError(f"{name} must be a JSON {_JSON_TYPES[kind]}")
+    return value
+
+
+def _json_ints(value, name: str) -> list[int]:
+    """value if it is a JSON array of integers, else ValueError."""
+    if type(value) is not list or not {type(x) for x in value} <= {int}:
+        raise ValueError(f"{name} must be a JSON array of integers")
+    return value
+
+
+def _json_int_arrays(value, name: str) -> list[list[int]]:
+    """value if it is a JSON array of integer arrays, else ValueError."""
+    if type(value) is not list or not (
+        {type(a) for a in value} <= {list} and {type(x) for a in value for x in a} <= {int}
+    ):
+        raise ValueError(f"{name} must be a JSON array of integer arrays")
+    return value
+
+
 def _check_ground(n: int) -> None:
     if not 0 <= n <= MAX_GROUND:
         raise ValueError(f"ground size {n} outside [0, {MAX_GROUND}]")
@@ -475,21 +501,25 @@ class Coloring:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "Coloring":
-        n = obj["n"]
+        """Decode `to_obj` output; a field of the wrong JSON type is a ValueError."""
+        obj = _json_field(obj, dict, "coloring")
+        n = _json_field(obj["n"], int, "n")
         if obj["repr"] == "dense":
-            return cls(n, blue_bits=bytes.fromhex(obj["blue_hex"]))
+            hex_text = _json_field(obj["blue_hex"], str, "blue_hex")
+            return cls(n, blue_bits=bytes.fromhex(hex_text))
         if obj["repr"] != "structured":
             raise ValueError(f"unknown coloring repr {obj['repr']!r}")
         code = None
         if "blue_modp" in obj:
-            mp = obj["blue_modp"]
-            code = WeightedFamily(
-                n, mp["weight"], modp_p=mp["p"], modp_d=mp["d"]
+            mp = _json_field(obj["blue_modp"], dict, "blue_modp")
+            weight, p, d = (
+                _json_field(mp[key], int, f"blue_modp.{key}") for key in ("weight", "p", "d")
             )
+            code = WeightedFamily(n, weight, modp_p=p, modp_d=d)
         return cls.structured(
             n,
-            blue_layers=obj.get("blue_layers", ()),
-            blue_extra=(mask_of(e) for e in obj.get("blue_extra", ())),
+            blue_layers=_json_ints(obj.get("blue_layers", []), "blue_layers"),
+            blue_extra=map(mask_of, _json_int_arrays(obj.get("blue_extra", []), "blue_extra")),
             blue_code=code,
         )
 

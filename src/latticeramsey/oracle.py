@@ -12,11 +12,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Optional
 
 from .lattice import Chain, Coloring, SetWord, elements_of, is_subset, subsets_by_rank
 
 DEFAULT_NODE_BUDGET = 10**8
+MAX_SCAN_GROUND = 5
 
 
 class CopyKind(Enum):
@@ -78,6 +80,151 @@ class CopyWitness:
         }
 
 
+def _order(words) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Containment order of ascending distinct SetWords, by bit slicing.
+
+    up[i] and down[i] are bitmasks over positions in `words`: the words
+    containing words[i] and the words inside it, words[i] itself included.
+    With has[e] the positions of the words holding element e, up[i] is the AND
+    of has[e] over the elements of words[i] and down[i] the complement of the
+    OR over the elements it lacks: O(|words| * N) big-int operations.
+    """
+    words = list(words)
+    every = (1 << len(words)) - 1
+    elements = [1 << e for e in range(max(words, default=0).bit_length())]
+    has = dict.fromkeys(elements, 0)
+    for i, w in enumerate(words):
+        for b in elements:
+            if w & b:
+                has[b] |= 1 << i
+    up, down = [], []
+    for w in words:
+        above, outside = every, 0
+        for b in elements:
+            if w & b:
+                above &= has[b]
+            else:
+                outside |= has[b]
+        up.append(above)
+        down.append(every & ~outside)
+    return tuple(up), tuple(down)
+
+
+@lru_cache(maxsize=None)
+def _cube(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Order tables of all of Q_n; cached only for the scan grounds."""
+    return _order(range(1 << n))
+
+
+@lru_cache(maxsize=None)
+def _pattern_plan(m: int) -> tuple[tuple[int, ...], tuple, tuple]:
+    """Patterns of Q_m rank by rank, with the earlier strict sub-patterns and
+    the earlier incomparable patterns of each position."""
+    patterns = tuple(subsets_by_rank(m))
+    earlier_subs, earlier_incomp = [], []
+    for idx, q in enumerate(patterns):
+        es, ei = [], []
+        for jdx in range(idx):
+            p = patterns[jdx]
+            if p & ~q == 0:
+                es.append(jdx)
+            elif q & ~p:  # p not subset of q; q not subset of p is automatic
+                ei.append(jdx)
+        earlier_subs.append(tuple(es))
+        earlier_incomp.append(tuple(ei))
+    return patterns, tuple(earlier_subs), tuple(earlier_incomp)
+
+
+def _heights(fam: int, rel, depth: int) -> list[int]:
+    """levels[h]: members of fam with a chain of h+1 members ending there.
+
+    rel is the `down` table for chains from below, `up` for chains from above;
+    each level drops the minimal members of the one before, up to h = depth.
+    """
+    levels = [fam]
+    cur = fam
+    while len(levels) <= depth:
+        nxt, rest = 0, cur
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if rel[low.bit_length() - 1] & cur != low:
+                nxt |= low
+        levels.append(nxt)
+        cur = nxt
+    return levels
+
+
+def _search(words, up, down, fam: int, m: int, kind: CopyKind, node_budget: int):
+    """Search the words at the positions in `fam` for a copy of Q_m.
+
+    up/down are `_order(words)`.  Patterns are assigned rank by rank; a
+    candidate needs enough strict subsets/supersets in fam and room for a
+    chain of m+1 members through it.  Candidates are tried lowest position
+    first, so the witness and the node count depend only on the words in fam.
+    """
+    size = 1 << m
+    if fam.bit_count() < size:
+        return None
+    below = _heights(fam, down, m)
+    above = _heights(fam, up, m)
+    rank_candidates = []
+    for r in range(m + 1):
+        bits = below[r] & above[m - r]
+        # A chain of r+1 members ending at i gives it r strict subsets; count
+        # them only where the pattern needs more (2^r - 1), same above.
+        need_below, need_above = 1 << r, 1 << (m - r)
+        if need_below > r + 1 or need_above > m - r + 1:
+            rest = bits
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                i = low.bit_length() - 1
+                if (down[i] & fam).bit_count() < need_below or (
+                    up[i] & fam
+                ).bit_count() < need_above:
+                    bits ^= low
+        rank_candidates.append(bits)
+
+    patterns, earlier_subs, earlier_incomp = _pattern_plan(m)
+    induced = kind is CopyKind.INDUCED
+    assigned = [0] * size
+    used = 0
+    nodes = 0
+
+    def backtrack(idx: int) -> bool:
+        nonlocal used, nodes
+        if idx == size:
+            return True
+        cand = rank_candidates[patterns[idx].bit_count()] & ~used
+        for jdx in earlier_subs[idx]:
+            cand &= up[assigned[jdx]]
+        if induced:
+            for jdx in earlier_incomp[idx]:
+                a = assigned[jdx]
+                cand &= ~(up[a] | down[a])
+        while cand:
+            low = cand & -cand
+            i = low.bit_length() - 1
+            cand ^= low
+            nodes += 1
+            if nodes > node_budget:
+                raise SearchExhausted(nodes)
+            assigned[idx] = i
+            used |= low
+            if backtrack(idx + 1):
+                return True
+            used ^= low
+        return False
+
+    if not backtrack(0):
+        return None
+    images = [0] * size
+    for idx, q in enumerate(patterns):
+        images[q] = words[assigned[idx]]
+    return CopyWitness(kind, m, tuple(images))
+
+
 def find_copy(
     family,
     m: int,
@@ -96,135 +243,35 @@ def find_copy(
     if m < 0:
         raise ValueError("pattern dimension must be >= 0")
     fam = sorted(set(family))
-    size = 1 << m
-    if len(fam) < size:
-        return None
-    nf = len(fam)
-
-    # Pairwise containment structure, as bitmasks over family indices.
-    subs = [0] * nf  # subs[i]: indices j with fam[j] subset of fam[i]
-    sups = [0] * nf
-    for i, a in enumerate(fam):
-        for j, b in enumerate(fam):
-            if a & ~b == 0:
-                sups[i] |= 1 << j
-                subs[j] |= 1 << i
-    all_bits = (1 << nf) - 1
-    self_bits = [1 << i for i in range(nf)]
-    strict_subs = [subs[i] & ~self_bits[i] for i in range(nf)]
-    strict_sups = [sups[i] & ~self_bits[i] for i in range(nf)]
-    incomp = [all_bits & ~subs[i] & ~sups[i] for i in range(nf)]
-
-    # Longest chain ending at / starting from each element (family sorted by
-    # mask value, which refines the containment order).
-    down = [1] * nf
-    for i in range(nf):
-        mask = strict_subs[i]
-        while mask:
-            low = mask & -mask
-            j = low.bit_length() - 1
-            if down[j] + 1 > down[i]:
-                down[i] = down[j] + 1
-            mask ^= low
-    up = [1] * nf
-    for i in range(nf - 1, -1, -1):
-        mask = strict_sups[i]
-        while mask:
-            low = mask & -mask
-            j = low.bit_length() - 1
-            if up[j] + 1 > up[i]:
-                up[i] = up[j] + 1
-            mask ^= low
-
-    # Candidate prefilter per pattern rank: enough strict subsets/supersets in
-    # the family, and room for a chain of length m+1 through the image.
-    rank_candidates = []
-    for r in range(m + 1):
-        need_below = (1 << r) - 1
-        need_above = (1 << (m - r)) - 1
-        bits = 0
-        for i in range(nf):
-            if (
-                strict_subs[i].bit_count() >= need_below
-                and strict_sups[i].bit_count() >= need_above
-                and down[i] >= r + 1
-                and up[i] >= m - r + 1
-            ):
-                bits |= 1 << i
-        rank_candidates.append(bits)
-
-    patterns = list(subsets_by_rank(m))
-    induced = kind is CopyKind.INDUCED
-    # For each pattern position, precompute the earlier positions that are
-    # strict sub-patterns / incomparable patterns.
-    earlier_subs: list[list[int]] = []
-    earlier_incomp: list[list[int]] = []
-    for idx, q in enumerate(patterns):
-        es, ei = [], []
-        for jdx in range(idx):
-            p = patterns[jdx]
-            if p & ~q == 0:
-                es.append(jdx)
-            elif q & ~p:  # p not subset of q; q not subset of p is automatic
-                ei.append(jdx)
-        earlier_subs.append(es)
-        earlier_incomp.append(ei)
-
-    assigned = [0] * size
-    used = 0
-    nodes = 0
-
-    def backtrack(idx: int) -> bool:
-        nonlocal used, nodes
-        if idx == size:
-            return True
-        q = patterns[idx]
-        cand = rank_candidates[q.bit_count()] & ~used
-        for jdx in earlier_subs[idx]:
-            cand &= strict_sups[assigned[jdx]]
-        if induced:
-            for jdx in earlier_incomp[idx]:
-                cand &= incomp[assigned[jdx]]
-        while cand:
-            low = cand & -cand
-            i = low.bit_length() - 1
-            cand ^= low
-            nodes += 1
-            if nodes > node_budget:
-                raise SearchExhausted(nodes)
-            assigned[idx] = i
-            used |= 1 << i
-            if backtrack(idx + 1):
-                return True
-            used &= ~(1 << i)
-        return False
-
-    if not backtrack(0):
-        return None
-    images = [0] * size
-    for idx, q in enumerate(patterns):
-        images[q] = fam[assigned[idx]]
-    return CopyWitness(kind, m, tuple(images))
+    up, down = _order(fam)
+    return _search(fam, up, down, (1 << len(fam)) - 1, m, kind, node_budget)
 
 
 def find_chain(family, length: int) -> Optional[Chain]:
     """A chain of exactly `length` sets from the family, or None.
 
     Longest-path dynamic programming over the containment order; complete.
+    Each set's predecessor is its lowest strict subset among those ending the
+    longest chains.
     """
     if length < 1:
         raise ValueError("chain length must be >= 1")
     fam = sorted(set(family))
-    nf = len(fam)
-    best = [1] * nf
-    pred: list[Optional[int]] = [None] * nf
-    for i in range(nf):
-        for j in range(i):
-            if fam[j] != fam[i] and fam[j] & ~fam[i] == 0 and best[j] + 1 > best[i]:
-                best[i] = best[j] + 1
-                pred[i] = j
-    for i in range(nf):
-        if best[i] >= length:
+    _, down = _order(fam)
+    levels = [0]  # levels[h]: positions whose longest chain has h sets
+    pred: list[Optional[int]] = [None] * len(fam)
+    for i in range(len(fam)):
+        below = down[i] ^ (1 << i)
+        h = len(levels) - 1
+        while h and not below & levels[h]:
+            h -= 1
+        if h:
+            hits = below & levels[h]
+            pred[i] = (hits & -hits).bit_length() - 1
+        if h + 1 == len(levels):
+            levels.append(0)
+        levels[h + 1] |= 1 << i
+        if h + 1 >= length:
             out = []
             j: Optional[int] = i
             while j is not None and len(out) < length:
@@ -254,12 +301,23 @@ def coloring_is_ramsey(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> RamseyOutcome:
     """Search the blue side for Q_m, then the red side for Q_n."""
-    blue = coloring.blue_family()
-    w = find_copy(blue, m, kind, node_budget)
+    if m < 0 or n < 0:
+        raise ValueError("pattern dimension must be >= 0")
+    blue = int.from_bytes(coloring.densify().blue_bits, "little")
+    return _ramsey_bits(coloring.ground_n, blue, m, n, kind, node_budget)
+
+
+def _ramsey_bits(
+    ground: int, blue: int, m: int, n: int, kind: CopyKind, node_budget: int
+) -> RamseyOutcome:
+    """coloring_is_ramsey on the dense bit vector of a coloring of Q_ground."""
+    words = range(1 << ground)
+    up, down = _cube(ground) if ground <= MAX_SCAN_GROUND else _order(words)
+    w = _search(words, up, down, blue, m, kind, node_budget)
     if w is not None:
         return RamseyOutcome(blue_witness=w)
-    red = coloring.red_family()
-    w = find_copy(red, n, kind, node_budget)
+    red = ((1 << len(words)) - 1) ^ blue
+    w = _search(words, up, down, red, n, kind, node_budget)
     if w is not None:
         return RamseyOutcome(red_witness=w)
     return RamseyOutcome()
@@ -273,7 +331,8 @@ class RamseyScanResult:
     blue copy of Q_m or a red copy of Q_n, or None when the threshold exceeds
     max_n ("unknown").  counterexamples maps each ruled-out N to the first
     dense coloring index (in integer order) avoiding both copies.  The layered
-    lower bound m+n is verified separately and recorded.
+    lower bound m+n is verified separately and recorded (None when that check
+    ran out of node budget).
     """
 
     m: int
@@ -283,7 +342,7 @@ class RamseyScanResult:
     value: Optional[int]
     counterexamples: dict
     colorings_checked: int
-    layered_lower_bound: int
+    layered_lower_bound: Optional[int]
     status: str = "complete"  # or "exhausted"
 
     def to_obj(self) -> dict:
@@ -304,8 +363,7 @@ def _scan_chunk(args) -> Optional[int]:
     ground, m, n, kind_value, start, stop, node_budget = args
     kind = CopyKind(kind_value)
     for idx in range(start, stop):
-        c = Coloring.dense_from_int(ground, idx)
-        if coloring_is_ramsey(c, m, n, kind, node_budget).neither:
+        if _ramsey_bits(ground, idx, m, n, kind, node_budget).neither:
             return idx
     return None
 
@@ -352,23 +410,23 @@ def exhaustive_ramsey_number(
 
     Colorings of each Q_N are enumerated in integer order of their dense bit
     vectors, with early exit on the first coloring avoiding both copies.
-    Guarded at max_n <= 5.
+    Guarded at max_n <= MAX_SCAN_GROUND.
     """
     if m < 1 or n < 1:
         raise ValueError("pattern dimensions must be >= 1")
-    if max_n > 5:
-        raise ValueError("exhaustive scan guarded at max_N <= 5")
+    if max_n > MAX_SCAN_GROUND:
+        raise ValueError(f"exhaustive scan guarded at max_N <= {MAX_SCAN_GROUND}")
 
     # Layered witness: top m layers of Q_{m+n-1} blue; certifies value >= m+n.
     from .constructions import layered_coloring
 
     witness = layered_coloring(m, n)
-    lower = 0
+    lower: Optional[int] = 0
     try:
         if coloring_is_ramsey(witness, m, n, kind, node_budget).neither:
             lower = m + n
     except SearchExhausted:
-        lower = 0
+        lower = None
 
     checked = 0
     counterexamples: dict = {}

@@ -3,17 +3,22 @@
 These deliberately share no machinery with the package: copies are found by
 enumerating injections (or by direct pair logic for the tiny patterns), and
 counts are taken by materializing subsets.  Agreement between these and the
-package's searchers is what the equivalence tests assert.
+package's searchers is what the equivalence tests assert.  The pairwise
+oracle at the end is the package's own former searcher, kept as the reference
+a faster replacement must match witness for witness.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial, lgamma
+from typing import Optional
 
-from latticeramsey.constructions import ResampleBudgetExceeded
+from latticeramsey.constructions import ResampleBudgetExceeded, layered_coloring
 from latticeramsey.lattice import (
+    Chain,
     Color,
+    Coloring,
     SetWord,
     elements_of,
     full_mask,
@@ -21,6 +26,13 @@ from latticeramsey.lattice import (
     is_subset,
     layer,
     sorted_family,
+    subsets_by_rank,
+)
+from latticeramsey.oracle import (
+    DEFAULT_NODE_BUDGET,
+    CopyKind,
+    CopyWitness,
+    SearchExhausted,
 )
 from latticeramsey.verifier import CheckResult, CodeStatementResult, build_dp_table
 
@@ -438,3 +450,192 @@ def two_fold_triples_8():
     """Extension to [8]: a triangle-free 2-regular star through the new point."""
     star = [{8, i, i % 7 + 1} for i in range(1, 8)]
     return two_fold_triples_7() + star
+
+# -- the pairwise oracle, kept verbatim as the reference for the order tables --
+# find_copy and find_chain as they stood before the oracle read containment
+# from bit-sliced order tables: O(|F|^2) pair tests rebuilt per family.
+
+
+def pairwise_find_copy(
+    family,
+    m: int,
+    kind: CopyKind,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> Optional[CopyWitness]:
+    """Search a family for a weak or induced copy of Q_m.
+
+    The search is complete: None means no copy exists.  Patterns are assigned
+    rank by rank, pruning candidates by their subset/superset counts and by
+    their chain height inside the family (when the family height equals the
+    height of Q_m, the level of every image is forced).  Raises
+    SearchExhausted when more than node_budget candidate assignments are
+    tried.
+    """
+    if m < 0:
+        raise ValueError("pattern dimension must be >= 0")
+    fam = sorted(set(family))
+    size = 1 << m
+    if len(fam) < size:
+        return None
+    nf = len(fam)
+
+    # Pairwise containment structure, as bitmasks over family indices.
+    subs = [0] * nf  # subs[i]: indices j with fam[j] subset of fam[i]
+    sups = [0] * nf
+    for i, a in enumerate(fam):
+        for j, b in enumerate(fam):
+            if a & ~b == 0:
+                sups[i] |= 1 << j
+                subs[j] |= 1 << i
+    all_bits = (1 << nf) - 1
+    self_bits = [1 << i for i in range(nf)]
+    strict_subs = [subs[i] & ~self_bits[i] for i in range(nf)]
+    strict_sups = [sups[i] & ~self_bits[i] for i in range(nf)]
+    incomp = [all_bits & ~subs[i] & ~sups[i] for i in range(nf)]
+
+    # Longest chain ending at / starting from each element (family sorted by
+    # mask value, which refines the containment order).
+    down = [1] * nf
+    for i in range(nf):
+        mask = strict_subs[i]
+        while mask:
+            low = mask & -mask
+            j = low.bit_length() - 1
+            if down[j] + 1 > down[i]:
+                down[i] = down[j] + 1
+            mask ^= low
+    up = [1] * nf
+    for i in range(nf - 1, -1, -1):
+        mask = strict_sups[i]
+        while mask:
+            low = mask & -mask
+            j = low.bit_length() - 1
+            if up[j] + 1 > up[i]:
+                up[i] = up[j] + 1
+            mask ^= low
+
+    # Candidate prefilter per pattern rank: enough strict subsets/supersets in
+    # the family, and room for a chain of length m+1 through the image.
+    rank_candidates = []
+    for r in range(m + 1):
+        need_below = (1 << r) - 1
+        need_above = (1 << (m - r)) - 1
+        bits = 0
+        for i in range(nf):
+            if (
+                strict_subs[i].bit_count() >= need_below
+                and strict_sups[i].bit_count() >= need_above
+                and down[i] >= r + 1
+                and up[i] >= m - r + 1
+            ):
+                bits |= 1 << i
+        rank_candidates.append(bits)
+
+    patterns = list(subsets_by_rank(m))
+    induced = kind is CopyKind.INDUCED
+    # For each pattern position, precompute the earlier positions that are
+    # strict sub-patterns / incomparable patterns.
+    earlier_subs: list[list[int]] = []
+    earlier_incomp: list[list[int]] = []
+    for idx, q in enumerate(patterns):
+        es, ei = [], []
+        for jdx in range(idx):
+            p = patterns[jdx]
+            if p & ~q == 0:
+                es.append(jdx)
+            elif q & ~p:  # p not subset of q; q not subset of p is automatic
+                ei.append(jdx)
+        earlier_subs.append(es)
+        earlier_incomp.append(ei)
+
+    assigned = [0] * size
+    used = 0
+    nodes = 0
+
+    def backtrack(idx: int) -> bool:
+        nonlocal used, nodes
+        if idx == size:
+            return True
+        q = patterns[idx]
+        cand = rank_candidates[q.bit_count()] & ~used
+        for jdx in earlier_subs[idx]:
+            cand &= strict_sups[assigned[jdx]]
+        if induced:
+            for jdx in earlier_incomp[idx]:
+                cand &= incomp[assigned[jdx]]
+        while cand:
+            low = cand & -cand
+            i = low.bit_length() - 1
+            cand ^= low
+            nodes += 1
+            if nodes > node_budget:
+                raise SearchExhausted(nodes)
+            assigned[idx] = i
+            used |= 1 << i
+            if backtrack(idx + 1):
+                return True
+            used &= ~(1 << i)
+        return False
+
+    if not backtrack(0):
+        return None
+    images = [0] * size
+    for idx, q in enumerate(patterns):
+        images[q] = fam[assigned[idx]]
+    return CopyWitness(kind, m, tuple(images))
+
+
+def pairwise_find_chain(family, length: int) -> Optional[Chain]:
+    """A chain of exactly `length` sets from the family, or None.
+
+    Longest-path dynamic programming over the containment order; complete.
+    """
+    if length < 1:
+        raise ValueError("chain length must be >= 1")
+    fam = sorted(set(family))
+    nf = len(fam)
+    best = [1] * nf
+    pred: list[Optional[int]] = [None] * nf
+    for i in range(nf):
+        for j in range(i):
+            if fam[j] != fam[i] and fam[j] & ~fam[i] == 0 and best[j] + 1 > best[i]:
+                best[i] = best[j] + 1
+                pred[i] = j
+    for i in range(nf):
+        if best[i] >= length:
+            out = []
+            j: Optional[int] = i
+            while j is not None and len(out) < length:
+                out.append(fam[j])
+                j = pred[j]
+            return Chain(tuple(reversed(out)))
+    return None
+
+
+def pairwise_coloring_is_ramsey(coloring, m, n, kind, node_budget=DEFAULT_NODE_BUDGET):
+    """(blue witness, red witness) the pairwise oracle finds; red only without blue."""
+    w = pairwise_find_copy(coloring.blue_family(), m, kind, node_budget)
+    if w is not None:
+        return w, None
+    return None, pairwise_find_copy(coloring.red_family(), n, kind, node_budget)
+
+
+def pairwise_ramsey_scan(m, n, kind, max_n):
+    """The threshold scan's result object, every coloring searched pairwise."""
+    blue, red = pairwise_coloring_is_ramsey(layered_coloring(m, n), m, n, kind)
+    out = {
+        "m": m, "n": n, "kind": kind.value, "max_N": max_n, "value": None,
+        "counterexamples": {}, "colorings_checked": 0, "status": "complete",
+        "layered_lower_bound": m + n if blue is None and red is None else 0,
+    }
+    for ground in range(1, max_n + 1):
+        for idx in range(1 << (1 << ground)):
+            out["colorings_checked"] += 1
+            c = Coloring.dense_from_int(ground, idx)
+            if pairwise_coloring_is_ramsey(c, m, n, kind) == (None, None):
+                out["counterexamples"][str(ground)] = idx
+                break
+        else:
+            out["value"] = ground
+            break
+    return out

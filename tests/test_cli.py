@@ -383,3 +383,18 @@ def test_cli_imports_neither_numpy_nor_mpmath():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"n": 3, "repr": "structured", "blue_layers": "ab"},
+        {"n": 3, "repr": "dense", "blue_hex": 5},
+        [1, 2],
+    ],
+)
+def test_malformed_coloring_file_is_usage(tmp_path, capsys, obj):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", "--coloring", str(path), "--ramsey", "1,1"]) == 2
+    usage_error_line(capsys)

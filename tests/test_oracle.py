@@ -13,9 +13,17 @@ from latticeramsey.oracle import (
     find_chain,
     find_copy,
 )
+from latticeramsey import constructions
 from latticeramsey.constructions import layered_coloring
 
-from naive import naive_find_copy, pair_logic_has_copy
+from naive import (
+    naive_find_copy,
+    pair_logic_has_copy,
+    pairwise_coloring_is_ramsey,
+    pairwise_find_chain,
+    pairwise_find_copy,
+    pairwise_ramsey_scan,
+)
 
 INDUCED = CopyKind.INDUCED
 WEAK = CopyKind.WEAK
@@ -151,3 +159,116 @@ def test_layered_colorings_avoid_both_small():
             c = layered_coloring(m, n)
             for kind in (INDUCED, WEAK):
                 assert coloring_is_ramsey(c, m, n, kind).neither, (m, n, kind)
+
+
+# -- order tables against the pairwise oracle they replaced -------------------
+
+
+def _both(search, *args):
+    """A search's witness images, None, or the node count it gave up at."""
+    try:
+        w = search(*args)
+    except SearchExhausted as exc:
+        return ("exhausted", exc.nodes)
+    return None if w is None else (w.kind, w.dim, w.images)
+
+
+def _random_families(rng, count):
+    for _ in range(count):
+        ground = rng.randint(1, 6)
+        density = rng.choice((0.3, 0.5, 0.7, 0.9))
+        yield [s for s in range(1 << ground) if rng.random() < density]
+
+
+def _sparse_q40_families(rng, count):
+    """Families in Q_40 with containment: a fixed base plus subsets of a small
+    element pool, with a few unrelated sets mixed in."""
+    for _ in range(count):
+        pool = rng.sample(range(40), 6)
+        base = sum(1 << e for e in rng.sample(range(40), 8) if e not in pool)
+        fam = [
+            base | sum(1 << e for e in pool if rng.random() < 0.5)
+            for _ in range(rng.randint(8, 40))
+        ]
+        fam += [rng.getrandbits(40) for _ in range(rng.randint(0, 5))]
+        yield fam
+
+
+def test_find_copy_matches_pairwise_oracle():
+    rng = random.Random(2024)
+    families = list(_random_families(rng, 400)) + list(_sparse_q40_families(rng, 80))
+    for fam in families:
+        for m in range(4):
+            for kind in (INDUCED, WEAK):
+                assert _both(find_copy, fam, m, kind) == _both(
+                    pairwise_find_copy, fam, m, kind
+                ), (fam, m, kind)
+
+
+def test_find_copy_budget_points_match_pairwise_oracle():
+    rng = random.Random(77)
+    families = list(_random_families(rng, 150)) + list(_sparse_q40_families(rng, 30))
+    for fam in families:
+        for m in (2, 3):
+            for kind in (INDUCED, WEAK):
+                for budget in (1, 5, 50):
+                    assert _both(find_copy, fam, m, kind, budget) == _both(
+                        pairwise_find_copy, fam, m, kind, budget
+                    ), (fam, m, kind, budget)
+
+
+def test_find_chain_matches_pairwise_oracle():
+    rng = random.Random(5)
+    families = list(_random_families(rng, 200)) + list(_sparse_q40_families(rng, 40))
+    for fam in families:
+        for length in range(1, 8):
+            assert find_chain(fam, length) == pairwise_find_chain(fam, length)
+
+
+def _ramsey_pair(coloring, m, n, kind):
+    out = coloring_is_ramsey(coloring, m, n, kind)
+    return out.blue_witness, out.red_witness
+
+
+def test_coloring_is_ramsey_matches_pairwise_oracle():
+    rng = random.Random(31)
+    colorings = [Coloring.dense_from_int(3, bits) for bits in range(256)]
+    colorings += [Coloring.dense_from_int(4, rng.getrandbits(16)) for _ in range(40)]
+    colorings += [Coloring.dense_from_int(5, rng.getrandbits(32)) for _ in range(15)]
+    colorings += [layered_coloring(2, 3), Coloring.structured(4, blue_layers={1, 3})]
+    for c in colorings:
+        for m in (1, 2, 3):
+            for n in (1, 2, 3):
+                for kind in (INDUCED, WEAK):
+                    assert _ramsey_pair(c, m, n, kind) == pairwise_coloring_is_ramsey(
+                        c, m, n, kind
+                    ), (c, m, n, kind)
+
+
+# The benchmark's fixed scan list (certbench's scan_set): every (m, n) in
+# 1..3, both kinds, up to N = 4 except the three scans that would list all
+# 2^16 colorings of Q_4.
+SCAN_LIST = [
+    (m, n, kind, 3 if (m, n) in {(1, 3), (2, 2), (3, 1)} else 4)
+    for kind in (WEAK, INDUCED)
+    for m in (1, 2, 3)
+    for n in (1, 2, 3)
+]
+
+
+@pytest.mark.parametrize("m,n,kind,max_n", SCAN_LIST)
+def test_exhaustive_scan_matches_pairwise_oracle(m, n, kind, max_n):
+    got = exhaustive_ramsey_number(m, n, kind, max_n).to_obj()
+    assert got == pairwise_ramsey_scan(m, n, kind, max_n)
+
+
+def test_exhausted_layered_check_is_null(monkeypatch):
+    # The chain-height prefilter settles the real layered witness in 0 nodes,
+    # so an all-blue Q_3, which needs a search, stands in for it.
+    monkeypatch.setattr(
+        constructions, "layered_coloring", lambda m, n: Coloring.dense(3, range(8))
+    )
+    r = exhaustive_ramsey_number(2, 2, WEAK, 2, node_budget=1)
+    assert r.layered_lower_bound is None
+    assert r.to_obj()["layered_lower_bound"] is None
+    assert r.status == "exhausted"
