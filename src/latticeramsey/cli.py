@@ -25,7 +25,14 @@ import time
 from typing import Optional
 
 from . import __version__
-from .lattice import Coloring, Permutation, WeightedFamily, elements_of, mask_of
+from .lattice import (
+    Coloring,
+    Permutation,
+    WeightedFamily,
+    elements_of,
+    json_pieces,
+    mask_of,
+)
 from .oracle import (
     CopyKind,
     SearchExhausted,
@@ -83,13 +90,15 @@ class _Certificate:
         }
 
     def emit(self, out_path: Optional[str]) -> None:
+        """Write the certificate as sorted, indent-2 JSON, piece by piece."""
         self.obj["wall_clock_s"] = round(time.monotonic() - self.started, 6)
-        text = json.dumps(self.obj, sort_keys=True, indent=2)
+        pieces = json_pieces(self.obj)
+        pieces.append("\n")
         if out_path:
             with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+                fh.writelines(pieces)
         else:
-            print(text)
+            sys.stdout.writelines(pieces)
 
 
 def _parse_int_list(text: str, count: Optional[int] = None, usage: str = "") -> list[int]:

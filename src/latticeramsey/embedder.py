@@ -24,6 +24,8 @@ from .lattice import (
     Coloring,
     Permutation,
     SetWord,
+    _json_field,
+    _json_ints,
     elements_of,
     full_mask,
     mask_of,
@@ -34,6 +36,8 @@ MAX_BASE_DIM = 20
 MAX_WIDTH = 20
 MAX_SWEEP_WIDTH = 8
 
+EMPTY_CHAIN = Chain(())
+
 
 @dataclass(frozen=True)
 class EmbedRecord:
@@ -42,7 +46,8 @@ class EmbedRecord:
     All three tables are indexed by the bitmask of A over [n].  images[A] is
     the assigned red set, or None on failure; levels[A] counts the top-block
     elements included in the image (k+1 marks failure); chains[A] is the
-    blocking chain of blue sets encountered for A and its subsets.
+    blocking chain of blue sets encountered for A and its subsets.  A subset
+    that adds no blue set holds the same Chain object as its donor.
     """
 
     n: int
@@ -68,6 +73,9 @@ class EmbedRecord:
         return None if a is None else self.chains[a]
 
     def to_obj(self) -> dict:
+        # Subsets that add no blue set share their donor's Chain object, so
+        # each distinct object is converted once and its dict is shared too.
+        objs = {key: c.to_obj() for key, c in {id(c): c for c in self.chains}.items()}
         return {
             "n": self.n,
             "k": self.k,
@@ -76,21 +84,25 @@ class EmbedRecord:
                 None if img is None else elements_of(img) for img in self.images
             ],
             "levels": list(self.levels),
-            "chains": [c.to_obj() for c in self.chains],
+            "chains": [objs[id(c)] for c in self.chains],
         }
 
     @classmethod
     def from_obj(cls, obj: dict) -> "EmbedRecord":
-        n, k = obj["n"], obj["k"]
+        """Decode `to_obj` output; a field of the wrong JSON type is a ValueError."""
+        obj = _json_field(obj, dict, "embedding record")
+        n, k = (_json_field(obj[key], int, key) for key in ("n", "k"))
+        images = _json_field(obj["images"], list, "images")
         return cls(
             n,
             k,
-            Permutation(n, k, tuple(obj["perm"])),
+            Permutation(n, k, tuple(_json_ints(obj["perm"], "perm"))),
             tuple(
-                None if img is None else mask_of(img) for img in obj["images"]
+                None if img is None else mask_of(_json_ints(img, "image"))
+                for img in images
             ),
-            tuple(obj["levels"]),
-            tuple(Chain.from_obj(c) for c in obj["chains"]),
+            tuple(_json_ints(obj["levels"], "levels")),
+            tuple(map(Chain.from_obj, _json_field(obj["chains"], list, "chains"))),
         )
 
 
@@ -164,12 +176,14 @@ def embed_with_permutation(
         else:
             least_failed[a] = a
 
-        prefix_chain: tuple[SetWord, ...] = ()
-        if beta > 0:
-            # The colex-first proper subset attaining the maximum level.
-            prefix_chain = chains[full ^ (top & full)].sets  # type: ignore[union-attr]
-        new_blue = tuple(a | prefixes[i] for i in range(beta, min(level, k + 1)))
-        chains[a] = Chain(prefix_chain + new_blue)
+        # The donor is the colex-first proper subset attaining the maximum
+        # level.  A subset that adds no blue set shares the donor's Chain.
+        donor = chains[full ^ (top & full)] if beta > 0 else EMPTY_CHAIN
+        if level == beta:
+            chains[a] = donor
+        else:
+            new_blue = tuple(a | prefixes[i] for i in range(beta, min(level, k + 1)))
+            chains[a] = Chain(donor.sets + new_blue)  # type: ignore[union-attr]
 
     return EmbedRecord(
         n,

@@ -18,6 +18,8 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from math import comb
 from typing import Iterable, Iterator, Optional
 
@@ -149,7 +151,7 @@ def subsets_by_rank(n: int) -> Iterator[SetWord]:
         yield from layer(n, s)
 
 
-_JSON_TYPES = {dict: "object", str: "string", int: "integer"}
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer"}
 
 
 def _json_field(value, kind: type, name: str):
@@ -212,7 +214,9 @@ class Chain:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "Chain":
-        return cls(tuple(mask_of(e) for e in obj["sets"]))
+        """Decode `to_obj` output; a field of the wrong JSON type is a ValueError."""
+        sets = _json_int_arrays(_json_field(obj, dict, "chain")["sets"], "chain sets")
+        return cls(tuple(map(mask_of, sets)))
 
 
 @dataclass(frozen=True)
@@ -527,6 +531,104 @@ class Coloring:
 def dumps(obj) -> str:
     """Serialize any of the package's JSON-able objects to text."""
     return json.dumps(obj.to_obj(), sort_keys=True)
+
+
+def json_pieces(obj) -> list[str]:
+    """The text of json.dumps(obj, sort_keys=True, indent=2), as a list of pieces.
+
+    Joined, the pieces are that text exactly, but no string of its whole size
+    is built, and a container met again at the same depth repeats the pieces
+    of its first rendering instead of being rendered again, so a shared
+    sub-object costs one list copy of references.  Lists of plain ints are
+    rendered in one join.  Like json.dumps, this recurses once per nesting
+    level; obj must not contain itself.
+    """
+    text = _json_text(obj, 0)
+    if text is not None:
+        return [text]
+    out: list[str] = []
+    _write_json(obj, 0, out, {})
+    return out
+
+
+def _json_float(o: float) -> str:
+    if o != o:
+        return "NaN"
+    if o == float("inf"):
+        return "Infinity"
+    if o == float("-inf"):
+        return "-Infinity"
+    return float.__repr__(o)
+
+
+def _json_text(o, depth: int) -> Optional[str]:
+    """The JSON text of o at nesting depth `depth`, or None if o is a
+    non-empty list, tuple or dict other than a list of plain ints."""
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        if set(map(type, o)) != {int}:
+            return None
+        pad = "\n" + "  " * (depth + 1)
+        return "[" + pad + ("," + pad).join(map(int.__repr__, o)) + pad[:-2] + "]"
+    if isinstance(o, dict):
+        return None if o else "{}"
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _json_float(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return '"' + _json_text(key, 0) + '"'
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+    )
+
+
+def _write_json(o, depth: int, out: list[str], memo: dict) -> None:
+    """Append the pieces of o, a container at nesting depth `depth`, to out.
+
+    memo maps (id(container), depth) to the slice of out holding that
+    container's first rendering.  Only containers of the caller's tree are
+    keys: that tree stays alive for the whole call, so no key's id is reused
+    while memo exists.  The memo is passed down, not closed over, so it dies
+    with the json_pieces call.
+    """
+    start = len(out)
+    pad = "\n" + "  " * (depth + 1)
+    if isinstance(o, dict):
+        sep, closer = "{" + pad, pad[:-2] + "}"
+        items = [(_json_key(k) + ": ", v) for k, v in sorted(o.items())]
+    else:
+        sep, closer = "[" + pad, pad[:-2] + "]"
+        items = zip(repeat(""), o)
+    for label, value in items:
+        text = _json_text(value, depth + 1)
+        if text is None:
+            out.append(sep + label)
+            span = memo.get((id(value), depth + 1))
+            if span is None:
+                _write_json(value, depth + 1, out, memo)
+            else:
+                out.extend(out[span])
+        else:
+            out.append(sep + label + text)
+        sep = "," + pad
+    out.append(closer)
+    memo[id(o), depth] = slice(start, len(out))
 
 
 def chain_from_json(text: str) -> Chain:

@@ -3,6 +3,9 @@
 import json
 import multiprocessing
 import os
+import random
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -398,3 +401,62 @@ def test_malformed_coloring_file_is_usage(tmp_path, capsys, obj):
     path.write_text(json.dumps(obj))
     assert main(["verify", "--coloring", str(path), "--ramsey", "1,1"]) == 2
     usage_error_line(capsys)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# -o names the certificate file for these subcommands
+CERT_OUTPUT_COMMANDS = {"embed", "ramsey", "bound", "code"}
+# embed runs at n <= 8 on seeded colorings: one that fails, one that succeeds
+EMBED_EXAMPLES = [
+    ["embed", "--coloring", "dense.json", "--n", "8", "--k", "3", "--pi", "11,9,10"],
+    ["embed", "--coloring", "sparse.json", "--n", "8", "--k", "3", "--pi", "10,11,9"],
+    ["embed", "--coloring", "dense.json", "--n", "8", "--k", "3", "--all"],
+    ["embed", "--coloring", "sparse.json", "--n", "8", "--k", "3", "--all"],
+    ["embed", "--coloring", "dense.json", "--n", "8", "--k", "3", "--sample", "4", "--seed", "5"],
+]
+
+
+def readme_examples() -> list[list[str]]:
+    lines = README.read_text(encoding="utf-8").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("latticeramsey ")]
+
+
+def write_seeded_colorings():
+    from latticeramsey.lattice import Coloring, dumps
+
+    rng = random.Random(8)
+    for name, density in (("dense.json", 0.3), ("sparse.json", 0.005)):
+        blue = [s for s in range(1 << 11) if rng.random() < density]
+        Path(name).write_text(dumps(Coloring.dense(11, blue)))
+
+
+_WALL_CLOCK = re.compile(r'  "wall_clock_s": [^\n]*\n')
+_COMMAND = re.compile(r'  "command": \[[^\]]*\],\n')
+
+
+def without_run_fields(text: str) -> str:
+    """Certificate text minus the wall clock and the command line."""
+    return _COMMAND.sub("", _WALL_CLOCK.sub("", text))
+
+
+def test_certificates_are_canonical_and_match_their_output_files(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    write_seeded_colorings()
+    examples = readme_examples()
+    assert len(examples) >= 15
+    codes = []
+    for argv in examples + EMBED_EXAMPLES:
+        code = main(list(argv))
+        out = capsys.readouterr().out
+        codes.append(code)
+        assert code in (0, 1), argv
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+        if CERT_OUTPUT_COMMANDS & set(argv):
+            assert main(argv + ["-o", "cert.json"]) == code
+            assert capsys.readouterr().out == ""
+            text = Path("cert.json").read_text(encoding="utf-8")
+            assert json.loads(text)["command"] == argv + ["-o", "cert.json"]
+            assert without_run_fields(text) == without_run_fields(out)
+    assert codes[-len(EMBED_EXAMPLES) :] == [1, 0, 1, 0, 1]

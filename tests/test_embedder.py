@@ -1,5 +1,8 @@
 """Tests for the recursive embedder, permutation recovery, sweeps, and bounds."""
 
+import contextlib
+import io
+import json
 import random
 from math import factorial
 
@@ -13,7 +16,8 @@ from latticeramsey.embedder import (
     recover_permutation,
     sweep_permutations,
 )
-from latticeramsey.lattice import Chain, Coloring, Permutation, mask_of
+from latticeramsey.cli import main
+from latticeramsey.lattice import Chain, Coloring, Permutation, dumps, mask_of
 from latticeramsey.oracle import CopyKind, find_copy
 from latticeramsey.verifier import verify_embedding
 
@@ -187,6 +191,74 @@ def test_record_roundtrip():
     c = random_dense(4, seed=77, density=0.6)
     rec = embed_with_permutation(c, 2, 2, Permutation(2, 2, (4, 3)))
     assert EmbedRecord.from_obj(rec.to_obj()) == rec
+
+
+def test_chains_without_new_blue_sets_are_shared():
+    rec = embed_with_permutation(Coloring.dense(4, []), 2, 2, Permutation.identity(2, 2))
+    assert len({id(c) for c in rec.chains}) == 1
+    coloring = random_dense(9, seed=41, density=0.3)
+    rec = embed_with_permutation(coloring, 6, 3, Permutation(6, 3, (8, 9, 7)))
+    distinct = {id(c) for c in rec.chains}
+    assert len(distinct) < len(rec.chains)
+    obj = rec.to_obj()
+    assert len({id(c) for c in obj["chains"]}) == len(distinct)
+    assert EmbedRecord.from_obj(obj) == rec
+
+
+def emitted(tmp_path, coloring, *argv) -> dict:
+    path = tmp_path / "coloring.json"
+    path.write_text(dumps(coloring))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["embed", "--coloring", str(path), *argv])
+    return json.loads(out.getvalue())["result"]
+
+
+def test_emitted_records_round_trip(tmp_path):
+    rng = random.Random(88)
+    kinds = set()
+    for trial in range(24):
+        n, k = rng.randint(2, 8), rng.randint(1, 3)
+        c = random_dense(n + k, seed=trial, density=rng.choice((0.01, 0.1, 0.4)))
+        image = rng.sample(range(n + 1, n + k + 1), k)
+        rec = embed_with_permutation(c, n, k, Permutation(n, k, tuple(image)))
+        sizes = ["--n", str(n), "--k", str(k)]
+        result = emitted(tmp_path, c, *sizes, "--pi", ",".join(map(str, image)))
+        assert EmbedRecord.from_obj(result) == rec
+        kinds.add("success" if rec.succeeded else "failure")
+        report = sweep_permutations(c, n, k, mode="all")
+        if report.success is not None:
+            result = emitted(tmp_path, c, *sizes, "--all")
+            assert EmbedRecord.from_obj(result["success"]) == report.success
+            kinds.add("sweep")
+    assert kinds == {"success", "failure", "sweep"}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("chains", [{"sets": "ab"}]),
+        ("chains", [[[1]]]),
+        ("chains", {"sets": []}),
+        ("images", 5),
+        ("images", [[1], "a", None, None]),
+        ("levels", [0, 1, True, 0]),
+        ("perm", "43"),
+        ("n", 2.0),
+    ],
+)
+def test_malformed_record_is_value_error(field, value):
+    rec = embed_with_permutation(random_dense(4, seed=5), 2, 2, Permutation(2, 2, (4, 3)))
+    obj = json.loads(json.dumps(rec.to_obj()))
+    obj[field] = value
+    with pytest.raises(ValueError):
+        EmbedRecord.from_obj(obj)
+
+
+@pytest.mark.parametrize("obj", [{"sets": "ab"}, {"sets": [1, 2]}, [[1]], "sets"])
+def test_malformed_chain_is_value_error(obj):
+    with pytest.raises(ValueError):
+        Chain.from_obj(obj)
 
 
 def test_embed_matches_independent_reimplementation():

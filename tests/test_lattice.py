@@ -1,6 +1,8 @@
 """Tests for the bitmask lattice core and JSON round-trips."""
 
+import gc
 import json
+from collections import defaultdict
 from math import comb
 
 import pytest
@@ -19,6 +21,7 @@ from latticeramsey.lattice import (
     family_from_json,
     is_subset,
     iter_submasks,
+    json_pieces,
     layer,
     mask_of,
     sym_diff_size,
@@ -184,3 +187,62 @@ def test_permutation_validation_and_roundtrip():
         Permutation(2, 2, (3, 3))
     with pytest.raises(ValueError):
         Permutation(2, 2, (2, 3))
+
+
+def indent2(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+json_leaves = st.one_of(
+    st.text(),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "caf\u00e9 \u2603 \U0001f600", "\ud800"]),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+)
+json_trees = st.recursive(
+    json_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=5),
+        st.dictionaries(st.integers(), children, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@given(json_trees)
+def test_json_pieces_match_json_dumps(obj):
+    assert "".join(json_pieces(obj)) == indent2(obj)
+
+
+def test_json_pieces_shared_and_subclassed_containers():
+    shared = [1, [2, 3], {"x": None}]
+    row = {"sets": [[1], [1, 2]]}
+    cases = [
+        {"a": shared, "b": [shared, {"c": shared}], "d": shared},  # two depths
+        [row, row, {"inner": row}, row],  # repeated at one depth
+        [[1, 2], [1, 2], {"x": [1]}, {"x": [1]}],  # equal but distinct
+        defaultdict(list, {"b": [True, 1, 0.5], "a": defaultdict(int)}),
+        [{True: 1, False: 2}, {None: []}, {2.5: {}, -3: (), 0: [-1]}],
+    ]
+    for obj in cases:
+        assert "".join(json_pieces(obj)) == indent2(obj)
+
+
+def test_json_pieces_share_pieces_and_leave_no_cycle():
+    row = {"sets": [[1], [1, 2]]}
+    pieces = json_pieces([row, row])
+    half = (len(pieces) - 1) // 2  # opener and a separator, the row twice, closer
+    assert all(a is b for a, b in zip(pieces[1:half], pieces[half + 1 : -1], strict=True))
+    gc.collect()
+    gc.disable()
+    try:
+        json_pieces({"rows": [row] * 3})
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
