@@ -19,20 +19,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from typing import Optional
 
 from . import __version__
-from .lattice import (
-    Coloring,
-    Permutation,
-    WeightedFamily,
-    elements_of,
-    json_pieces,
-    mask_of,
-)
+from .lattice import Coloring, Permutation, elements_of, json_pieces, mask_of
 from .oracle import (
     CopyKind,
     SearchExhausted,
@@ -109,17 +101,6 @@ def _parse_int_list(text: str, count: Optional[int] = None, usage: str = "") -> 
     return vals
 
 
-def _worker_count(flag: Optional[int]) -> int:
-    """--threads if given, else RLL_THREADS, else 1."""
-    if flag is not None:
-        return flag
-    text = os.environ.get("RLL_THREADS", "1")
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"RLL_THREADS must be an integer, got {text!r}") from None
-
-
 class _Parser(argparse.ArgumentParser):
     """Raises a bad command line as a ValueError, which `main` reports in one line."""
 
@@ -135,7 +116,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument(
         "--threads",
         type=int,
-        help="worker cap for parallel scans, at most the CPU count (default: RLL_THREADS or 1)",
+        default=1,
+        help="worker cap for parallel scans, at most the CPU count (default 1)",
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -269,17 +251,6 @@ def _cmd_construct(args, cert: _Certificate) -> str:
     return "ok"
 
 
-def _extras_family(coloring: Coloring) -> WeightedFamily:
-    if coloring.blue_code is not None and not coloring.blue_extra:
-        return coloring.blue_code
-    sizes = {s.bit_count() for s in coloring.blue_extra}
-    if len(sizes) != 1:
-        raise ValueError("coloring extras do not form a single-weight family")
-    return WeightedFamily(
-        coloring.ground_n, sizes.pop(), members=tuple(sorted(coloring.blue_extra))
-    )
-
-
 def _cmd_verify(args, cert: _Certificate) -> str:
     coloring, digest = _load_coloring(args.coloring)
     cert.obj["inputs"][args.coloring] = digest
@@ -287,9 +258,9 @@ def _cmd_verify(args, cert: _Certificate) -> str:
     if args.blue_free is not None:
         results["blue_free"] = ver.certify_blue_free(coloring, args.blue_free)
     if args.conditions:
-        results["conditions"] = ver.check_conditions(_extras_family(coloring))
+        results["conditions"] = ver.check_conditions(coloring.partial_layer())
     if args.distance is not None:
-        results["distance"] = ver.check_min_distance(_extras_family(coloring), args.distance)
+        results["distance"] = ver.check_min_distance(coloring.partial_layer(), args.distance)
     if args.code_statement:
         vals = _parse_int_list(args.code_statement, 5, "--code-statement needs N,m,k,p,d")
         results["code_statement"] = ver.check_code_statement(*vals)
@@ -394,14 +365,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     cert = _Certificate(argv)
     try:
         args = _build_parser().parse_args(argv)
-        args.threads = _worker_count(args.threads)
         outcome = _HANDLERS[args.cmd](args, cert)
     except SystemExit:  # --help has been printed
         return EXIT_OK
     except SearchExhausted as exc:
         outcome = "exhausted"
         cert.obj["result"] = {"error": str(exc)}
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OverflowError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     cert.obj["outcome"] = outcome

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import e, factorial, floor, lgamma, log2
+from math import e, factorial, floor, isfinite, lgamma, log2
 from typing import Iterator, Optional
 
 from .lattice import (
@@ -403,7 +403,10 @@ def counting_bound(n: int, c: float) -> BoundReport:
     """Decide whether k = floor(c*n/log2 n) permutations out-count chain pairs."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    k = floor(c * n / log2(n))
+    ratio = c * n / log2(n)
+    if not isfinite(ratio):
+        raise ValueError(f"c * n / log2(n) is not finite for c = {c}")
+    k = floor(ratio)
     exponent = 2 * (n + k)
     contradiction, method = _factorial_exceeds_power(k, exponent)
     if k >= 1:

@@ -253,7 +253,10 @@ class Permutation:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "Permutation":
-        return cls(obj["n"], obj["k"], tuple(obj["image"]))
+        """Decode `to_obj` output; a field of the wrong JSON type is a ValueError."""
+        obj = _json_field(obj, dict, "permutation")
+        n, k = (_json_field(obj[key], int, key) for key in ("n", "k"))
+        return cls(n, k, tuple(_json_ints(obj["image"], "image")))
 
 
 @dataclass(frozen=True)
@@ -346,11 +349,15 @@ class WeightedFamily:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "WeightedFamily":
+        """Decode `to_obj` output; a field of the wrong JSON type is a ValueError."""
+        obj = _json_field(obj, dict, "family")
+        n, weight = (_json_field(obj[key], int, key) for key in ("n", "weight"))
         if "members" in obj:
-            members = tuple(sorted(mask_of(e) for e in obj["members"]))
-            return cls(obj["n"], obj["weight"], members=members)
-        mp = obj["modp"]
-        return cls(obj["n"], obj["weight"], modp_p=mp["p"], modp_d=mp["d"])
+            members = map(mask_of, _json_int_arrays(obj["members"], "members"))
+            return cls(n, weight, members=tuple(sorted(members)))
+        mp = _json_field(obj["modp"], dict, "modp")
+        p, d = (_json_field(mp[key], int, f"modp.{key}") for key in ("p", "d"))
+        return cls(n, weight, modp_p=p, modp_d=d)
 
 
 def sorted_family(masks: Iterable[SetWord], ground_n: int, weight: int) -> WeightedFamily:
@@ -364,8 +371,8 @@ class Coloring:
 
     Dense form: blue_bits byte j, bit s%8 is the color of SetWord s (1 = blue);
     capped at ground_n <= 28.  Structured form: blue iff the size is a blue
-    layer, or the set is listed in blue_extra, or it belongs to blue_code;
-    everything else is red.
+    layer, or the set is listed in blue_extra, or it belongs to the mod-p
+    family blue_code; everything else is red.
     """
 
     ground_n: int
@@ -403,6 +410,8 @@ class Coloring:
                         f"extra blue set {elements_of(m)} lies on a blue layer"
                     )
             if self.blue_code is not None:
+                if self.blue_code.is_explicit:
+                    raise ValueError("blue_code must be a mod-p family")
                 if self.blue_code.ground_n != n:
                     raise ValueError("blue_code ground size mismatch")
                 if self.blue_code.weight in self.blue_layers:
@@ -475,6 +484,18 @@ class Coloring:
         if self.ground_n > MAX_DENSE_GROUND:
             raise ValueError("ground set too large to enumerate")
         return [s for s in range(1 << self.ground_n) if not self.is_blue(s)]
+
+    def partial_layer(self) -> WeightedFamily:
+        """The blue sets off the blue layers, as one family of a single weight:
+        blue_code when there are no extras, else the extras as an explicit
+        family.  A code plus extras, or extras of several sizes or of none, is
+        a ValueError."""
+        if self.blue_code is not None and not self.blue_extra:
+            return self.blue_code
+        sizes = {s.bit_count() for s in self.blue_extra}
+        if self.blue_code is not None or len(sizes) != 1:
+            raise ValueError("coloring extras do not form a single-weight family")
+        return WeightedFamily(self.ground_n, sizes.pop(), members=tuple(sorted(self.blue_extra)))
 
     def densify(self) -> "Coloring":
         """Equivalent dense coloring (for small ground sets)."""
@@ -641,7 +662,3 @@ def coloring_from_json(text: str) -> Coloring:
 
 def family_from_json(text: str) -> WeightedFamily:
     return WeightedFamily.from_obj(json.loads(text))
-
-
-def permutation_from_json(text: str) -> Permutation:
-    return Permutation.from_obj(json.loads(text))

@@ -10,6 +10,7 @@ these results.
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -19,6 +20,7 @@ from .lattice import Chain, Coloring, SetWord, elements_of, is_subset, subsets_b
 
 DEFAULT_NODE_BUDGET = 10**8
 MAX_SCAN_GROUND = 5
+SCAN_CHUNK = 2048
 
 
 class CopyKind(Enum):
@@ -250,35 +252,29 @@ def find_copy(
 def find_chain(family, length: int) -> Optional[Chain]:
     """A chain of exactly `length` sets from the family, or None.
 
-    Longest-path dynamic programming over the containment order; complete.
-    Each set's predecessor is its lowest strict subset among those ending the
-    longest chains.
+    Complete: the chain ends at the lowest set topping a chain of `length`
+    sets, and each step down takes the lowest strict subset one level lower.
     """
     if length < 1:
         raise ValueError("chain length must be >= 1")
     fam = sorted(set(family))
+    if length > len(fam):
+        return None
     _, down = _order(fam)
-    levels = [0]  # levels[h]: positions whose longest chain has h sets
-    pred: list[Optional[int]] = [None] * len(fam)
-    for i in range(len(fam)):
-        below = down[i] ^ (1 << i)
-        h = len(levels) - 1
-        while h and not below & levels[h]:
-            h -= 1
-        if h:
-            hits = below & levels[h]
-            pred[i] = (hits & -hits).bit_length() - 1
-        if h + 1 == len(levels):
-            levels.append(0)
-        levels[h + 1] |= 1 << i
-        if h + 1 >= length:
-            out = []
-            j: Optional[int] = i
-            while j is not None and len(out) < length:
-                out.append(fam[j])
-                j = pred[j]
-            return Chain(tuple(reversed(out)))
-    return None
+    levels = _heights((1 << len(fam)) - 1, down, length - 1)
+    # levels[h]: positions of height >= h+1.  Subsets come first in position
+    # order, so the lowest of height >= length has height exactly length, and
+    # a strict subset of a height-t set has height >= t-1 iff it is t-1.
+    top = levels[-1]
+    if not top:
+        return None
+    i = (top & -top).bit_length() - 1
+    out = [fam[i]]
+    for level in reversed(levels[:-1]):
+        below = down[i] & level & ~(1 << i)
+        i = (below & -below).bit_length() - 1
+        out.append(fam[i])
+    return Chain(tuple(reversed(out)))
 
 
 @dataclass(frozen=True)
@@ -373,28 +369,24 @@ def _scan_ground(
 ) -> tuple[Optional[int], int]:
     """First coloring index of Q_ground with neither copy, and count scanned.
 
-    With workers > 1 the index range is split into ordered chunks processed by
-    a process pool of at most os.cpu_count() workers; results are consumed in
-    chunk order, so the reported counterexample is the smallest one regardless
-    of scheduling.
+    Ordered chunks of SCAN_CHUNK indices go to a pool of min(workers,
+    os.cpu_count(), chunks) processes when that is > 1; results are read in
+    chunk order, so the counterexample is the smallest one either way.
     """
     total = 1 << (1 << ground)
-    workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1 or total < 8192:
-        idx = _scan_chunk((ground, m, n, kind.value, 0, total, node_budget))
-        return (idx, idx + 1) if idx is not None else (None, total)
-    import multiprocessing
-
-    chunk = 2048
-    tasks = [
-        (ground, m, n, kind.value, s, min(s + chunk, total), node_budget)
-        for s in range(0, total, chunk)
-    ]
-    with multiprocessing.Pool(workers) as pool:
-        for res in pool.imap(_scan_chunk, tasks):
-            if res is not None:
-                pool.terminate()
-                return res, res + 1
+    tasks = (
+        (ground, m, n, kind.value, s, min(s + SCAN_CHUNK, total), node_budget)
+        for s in range(0, total, SCAN_CHUNK)
+    )
+    workers = min(workers, os.cpu_count() or 1, -(-total // SCAN_CHUNK))
+    pool = None
+    if workers > 1:
+        import multiprocessing  # only here, so serial runs never import it
+        pool = multiprocessing.Pool(workers)
+    with pool or nullcontext():  # leaving the block terminates the pool
+        for idx in (pool.imap if pool else map)(_scan_chunk, tasks):
+            if idx is not None:
+                return idx, idx + 1
     return None, total
 
 

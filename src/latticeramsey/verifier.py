@@ -198,10 +198,8 @@ class ConditionsResult:
 
 def check_conditions(fam: WeightedFamily) -> ConditionsResult:
     """Every (m-1)-set has >= 2 supersets in fam; every (m+1)-set <= m-1 subsets."""
-    if not fam.is_explicit:
-        raise ValueError("conditions are checked on explicit families")
     ground, m = fam.ground_n, fam.weight
-    sup_count, sub_count = event_counts(fam.members, ground)
+    sup_count, sub_count = event_counts(fam.enumerated_members(), ground)
 
     def lex(mask: SetWord) -> int:
         return lex_key(mask, ground)
@@ -221,47 +219,31 @@ class UnknownShape(ValueError):
     """The coloring does not match any construction this verifier certifies."""
 
 
-def _detect_shape(coloring: Coloring) -> tuple[str, int, int]:
-    """Classify a structured coloring; returns (shape, k-or-0, m).
+def _detect_shape(coloring: Coloring) -> tuple[str, int, int, WeightedFamily]:
+    """Classify a structured coloring; returns (shape, k-or-0, m, partial layer).
 
-    "spread": layers {k, k+3, ..., k+m+1} with extra sets of size k+1 (the
-    pair-code and mod-p colorings; m = 2 collapses the block to {k, k+3}).
-    "low-block": layers {0..m-2, m+1} with extra sets of size m (the
+    "spread": layers {k, k+3, ..., k+m+1} with a partial layer of size k+1
+    (the pair-code and mod-p colorings; m = 2 collapses the block to {k, k+3}).
+    "low-block": layers {0..m-2, m+1} with a partial layer of size m (the
     resampled coloring).
     """
     if coloring.is_dense:
         raise UnknownShape("dense coloring carries no construction shape")
+    try:
+        fam = coloring.partial_layer()
+    except ValueError as exc:
+        raise UnknownShape(str(exc)) from None
     layers = sorted(coloring.blue_layers)
-    extra_sizes = {s.bit_count() for s in coloring.blue_extra}
-    if coloring.blue_code is not None:
-        extra_sizes.add(coloring.blue_code.weight)
-    if len(extra_sizes) != 1:
-        raise UnknownShape(f"expected one extra layer, got sizes {sorted(extra_sizes)}")
-    w = next(iter(extra_sizes))
+    w = fam.weight
 
     if len(layers) >= 2 and layers[0] == w - 1 and layers[1:] == list(
         range(w + 2, w + len(layers) + 1)
     ):
         # layers are {k} + {k+3 .. k+m+1} with k = w - 1, so m = len(layers)
-        return "spread", w - 1, len(layers)
-    m = w
-    if layers == list(range(0, m - 1)) + [m + 1]:
-        return "low-block", 0, m
+        return "spread", w - 1, len(layers), fam
+    if layers == list(range(0, w - 1)) + [w + 1]:
+        return "low-block", 0, w, fam
     raise UnknownShape(f"layers {layers} with extras at {w} match no known shape")
-
-
-def _partial_layer(coloring: Coloring, m: int) -> WeightedFamily:
-    """The blue sets on layer m of a low-block coloring, as an explicit family.
-
-    They are the extras, or the members of a blue_code of weight m (the shape
-    admits one of the two, never both).
-    """
-    code = coloring.blue_code
-    if code is not None:
-        members = code.enumerated_members()
-    else:
-        members = sorted(coloring.blue_extra)
-    return WeightedFamily(coloring.ground_n, m, members=tuple(members))
 
 
 def certify_blue_free(coloring: Coloring, m: int) -> CheckResult:
@@ -272,7 +254,7 @@ def certify_blue_free(coloring: Coloring, m: int) -> CheckResult:
     killed by the pairwise-distance or subset-count property.  Certificates
     cover weak copies, which subsume induced ones.
     """
-    shape, k, shape_m = _detect_shape(coloring)
+    shape, k, shape_m, fam = _detect_shape(coloring)
     if m != shape_m:
         raise ValueError(f"coloring shape certifies m = {shape_m}, asked for {m}")
     if shape == "spread":
@@ -280,21 +262,14 @@ def certify_blue_free(coloring: Coloring, m: int) -> CheckResult:
         # forced bottom, so any copy needs two code sets at distance 2.
         if m < 2:
             raise ValueError("spread shape needs m >= 2")
-        code = coloring.blue_code
-        if code is not None:
-            if code.modp_p is not None and code.modp_p >= coloring.ground_n:
-                # One element-swap changes the residue sum by a nonzero amount
-                # mod p, so distance-2 pairs cannot exist; nothing to scan.
-                return CheckResult(
-                    True,
-                    detail=f"residue code mod {code.modp_p} >= N forbids distance-2 pairs",
-                )
-            res = check_min_distance(code, 4)
-        else:
-            fam = WeightedFamily(
-                coloring.ground_n, k + 1, members=tuple(sorted(coloring.blue_extra))
+        if not fam.is_explicit and fam.modp_p >= coloring.ground_n:
+            # One element-swap changes the residue sum by a nonzero amount
+            # mod p, so distance-2 pairs cannot exist; nothing to scan.
+            return CheckResult(
+                True,
+                detail=f"residue code mod {fam.modp_p} >= N forbids distance-2 pairs",
             )
-            res = check_min_distance(fam, 4)
+        res = check_min_distance(fam, 4)
         if not res.ok:
             return res
         return CheckResult(True, detail=f"forced sizes + distance >= 4 on layer {k + 1}")
@@ -302,7 +277,7 @@ def certify_blue_free(coloring: Coloring, m: int) -> CheckResult:
     # low-block: the m level-(m-1) images are forced into the partial layer
     # and under a common top of size m+1, so the subset-count condition kills
     # every copy.
-    result = check_conditions(_partial_layer(coloring, m))
+    result = check_conditions(fam)
     over = [v for v in result.violations if v[0] == "oversubscribed"]
     if over:
         return CheckResult(False, (over[0][1],), "a top hosts m family members")
@@ -317,13 +292,13 @@ def certify_red_singleton_bound(coloring: Coloring, n: int, m: int) -> CheckResu
     supersets there, sup_count being the event count of the partial layer's
     blue family; the bound is that family's at-least-2-supersets condition.
     """
-    shape, _, shape_m = _detect_shape(coloring)
+    shape, _, shape_m, fam = _detect_shape(coloring)
     if shape != "low-block" or shape_m != m:
         raise UnknownShape("red-side certificate applies to the resampled shape")
     ground = coloring.ground_n
     if ground != n + m:
         raise ValueError(f"coloring ground {ground} != n + m = {n + m}")
-    sup_count, _ = event_counts(_partial_layer(coloring, m).members, ground)
+    sup_count, _ = event_counts(fam.enumerated_members(), ground)
     for s in layer(ground, m - 1):
         red = ground - m + 1 - sup_count[s]
         if red > n - 1:

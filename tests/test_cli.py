@@ -41,6 +41,14 @@ def test_bound_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("c", ["inf", "-inf", "1e308", "nan", "1e306"])
+def test_bound_with_non_finite_ratio_is_usage(capsys, c):
+    # c * n / log2(n) is infinite or NaN, or (at 1e306) log2 k! overflows;
+    # exit 1 would claim a witness
+    assert main(["bound", "--n", "2", f"--c={c}"]) == 2
+    usage_error_line(capsys)
+
+
 def test_construct_layered_then_verify_ramsey(tmp_path, capsys):
     out = tmp_path / "c.json"
     code, cert = run_cli(
@@ -281,6 +289,41 @@ def test_construction_and_shape_errors_are_usage(tmp_path, capsys, construct, ve
     usage_error_line(capsys)
 
 
+def test_verify_reads_the_partial_layer_of_a_code_coloring(tmp_path, capsys):
+    # the low-block coloring of test_low_block_certifiers_read_a_blue_code:
+    # its partial layer is a weight-3 code mod 2, which enumerates
+    from latticeramsey.lattice import Coloring, WeightedFamily, dumps, elements_of
+    from naive import naive_check_conditions
+
+    fam = WeightedFamily(7, 3, modp_p=2, modp_d=1)
+    path = tmp_path / "code.json"
+    path.write_text(dumps(Coloring.structured(7, blue_layers={0, 1, 4}, blue_code=fam)))
+    argv = ["verify", "--coloring", str(path), "--conditions", "--blue-free", "3"]
+    code, cert = run_cli(capsys, *argv, "--red-bound", "4,3")
+    assert code == 1 and cert["result"]["blue_free"]["ok"] is False
+    explicit = WeightedFamily(7, 3, members=tuple(fam.enumerated_members()))
+    violations = naive_check_conditions(explicit)
+    assert violations and cert["result"]["conditions"] == {
+        "ok": False,
+        "violations": [
+            {"kind": kind, "set": elements_of(s), "count": cnt} for kind, s, cnt in violations
+        ],
+    }
+
+
+@pytest.mark.parametrize("check", [["--conditions"], ["--distance", "4"], ["--blue-free", "3"]])
+def test_code_plus_extras_coloring_is_usage(tmp_path, capsys, check):
+    from latticeramsey.lattice import Coloring, WeightedFamily, dumps, mask_of
+
+    fam = WeightedFamily(7, 3, modp_p=2, modp_d=1)
+    extra = [mask_of([1, 2])]
+    col = Coloring.structured(7, blue_layers={0, 1, 4}, blue_extra=extra, blue_code=fam)
+    path = tmp_path / "mixed.json"
+    path.write_text(dumps(col))
+    assert main(["verify", "--coloring", str(path), *check]) == 2
+    assert "single-weight" in usage_error_line(capsys)
+
+
 def _search_exhausted(*args):
     raise SearchExhausted(7)
 
@@ -315,12 +358,6 @@ def test_each_outcome_maps_to_its_exit_code(
         assert cert["result"] == {"error": "search exhausted after 7 nodes"}
 
 
-def test_malformed_thread_variable_is_usage(monkeypatch, capsys):
-    monkeypatch.setenv("RLL_THREADS", "abc")
-    assert main(["bound", "--n", "2", "--minimal"]) == 2
-    assert "RLL_THREADS" in usage_error_line(capsys)
-
-
 class RecordingPool:
     """Stands in for multiprocessing.Pool: records the worker count asked for
     and runs the tasks in this process, so no worker is ever started."""
@@ -343,11 +380,8 @@ class RecordingPool:
         pass
 
 
-@pytest.mark.parametrize(
-    "flag, env, workers",
-    [(["--threads", "1000"], None, 3), ([], "1000", 3), (["--threads", "2"], None, 2)],
-)
-def test_thread_count_capped_at_cpu_count(monkeypatch, capsys, flag, env, workers):
+@pytest.mark.parametrize("flag, workers", [(["--threads", "1000"], 3), (["--threads", "2"], 2)])
+def test_thread_count_capped_at_cpu_count(monkeypatch, capsys, flag, workers):
     # (3,3) weak at N = 4 is the first scan large enough to use the pool; its
     # first avoiding coloring is index 279, in the first chunk
     argv = ["ramsey", "--m", "3", "--n", "3", "--kind", "weak", "--max-N", "4"]
@@ -355,8 +389,6 @@ def test_thread_count_capped_at_cpu_count(monkeypatch, capsys, flag, env, worker
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     monkeypatch.setattr(RecordingPool, "created", [])
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    if env is not None:
-        monkeypatch.setenv("RLL_THREADS", env)
     code2, pooled = run_cli(capsys, *flag, *argv)
     assert RecordingPool.created == [workers]
     assert code == code2 == 0
@@ -380,7 +412,7 @@ def test_cli_imports_neither_numpy_nor_mpmath():
         "import sys\n"
         "from latticeramsey.cli import main\n"
         "assert main(['bound', '--n', '2', '--minimal']) == 0\n"
-        "print(sorted(set(sys.modules) & {'numpy', 'mpmath'}))\n"
+        "print(sorted(set(sys.modules) & {'numpy', 'mpmath', 'multiprocessing'}))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True

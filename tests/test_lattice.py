@@ -150,6 +150,28 @@ def test_coloring_with_implicit_code_roundtrip():
     assert back.color_of(member) is Color.BLUE
 
 
+def test_partial_layer_is_the_code_or_the_extras():
+    code = WeightedFamily(10, 4, modp_p=11, modp_d=3)
+    assert Coloring.structured(10, blue_layers={3, 6}, blue_code=code).partial_layer() == code
+    extras = [mask_of([1, 2]), mask_of([1, 3])]
+    fam = Coloring.structured(5, blue_layers={0}, blue_extra=extras).partial_layer()
+    assert fam == WeightedFamily(5, 2, members=tuple(extras))
+    for bad in (
+        Coloring.structured(5, blue_layers={0}, blue_extra=extras + [mask_of([1, 2, 3])]),
+        Coloring.structured(5, blue_layers={0}),
+        Coloring.structured(10, blue_extra=extras, blue_code=code),
+        Coloring.dense(2, [0]),
+    ):
+        with pytest.raises(ValueError, match="single-weight"):
+            bad.partial_layer()
+
+
+def test_explicit_blue_code_rejected():
+    code = WeightedFamily(5, 2, members=(mask_of([1, 2]),))
+    with pytest.raises(ValueError, match="mod-p"):
+        Coloring.structured(5, blue_layers={0}, blue_code=code)
+
+
 def test_dense_guard():
     with pytest.raises(ValueError):
         Coloring.dense(29, [])
@@ -187,6 +209,26 @@ def test_permutation_validation_and_roundtrip():
         Permutation(2, 2, (3, 3))
     with pytest.raises(ValueError):
         Permutation(2, 2, (2, 3))
+
+
+@pytest.mark.parametrize(
+    "decode, obj",
+    [
+        (WeightedFamily.from_obj, {"n": "5", "weight": 2, "members": [[1, 2]]}),
+        (WeightedFamily.from_obj, {"n": 5, "weight": 2, "members": 5}),
+        (WeightedFamily.from_obj, {"n": 5, "weight": 2, "members": ["ab"]}),
+        (WeightedFamily.from_obj, {"n": 5, "weight": 2, "modp": [5, 3]}),
+        (WeightedFamily.from_obj, {"n": 5, "weight": 2, "modp": {"p": 5, "d": "3"}}),
+        (WeightedFamily.from_obj, [5, 2]),
+        (Permutation.from_obj, {"n": 2, "k": 2, "image": 5}),
+        (Permutation.from_obj, {"n": 2, "k": True, "image": [3, 4]}),
+        (Permutation.from_obj, {"n": 2, "k": 2, "image": [3.0, 4]}),
+        (Permutation.from_obj, "2,2"),
+    ],
+)
+def test_malformed_family_and_permutation_objects_raise_value_error(decode, obj):
+    with pytest.raises(ValueError, match="must be a JSON"):
+        decode(obj)
 
 
 def indent2(obj) -> str:

@@ -220,9 +220,10 @@ def test_find_copy_budget_points_match_pairwise_oracle():
 def test_find_chain_matches_pairwise_oracle():
     rng = random.Random(5)
     families = list(_random_families(rng, 200)) + list(_sparse_q40_families(rng, 40))
-    for fam in families:
-        for length in range(1, 8):
-            assert find_chain(fam, length) == pairwise_find_chain(fam, length)
+    for fam in families + [[]]:
+        for length in [*range(1, 8), len(set(fam)), len(set(fam)) + 1, 10**9]:
+            if length >= 1:
+                assert find_chain(fam, length) == pairwise_find_chain(fam, length)
 
 
 def _ramsey_pair(coloring, m, n, kind):
