@@ -264,6 +264,7 @@ def _sampled_perm_images(
 ) -> list[tuple[int, ...]]:
     rng = random.Random(seed)
     values = list(range(n + 1, n + k + 1))
+    total = factorial(k)
     seen = set()
     out = []
     for _ in range(count):
@@ -271,6 +272,8 @@ def _sampled_perm_images(
         if img not in seen:
             seen.add(img)
             out.append(img)
+            if len(out) == total:  # every later draw would be a duplicate
+                break
     return out
 
 
@@ -286,7 +289,8 @@ def sweep_permutations(
 
     mode="all" iterates all k! permutations in lexicographic rank order
     (guarded at k <= 8); mode="sample" draws sample_count permutations from
-    the given seed, deduplicated in draw order.
+    the given seed, deduplicated in draw order and stopping once all k! have
+    been drawn.
     """
     if mode == "all":
         if k > MAX_SWEEP_WIDTH:
@@ -407,6 +411,8 @@ def counting_bound(n: int, c: float) -> BoundReport:
     if not isfinite(ratio):
         raise ValueError(f"c * n / log2(n) is not finite for c = {c}")
     k = floor(ratio)
+    if k < 0:
+        raise ValueError(f"c = {c} gives k = floor(c * n / log2(n)) = {k} < 0")
     exponent = 2 * (n + k)
     contradiction, method = _factorial_exceeds_power(k, exponent)
     if k >= 1:

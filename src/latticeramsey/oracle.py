@@ -9,8 +9,6 @@ these results.
 
 from __future__ import annotations
 
-import os
-from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -20,7 +18,6 @@ from .lattice import Chain, Coloring, SetWord, elements_of, is_subset, subsets_b
 
 DEFAULT_NODE_BUDGET = 10**8
 MAX_SCAN_GROUND = 5
-SCAN_CHUNK = 2048
 
 
 class CopyKind(Enum):
@@ -355,38 +352,14 @@ class RamseyScanResult:
         }
 
 
-def _scan_chunk(args) -> Optional[int]:
-    ground, m, n, kind_value, start, stop, node_budget = args
-    kind = CopyKind(kind_value)
-    for idx in range(start, stop):
-        if _ramsey_bits(ground, idx, m, n, kind, node_budget).neither:
-            return idx
-    return None
-
-
 def _scan_ground(
-    ground: int, m: int, n: int, kind: CopyKind, node_budget: int, workers: int = 1
+    ground: int, m: int, n: int, kind: CopyKind, node_budget: int
 ) -> tuple[Optional[int], int]:
-    """First coloring index of Q_ground with neither copy, and count scanned.
-
-    Ordered chunks of SCAN_CHUNK indices go to a pool of min(workers,
-    os.cpu_count(), chunks) processes when that is > 1; results are read in
-    chunk order, so the counterexample is the smallest one either way.
-    """
+    """First coloring index of Q_ground with neither copy, and count scanned."""
     total = 1 << (1 << ground)
-    tasks = (
-        (ground, m, n, kind.value, s, min(s + SCAN_CHUNK, total), node_budget)
-        for s in range(0, total, SCAN_CHUNK)
-    )
-    workers = min(workers, os.cpu_count() or 1, -(-total // SCAN_CHUNK))
-    pool = None
-    if workers > 1:
-        import multiprocessing  # only here, so serial runs never import it
-        pool = multiprocessing.Pool(workers)
-    with pool or nullcontext():  # leaving the block terminates the pool
-        for idx in (pool.imap if pool else map)(_scan_chunk, tasks):
-            if idx is not None:
-                return idx, idx + 1
+    for idx in range(total):
+        if _ramsey_bits(ground, idx, m, n, kind, node_budget).neither:
+            return idx, idx + 1
     return None, total
 
 
@@ -396,18 +369,17 @@ def exhaustive_ramsey_number(
     kind: CopyKind,
     max_n: int = 4,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    workers: int = 1,
 ) -> RamseyScanResult:
     """Exhaustively determine the tiny-scale threshold, scanning N = 1..max_n.
 
     Colorings of each Q_N are enumerated in integer order of their dense bit
     vectors, with early exit on the first coloring avoiding both copies.
-    Guarded at max_n <= MAX_SCAN_GROUND.
+    Guarded at 1 <= max_n <= MAX_SCAN_GROUND.
     """
     if m < 1 or n < 1:
         raise ValueError("pattern dimensions must be >= 1")
-    if max_n > MAX_SCAN_GROUND:
-        raise ValueError(f"exhaustive scan guarded at max_N <= {MAX_SCAN_GROUND}")
+    if not 1 <= max_n <= MAX_SCAN_GROUND:
+        raise ValueError(f"exhaustive scan needs 1 <= max_N <= {MAX_SCAN_GROUND}")
 
     # Layered witness: top m layers of Q_{m+n-1} blue; certifies value >= m+n.
     from .constructions import layered_coloring
@@ -425,7 +397,7 @@ def exhaustive_ramsey_number(
     value, status = None, "complete"
     try:
         for ground in range(1, max_n + 1):
-            idx, scanned = _scan_ground(ground, m, n, kind, node_budget, workers)
+            idx, scanned = _scan_ground(ground, m, n, kind, node_budget)
             checked += scanned
             if idx is None:
                 value = ground

@@ -1,7 +1,6 @@
 """End-to-end tests of the command-line driver and its certificates."""
 
 import json
-import multiprocessing
 import os
 import random
 import re
@@ -41,12 +40,14 @@ def test_bound_usage_error(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("c", ["inf", "-inf", "1e308", "nan", "1e306"])
+@pytest.mark.parametrize("c", ["inf", "-inf", "1e308", "nan", "1e306", "-5", "-0.1"])
 def test_bound_with_non_finite_ratio_is_usage(capsys, c):
-    # c * n / log2(n) is infinite or NaN, or (at 1e306) log2 k! overflows;
-    # exit 1 would claim a witness
+    # c * n / log2(n) is infinite or NaN, k is negative, or (at 1e306) log2 k!
+    # overflows; exit 1 would claim a witness
     assert main(["bound", "--n", "2", f"--c={c}"]) == 2
-    usage_error_line(capsys)
+    line = usage_error_line(capsys)
+    if c != "1e306":  # the overflow is raised inside lgamma and names no input
+        assert f"c = {float(c)}" in line
 
 
 def test_construct_layered_then_verify_ramsey(tmp_path, capsys):
@@ -229,6 +230,12 @@ def test_unknown_subcommand_is_usage(capsys):
     usage_error_line(capsys)
 
 
+@pytest.mark.parametrize("max_n", ["0", "-3"])
+def test_empty_scan_range_is_usage(capsys, max_n):
+    assert main(["ramsey", "--m", "1", "--n", "1", "--kind", "weak", f"--max-N={max_n}"]) == 2
+    assert "max_N" in usage_error_line(capsys)
+
+
 def test_malformed_thread_flag_is_usage(capsys):
     assert main(["--threads", "abc", "bound", "--n", "2", "--minimal"]) == 2
     assert "--threads" in usage_error_line(capsys)
@@ -358,50 +365,16 @@ def test_each_outcome_maps_to_its_exit_code(
         assert cert["result"] == {"error": "search exhausted after 7 nodes"}
 
 
-class RecordingPool:
-    """Stands in for multiprocessing.Pool: records the worker count asked for
-    and runs the tasks in this process, so no worker is ever started."""
-
-    created: list = []
-
-    def __init__(self, processes=None):
-        self.created.append(processes)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def imap(self, fn, tasks):
-        return map(fn, tasks)
-
-    def terminate(self):
-        pass
-
-
-@pytest.mark.parametrize("flag, workers", [(["--threads", "1000"], 3), (["--threads", "2"], 2)])
-def test_thread_count_capped_at_cpu_count(monkeypatch, capsys, flag, workers):
-    # (3,3) weak at N = 4 is the first scan large enough to use the pool; its
-    # first avoiding coloring is index 279, in the first chunk
+@pytest.mark.parametrize("threads", ["2", "0", "1000"])
+def test_thread_flag_changes_no_result(capsys, threads):
+    # --threads is accepted and ignored; (3,3) weak first avoids both copies
+    # at N = 4 with coloring 279
     argv = ["ramsey", "--m", "3", "--n", "3", "--kind", "weak", "--max-N", "4"]
-    code, serial = run_cli(capsys, *argv)
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    monkeypatch.setattr(RecordingPool, "created", [])
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    code2, pooled = run_cli(capsys, *flag, *argv)
-    assert RecordingPool.created == [workers]
+    code, plain = run_cli(capsys, *argv)
+    code2, flagged = run_cli(capsys, "--threads", threads, *argv)
     assert code == code2 == 0
-    assert pooled["result"] == serial["result"]
-    assert pooled["result"]["counterexamples"]["4"] == 279
-
-
-def test_thread_count_below_one_runs_serially(monkeypatch, capsys):
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    monkeypatch.setattr(RecordingPool, "created", [])
-    argv = ["--threads", "0", "ramsey", "--m", "3", "--n", "3", "--kind", "weak", "--max-N", "4"]
-    code, cert = run_cli(capsys, *argv)
-    assert code == 0 and RecordingPool.created == []
+    assert flagged["result"] == plain["result"]
+    assert plain["result"]["counterexamples"]["4"] == 279
 
 
 def test_cli_imports_neither_numpy_nor_mpmath():
@@ -412,6 +385,7 @@ def test_cli_imports_neither_numpy_nor_mpmath():
         "import sys\n"
         "from latticeramsey.cli import main\n"
         "assert main(['bound', '--n', '2', '--minimal']) == 0\n"
+        "assert main(['--threads', '2', 'ramsey', '--m', '3', '--n', '2', '--kind', 'weak', '--max-N', '4']) == 0\n"
         "print(sorted(set(sys.modules) & {'numpy', 'mpmath', 'multiprocessing'}))\n"
     )
     out = subprocess.run(

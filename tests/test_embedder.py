@@ -10,6 +10,7 @@ import pytest
 
 from latticeramsey.embedder import (
     EmbedRecord,
+    _sampled_perm_images,
     counting_bound,
     embed_with_permutation,
     minimal_k,
@@ -173,6 +174,22 @@ def test_sweep_sample_mode_deterministic():
     a = sweep_permutations(c, 2, 3, mode="sample", sample_count=10, seed=9)
     b = sweep_permutations(c, 2, 3, mode="sample", sample_count=10, seed=9)
     assert a == b
+
+
+def test_sample_draws_stop_once_every_permutation_is_seen(monkeypatch):
+    draws = []
+    real_sample = random.Random.sample
+
+    def counting_sample(self, population, k):
+        draws.append(tuple(real_sample(self, population, k)))
+        return list(draws[-1])
+
+    full = _sampled_perm_images(2, 3, 100, seed=4)
+    monkeypatch.setattr(random.Random, "sample", counting_sample)
+    got = _sampled_perm_images(2, 3, 10**6, seed=4)
+    assert got == full and len(full) == factorial(3)
+    # the last draw is the one that completes the set
+    assert len(set(draws[:-1])) == factorial(3) - 1 and draws[-1] not in draws[:-1]
 
 
 def test_sweep_guard():

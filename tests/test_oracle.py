@@ -139,16 +139,11 @@ def test_exhaustive_scan_one_vs_two():
     assert r.value >= 1 + 2  # layered lower bound
 
 
-def test_exhaustive_scan_guard():
+@pytest.mark.parametrize("max_n", [0, -3, 6])
+def test_exhaustive_scan_guard(max_n):
+    # an empty range would report "threshold above the range" having scanned nothing
     with pytest.raises(ValueError):
-        exhaustive_ramsey_number(1, 1, INDUCED, 6)
-
-
-def test_exhaustive_scan_parallel_matches_serial():
-    serial = exhaustive_ramsey_number(1, 1, INDUCED, 3, workers=1)
-    parallel = exhaustive_ramsey_number(1, 1, INDUCED, 3, workers=2)
-    assert serial.value == parallel.value == 2
-    assert serial.counterexamples == parallel.counterexamples
+        exhaustive_ramsey_number(1, 1, INDUCED, max_n)
 
 
 def test_layered_colorings_avoid_both_small():
