@@ -194,7 +194,7 @@ def _cmd_construct(args, cert: _Certificate) -> str:
             raise ValueError("layered construction needs --m")
         blue = _parse_int_list(args.blue_layers) if args.blue_layers else None
         coloring = cons.layered_coloring(args.m, args.n, blue)
-        cert.obj["result"] = {"construction": "layered", "coloring": coloring.to_obj()}
+        cert.obj["result"] = {"construction": "layered"}
     elif args.variant == "pairs":
         code = cons.greedy_pair_code(args.n)
         coloring = cons.pair_code_coloring(code)
@@ -205,7 +205,6 @@ def _cmd_construct(args, cert: _Certificate) -> str:
             "feasible": code.feasible,
             "candidates_per_pair": code.candidates_per_pair,
             "max_blocked": code.max_blocked,
-            "coloring": coloring.to_obj(),
         }
     elif args.variant == "modp":
         if args.m is None:
@@ -215,7 +214,6 @@ def _cmd_construct(args, cert: _Certificate) -> str:
         cert.obj["result"] = {
             "construction": "modp",
             "params": params.to_obj(),
-            "coloring": coloring.to_obj(),
         }
     else:  # lll
         if args.m is None:
@@ -241,11 +239,12 @@ def _cmd_construct(args, cert: _Certificate) -> str:
             result.update(resamples=exc.resamples, violations=exc.violations)
             return "exhausted"
         coloring = cons.probabilistic_coloring(args.n, args.m, fam)
-        result.update(members=len(fam.members), coloring=coloring.to_obj())
+        result["members"] = len(fam.members)
+    cert.obj["result"]["coloring"] = obj = coloring.to_obj()
     if args.output:
+        # json.dumps takes the C encoder, which json.dump never does
         with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(coloring.to_obj(), fh, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(obj, sort_keys=True) + "\n")
         cert.obj["result"]["written"] = args.output
     return "ok"
 

@@ -128,27 +128,37 @@ def greedy_pair_code(n: int) -> PairCode:
     blocked: set[SetWord] = set()
     assignments: list[tuple[int, int, SetWord]] = []
     ground_bits = full_mask(ground)
+    top = 1 << (ground - 1)
 
     for y in range(1, ground + 1):
         ybit = 1 << (y - 1)
+        # The candidates holding y, ascending, are the k-subsets i of the other
+        # ground - 1 elements with a y bit spliced in; those of pair (y, z) are
+        # the ones without z.  Every candidate before `cursor` was seen
+        # blocked, and blocked only grows, so starting each scan there skips
+        # no unblocked candidate: the first fit, hence every assignment, is
+        # that of a scan from the start.
+        cursor = (1 << k) - 1
         for z in range(1, ground + 1):
             if z == y:
                 continue
-            allowed = [x for x in range(1, ground + 1) if x != y and x != z]
-            chosen: Optional[SetWord] = None
-            # colex over k-subsets of the allowed elements = colex over C
-            for idx_mask in layer(n, k):
-                cand = ybit
-                rest = idx_mask
-                while rest:
-                    low = rest & -rest
-                    cand |= 1 << (allowed[low.bit_length() - 1] - 1)
-                    rest ^= low
-                if cand not in blocked:
-                    chosen = cand
+            zbit = 1 << (z - 1)
+            i = cursor
+            while i < top:
+                cand = (i & (ybit - 1)) | ((i >> (y - 1)) << y) | ybit
+                free = cand not in blocked
+                if free and not cand & zbit:
                     break
-            if chosen is None:
+                # Gosper's hack: next i with the same popcount
+                low = i & -i
+                lift = i + low
+                after = lift | (((i ^ lift) >> 2) // low)
+                if not free and i == cursor:
+                    cursor = after
+                i = after
+            else:
                 raise GreedyStuck((y, z))
+            chosen = cand
             assignments.append((y, z, chosen))
             blocked.add(chosen)
             inside = elements_of(chosen)

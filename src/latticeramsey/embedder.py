@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import e, factorial, floor, isfinite, lgamma, log2
+from math import e, factorial, floor, inf, isfinite, lgamma, log2
 from typing import Iterator, Optional
 
 from .lattice import (
@@ -413,6 +413,12 @@ def counting_bound(n: int, c: float) -> BoundReport:
     k = floor(ratio)
     if k < 0:
         raise ValueError(f"c = {c} gives k = floor(c * n / log2(n)) = {k} < 0")
+    try:
+        log2_fact = _log2_factorial(k)
+    except OverflowError:  # in lgamma; a smaller k can still overflow the / ln 2
+        log2_fact = inf
+    if not isfinite(log2_fact):
+        raise ValueError(f"c = {c} gives a k whose log2(k!) overflows a float")
     exponent = 2 * (n + k)
     contradiction, method = _factorial_exceeds_power(k, exponent)
     if k >= 1:
@@ -426,7 +432,7 @@ def counting_bound(n: int, c: float) -> BoundReport:
         c,
         k,
         exponent,
-        _log2_factorial(k),
+        log2_fact,
         contradiction,
         method,
         stirling,

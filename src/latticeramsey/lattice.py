@@ -319,6 +319,15 @@ class WeightedFamily:
             object.__setattr__(self, "_cached_member_set", cached)
         return cached
 
+    def event_counts(self) -> tuple[defaultdict[SetWord, int], defaultdict[SetWord, int]]:
+        """event_counts of the members, counted on first use and shared by every
+        caller after it: read them with .get(s, 0), which inserts nothing."""
+        cached = getattr(self, "_cached_event_counts", None)
+        if cached is None:
+            cached = event_counts(self.enumerated_members(), self.ground_n)
+            object.__setattr__(self, "_cached_event_counts", cached)
+        return cached
+
     def iter_members(self) -> Iterator[SetWord]:
         if self.members is not None:
             yield from self.members
@@ -489,13 +498,19 @@ class Coloring:
         """The blue sets off the blue layers, as one family of a single weight:
         blue_code when there are no extras, else the extras as an explicit
         family.  A code plus extras, or extras of several sizes or of none, is
-        a ValueError."""
+        a ValueError.  The family is built once, so its cached event counts
+        serve every certifier that reads it."""
         if self.blue_code is not None and not self.blue_extra:
             return self.blue_code
-        sizes = {s.bit_count() for s in self.blue_extra}
-        if self.blue_code is not None or len(sizes) != 1:
-            raise ValueError("coloring extras do not form a single-weight family")
-        return WeightedFamily(self.ground_n, sizes.pop(), members=tuple(sorted(self.blue_extra)))
+        cached = getattr(self, "_cached_partial_layer", None)
+        if cached is None:
+            sizes = {s.bit_count() for s in self.blue_extra}
+            if self.blue_code is not None or len(sizes) != 1:
+                raise ValueError("coloring extras do not form a single-weight family")
+            members = tuple(sorted(self.blue_extra))
+            cached = WeightedFamily(self.ground_n, sizes.pop(), members=members)
+            object.__setattr__(self, "_cached_partial_layer", cached)
+        return cached
 
     def densify(self) -> "Coloring":
         """Equivalent dense coloring (for small ground sets)."""

@@ -6,7 +6,8 @@ monochromatic-freeness of the package's colorings is certified by the
 layer-forcing arguments their shapes support (cross-checked against the
 exhaustive oracle wherever both can run).  The family conditions are read off
 lattice.event_counts, the counting routine the resampler also keeps its event
-counts with; the test suite checks them against a brute-force scan.
+counts with, counted once per family (WeightedFamily.event_counts) and shared
+by the certifiers; the test suite checks them against a brute-force scan.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .lattice import (
     SetWord,
     WeightedFamily,
     elements_of,
-    event_counts,
     full_mask,
     is_subset,
     iter_submasks,
@@ -149,7 +149,10 @@ def check_code_statement(
     with y to a code member (element sum d mod p).
 
     Decided by exact counting: one residue table of the whole ground set,
-    from which each Y's m elements are divided out.  The size-window
+    from which each Y's m elements are divided out, largest first.  layer()
+    is colex, so consecutive sets Y share their largest elements, and the
+    tables of those shared top parts are kept on a stack (at most m beyond
+    the full one) instead of being divided out again.  The size-window
     hypotheses under which this is guaranteed are evaluated and reported, but
     parameters outside them are still checked (exploratory use).
     """
@@ -162,12 +165,18 @@ def check_code_statement(
         and (n - k) * (n - k) >= window
     )
     pairs = 0
-    full = build_dp_table(full_mask(ground), k, p)
+    tops: list[int] = []  # the previous Y's elements, largest first
+    tables = [build_dp_table(full_mask(ground), k, p)]  # tables[j]: tops[:j] out
     for avoid in layer(ground, m):
-        table = full
-        for y in elements_of(avoid):
-            table = table.without(y)
-        for y in elements_of(avoid):
+        down = elements_of(avoid)[::-1]
+        shared = 0
+        while shared < len(tops) and tops[shared] == down[shared]:
+            shared += 1
+        del tables[shared + 1:]
+        for y in down[shared:]:
+            tables.append(tables[-1].without(y))
+        tops, table = down, tables[-1]
+        for y in reversed(down):
             pairs += 1
             if table.count(k, (d - y) % p) < 1:
                 return CodeStatementResult(False, (avoid, y), pairs, hypotheses_ok)
@@ -199,17 +208,17 @@ class ConditionsResult:
 def check_conditions(fam: WeightedFamily) -> ConditionsResult:
     """Every (m-1)-set has >= 2 supersets in fam; every (m+1)-set <= m-1 subsets."""
     ground, m = fam.ground_n, fam.weight
-    sup_count, sub_count = event_counts(fam.enumerated_members(), ground)
+    sup_count, sub_count = fam.event_counts()
 
     def lex(mask: SetWord) -> int:
         return lex_key(mask, ground)
 
     under = sorted(
-        (s for s in layer(ground, m - 1) if sup_count[s] < 2), key=lex
+        (s for s in layer(ground, m - 1) if sup_count.get(s, 0) < 2), key=lex
     )
     over = sorted((t for t, cnt in sub_count.items() if cnt >= m), key=lex)
     violations = tuple(
-        [("undersupplied", s, sup_count[s]) for s in under]
+        [("undersupplied", s, sup_count.get(s, 0)) for s in under]
         + [("oversubscribed", t, sub_count[t]) for t in over]
     )
     return ConditionsResult(not violations, violations)
@@ -298,9 +307,9 @@ def certify_red_singleton_bound(coloring: Coloring, n: int, m: int) -> CheckResu
     ground = coloring.ground_n
     if ground != n + m:
         raise ValueError(f"coloring ground {ground} != n + m = {n + m}")
-    sup_count, _ = event_counts(fam.enumerated_members(), ground)
+    sup_count, _ = fam.event_counts()
     for s in layer(ground, m - 1):
-        red = ground - m + 1 - sup_count[s]
+        red = ground - m + 1 - sup_count.get(s, 0)
         if red > n - 1:
             return CheckResult(False, (s,), f"{red} red supersets > {n - 1}")
     return CheckResult(True, detail="every bottom has <= n-1 red supersets")

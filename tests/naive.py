@@ -11,10 +11,15 @@ a faster replacement must match witness for witness.
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import factorial, lgamma
+from math import comb, factorial, lgamma
 from typing import Optional
 
-from latticeramsey.constructions import ResampleBudgetExceeded, layered_coloring
+from latticeramsey.constructions import (
+    GreedyStuck,
+    PairCode,
+    ResampleBudgetExceeded,
+    layered_coloring,
+)
 from latticeramsey.lattice import (
     Chain,
     Color,
@@ -133,6 +138,80 @@ def naive_check_code_statement(ground, m, k, p, d):
             if table.count(k, (d - y) % p) < 1:
                 return CodeStatementResult(False, (avoid, y), pairs, hypotheses_ok)
     return CodeStatementResult(True, None, pairs, hypotheses_ok)
+
+
+def naive_check_code_statement_divided(ground, m, k, p, d):
+    """check_code_statement dividing every Y out of the full-ground table anew.
+
+    The package's loop before it kept the tables of shared top parts: each
+    m-set Y, in colex order, divides its elements out of the full table,
+    smallest first.
+    """
+    n = ground - m
+    window = 8 * ground - 15
+    hypotheses_ok = (
+        n >= 1
+        and k * k >= window
+        and k <= n
+        and (n - k) * (n - k) >= window
+    )
+    pairs = 0
+    full = build_dp_table(full_mask(ground), k, p)
+    for avoid in layer(ground, m):
+        table = full
+        for y in elements_of(avoid):
+            table = table.without(y)
+        for y in elements_of(avoid):
+            pairs += 1
+            if table.count(k, (d - y) % p) < 1:
+                return CodeStatementResult(False, (avoid, y), pairs, hypotheses_ok)
+    return CodeStatementResult(True, None, pairs, hypotheses_ok)
+
+
+def naive_greedy_pair_code(n):
+    """The package's original greedy_pair_code: every ordered pair rescans the
+    colex k-subsets of its allowed elements from the start, rebuilding each
+    candidate bit by bit."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    k = n // 2
+    ground = n + 2
+    candidates = comb(n, k)
+    max_blocked = ((n + 2) * (n + 1) - 1) * (1 + k * (n - k))
+
+    blocked = set()
+    assignments = []
+    ground_bits = full_mask(ground)
+
+    for y in range(1, ground + 1):
+        ybit = 1 << (y - 1)
+        for z in range(1, ground + 1):
+            if z == y:
+                continue
+            allowed = [x for x in range(1, ground + 1) if x != y and x != z]
+            chosen = None
+            # colex over k-subsets of the allowed elements = colex over C
+            for idx_mask in layer(n, k):
+                cand = ybit
+                rest = idx_mask
+                while rest:
+                    low = rest & -rest
+                    cand |= 1 << (allowed[low.bit_length() - 1] - 1)
+                    rest ^= low
+                if cand not in blocked:
+                    chosen = cand
+                    break
+            if chosen is None:
+                raise GreedyStuck((y, z))
+            assignments.append((y, z, chosen))
+            blocked.add(chosen)
+            inside = elements_of(chosen)
+            outside = elements_of(ground_bits & ~chosen)
+            for x in inside:
+                for w in outside:
+                    blocked.add((chosen & ~(1 << (x - 1))) | (1 << (w - 1)))
+
+    return PairCode(n, k, tuple(assignments), candidates, max_blocked)
 
 
 def naive_minimal_k(n):

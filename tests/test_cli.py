@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line driver and its certificates."""
 
+import hashlib
 import json
 import os
 import random
@@ -40,14 +41,13 @@ def test_bound_usage_error(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("c", ["inf", "-inf", "1e308", "nan", "1e306", "-5", "-0.1"])
+@pytest.mark.parametrize("c", ["inf", "-inf", "1e308", "nan", "1e306", "1e305", "-5", "-0.1"])
 def test_bound_with_non_finite_ratio_is_usage(capsys, c):
-    # c * n / log2(n) is infinite or NaN, k is negative, or (at 1e306) log2 k!
-    # overflows; exit 1 would claim a witness
+    # c * n / log2(n) is infinite or NaN, k is negative, or log2 k! overflows
+    # (inside lgamma at 1e306, in the division by ln 2 at 1e305); exit 1 would
+    # claim a witness
     assert main(["bound", "--n", "2", f"--c={c}"]) == 2
-    line = usage_error_line(capsys)
-    if c != "1e306":  # the overflow is raised inside lgamma and names no input
-        assert f"c = {float(c)}" in line
+    assert f"c = {float(c)}" in usage_error_line(capsys)
 
 
 def test_construct_layered_then_verify_ramsey(tmp_path, capsys):
@@ -145,6 +145,32 @@ def test_construct_lll_and_verify_conditions(tmp_path, capsys):
     assert code == 0
 
 
+def test_verify_counts_the_family_once(tmp_path, capsys, monkeypatch):
+    from latticeramsey import lattice
+
+    out = tmp_path / "lll.json"
+    code, _ = run_cli(
+        capsys,
+        "construct", "lll", "--n", "12", "--m", "4",
+        "--p-incl", "0.1", "--seed", "1", "-o", str(out),
+    )
+    assert code == 0
+    calls = []
+    count = lattice.event_counts
+
+    def counted(members, ground):
+        calls.append(ground)
+        return count(members, ground)
+
+    monkeypatch.setattr(lattice, "event_counts", counted)
+    code, cert = run_cli(
+        capsys, "verify", "--coloring", str(out), "--conditions", "--blue-free", "4",
+        "--red-bound", "12,4",
+    )
+    assert code == 0 and sorted(cert["result"]) == ["blue_free", "conditions", "red_bound"]
+    assert calls == [16]
+
+
 def test_construct_modp_prime_override(tmp_path, capsys):
     out = tmp_path / "modp41.json"
     code, cert = run_cli(
@@ -178,6 +204,32 @@ def test_construct_pairs_writes_the_pair_code_coloring(tmp_path, capsys):
     assert cert["result"]["assignments"] == 380
     assert cert["result"]["coloring"] == want
     assert out.read_text() == json.dumps(want, sort_keys=True) + "\n"
+
+
+def test_constructions_and_code_statement_keep_their_bytes(tmp_path, capsys):
+    # digests of the -o files and of the statement's result as first written;
+    # faster constructions and certifiers must reproduce them byte for byte
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    pinned = {
+        ("construct", "pairs", "--n", "18"):
+            "d9f358257060064ec74ce2231c647023e9da3ce6fdadf5b3aa69c6023e9d7776",
+        ("construct", "lll", "--n", "24", "--m", "4", "--p-incl", "0.07", "--seed", "6"):
+            "c0001c1ccd2711d69525e305857e09eb23ecde97f8920bddf77477e45d7fc897",
+    }
+    out = tmp_path / "coloring.json"
+    for argv, digest in pinned.items():
+        assert main([*argv, "-o", str(out)]) == 0
+        capsys.readouterr()
+        assert sha(out.read_text(encoding="utf-8")) == digest, argv
+    code, cert = run_cli(
+        capsys, "verify", "--coloring", str(out), "--code-statement", "36,2,17,37,37"
+    )
+    assert code == 0
+    assert sha(json.dumps(cert["result"], sort_keys=True)) == (
+        "6114e516d6345d7ddc24bfd42209fa069081d85d6293ccd6a0849316d2be736f"
+    )
 
 
 def test_code_subcommand(capsys):

@@ -36,7 +36,7 @@ from latticeramsey.lattice import (
 from latticeramsey.oracle import CopyKind, coloring_is_ramsey, find_chain
 from latticeramsey.verifier import check_conditions, check_min_distance
 
-from naive import naive_lll_family, two_fold_triples_8
+from naive import naive_greedy_pair_code, naive_lll_family, two_fold_triples_8
 
 
 def test_layered_defaults_and_oracle():
@@ -81,6 +81,23 @@ def test_greedy_below_threshold_may_stick():
         assert check_min_distance(fam, 4).ok
     except GreedyStuck as exc:
         assert len(exc.pair) == 2
+
+
+def test_greedy_pair_code_matches_the_rescanning_scan():
+    # The per-y cursor only skips candidates already seen blocked, so every
+    # assignment, and the pair where a scan sticks, is the rescanning one's.
+    stuck = 0
+    for n in range(2, 21):
+        try:
+            want = naive_greedy_pair_code(n)
+        except GreedyStuck as exc:
+            with pytest.raises(GreedyStuck) as got:
+                greedy_pair_code(n)
+            assert got.value.pair == exc.pair
+            stuck += 1
+        else:
+            assert greedy_pair_code(n) == want
+    assert 0 < stuck < 19
 
 
 def test_induced_q2_coloring_shape():

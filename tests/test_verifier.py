@@ -42,6 +42,7 @@ from latticeramsey.verifier import (
 from naive import (
     naive_certify_red_singleton_bound,
     naive_check_code_statement,
+    naive_check_code_statement_divided,
     naive_check_conditions,
     naive_dp_count,
     naive_lll_sides,
@@ -135,6 +136,22 @@ def test_code_statement_matches_per_set_tables():
                     res = check_code_statement(ground, m, k, p, d)
                     assert res == naive_check_code_statement(ground, m, k, p, d)
                     verdicts[res.ok] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def test_code_statement_matches_per_set_division():
+    # the stack of shared top-part tables against dividing every Y anew
+    rng = random.Random(14)
+    verdicts = Counter()
+    for _ in range(100):
+        m = rng.randint(2, 4)
+        ground = rng.randint(m + 1, 16)
+        k = rng.randint(0, ground - m)
+        p = rng.choice([2, 3, 5, 7, 11, 13, 17, 19, 23])
+        d = rng.randint(1, p)
+        res = check_code_statement(ground, m, k, p, d)
+        assert res == naive_check_code_statement_divided(ground, m, k, p, d)
+        verdicts[res.ok] += 1
     assert verdicts[True] and verdicts[False]
 
 
@@ -306,6 +323,25 @@ def test_low_block_certifiers_read_a_blue_code():
     assert find_copy(col.blue_family(), 3, CopyKind.WEAK) is not None
     red = certify_red_singleton_bound(col, 4, 3)
     assert red == naive_certify_red_singleton_bound(col, 4, 3)
+
+
+def test_certifiers_share_the_family_counts_and_leave_them_unchanged():
+    # a sparse family leaves (m-1)-sets without supersets, which a counts
+    # lookup by [] would insert as zeros into the shared dicts
+    rng = random.Random(3)
+    extras = [f for f in layer(9, 3) if rng.random() < 0.1]
+    col = Coloring.structured(9, blue_layers={0, 1, 4}, blue_extra=extras)
+    fam = col.partial_layer()
+    assert col.partial_layer() is fam
+    counts = fam.event_counts()
+    before = [dict(c) for c in counts]
+    assert 0 not in before[0].values()
+    conditions = check_conditions(fam)
+    assert not conditions.ok and conditions.violations[0][2] == 0
+    certify_blue_free(col, 3)
+    certify_red_singleton_bound(col, 6, 3)
+    assert fam.event_counts() is counts
+    assert [dict(c) for c in counts] == before
 
 
 def test_red_bound_cross_checked_by_oracle_weak_q4():
