@@ -1,8 +1,8 @@
 """Complete searches for copies of small Boolean lattices inside set families.
 
 This is the ground-truth side of the package: a backtracking searcher for weak
-and induced copies of Q_m, a longest-chain finder, and an exhaustive scan of
-all 2^(2^N) colorings of tiny ground sets.  Everything here is decided by
+and induced copies of Q_m, a longest-chain finder, and a threshold scan that
+decides every coloring of tiny ground sets.  Everything here is decided by
 explicit search; the structural certifiers elsewhere are cross-checked against
 these results.
 """
@@ -296,14 +296,8 @@ def coloring_is_ramsey(
     """Search the blue side for Q_m, then the red side for Q_n."""
     if m < 0 or n < 0:
         raise ValueError("pattern dimension must be >= 0")
+    ground = coloring.ground_n
     blue = int.from_bytes(coloring.densify().blue_bits, "little")
-    return _ramsey_bits(coloring.ground_n, blue, m, n, kind, node_budget)
-
-
-def _ramsey_bits(
-    ground: int, blue: int, m: int, n: int, kind: CopyKind, node_budget: int
-) -> RamseyOutcome:
-    """coloring_is_ramsey on the dense bit vector of a coloring of Q_ground."""
     words = range(1 << ground)
     up, down = _cube(ground) if ground <= MAX_SCAN_GROUND else _order(words)
     w = _search(words, up, down, blue, m, kind, node_budget)
@@ -323,7 +317,9 @@ class RamseyScanResult:
     value is the least N <= max_n at which every coloring of Q_N contains a
     blue copy of Q_m or a red copy of Q_n, or None when the threshold exceeds
     max_n ("unknown").  counterexamples maps each ruled-out N to the first
-    dense coloring index (in integer order) avoiding both copies.  The layered
+    dense coloring index (in integer order) avoiding both copies.
+    colorings_checked counts the colorings decided: for each N scanned, the
+    colorings up to and including that index, or all 2^(2^N).  The layered
     lower bound m+n is verified separately and recorded (None when that check
     ran out of node budget).
     """
@@ -355,12 +351,32 @@ class RamseyScanResult:
 def _scan_ground(
     ground: int, m: int, n: int, kind: CopyKind, node_budget: int
 ) -> tuple[Optional[int], int]:
-    """First coloring index of Q_ground with neither copy, and count scanned."""
-    total = 1 << (1 << ground)
-    for idx in range(total):
-        if _ramsey_bits(ground, idx, m, n, kind, node_budget).neither:
-            return idx, idx + 1
-    return None, total
+    """First coloring index of Q_ground with neither copy, and count decided.
+
+    Depth-first over the sets from 2^ground - 1 down to 0, red (bit 0) before
+    blue, so leaves come in increasing integer order.  A branch closes once
+    the class its last set joined holds a copy (red Q_n, blue Q_m): that
+    class held none before, so the copy uses the new set and every completion
+    keeps it.  Hence the first leaf reached is the first survivor a listing
+    in integer order would find.  Recursion depth <= 2^ground.
+    """
+    words = range(1 << ground)
+    up, down = _cube(ground)
+
+    def first(s: int, blue: int, red: int) -> Optional[int]:
+        if s < 0:
+            return blue
+        bit = 1 << s
+        if _search(words, up, down, red | bit, n, kind, node_budget) is None:
+            found = first(s - 1, blue, red | bit)
+            if found is not None:
+                return found
+        if _search(words, up, down, blue | bit, m, kind, node_budget) is None:
+            return first(s - 1, blue | bit, red)
+        return None
+
+    idx = first(len(words) - 1, 0, 0)
+    return (None, 1 << len(words)) if idx is None else (idx, idx + 1)
 
 
 def exhaustive_ramsey_number(
@@ -372,9 +388,10 @@ def exhaustive_ramsey_number(
 ) -> RamseyScanResult:
     """Exhaustively determine the tiny-scale threshold, scanning N = 1..max_n.
 
-    Colorings of each Q_N are enumerated in integer order of their dense bit
-    vectors, with early exit on the first coloring avoiding both copies.
-    Guarded at 1 <= max_n <= MAX_SCAN_GROUND.
+    The colorings of each Q_N are decided in integer order of their dense bit
+    vectors by a depth-first search that closes every branch whose partial
+    coloring already holds a copy (_scan_ground), stopping at the first
+    coloring avoiding both.  Guarded at 1 <= max_n <= MAX_SCAN_GROUND.
     """
     if m < 1 or n < 1:
         raise ValueError("pattern dimensions must be >= 1")

@@ -285,11 +285,12 @@ def certify_blue_free(coloring: Coloring, m: int) -> CheckResult:
 
     # low-block: the m level-(m-1) images are forced into the partial layer
     # and under a common top of size m+1, so the subset-count condition kills
-    # every copy.
-    result = check_conditions(fam)
-    over = [v for v in result.violations if v[0] == "oversubscribed"]
+    # every copy.  The witness is the lex-first top, as in check_conditions.
+    _, sub_count = fam.event_counts()
+    over = [t for t, cnt in sub_count.items() if cnt >= m]
     if over:
-        return CheckResult(False, (over[0][1],), "a top hosts m family members")
+        top = min(over, key=lambda t: lex_key(t, fam.ground_n))
+        return CheckResult(False, (top,), "a top hosts m family members")
     return CheckResult(True, detail="forced sizes + subset cap on the partial layer")
 
 

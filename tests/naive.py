@@ -38,6 +38,7 @@ from latticeramsey.oracle import (
     CopyKind,
     CopyWitness,
     SearchExhausted,
+    coloring_is_ramsey,
 )
 from latticeramsey.verifier import CheckResult, CodeStatementResult, build_dp_table
 
@@ -699,22 +700,35 @@ def pairwise_coloring_is_ramsey(coloring, m, n, kind, node_budget=DEFAULT_NODE_B
     return None, pairwise_find_copy(coloring.red_family(), n, kind, node_budget)
 
 
-def pairwise_ramsey_scan(m, n, kind, max_n):
-    """The threshold scan's result object, every coloring searched pairwise."""
-    blue, red = pairwise_coloring_is_ramsey(layered_coloring(m, n), m, n, kind)
+def _listing_scan(m, n, kind, max_n, neither):
+    """The threshold scan's result object, every coloring of Q_N listed in
+    integer order until neither(coloring, m, n, kind) holds."""
     out = {
         "m": m, "n": n, "kind": kind.value, "max_N": max_n, "value": None,
         "counterexamples": {}, "colorings_checked": 0, "status": "complete",
-        "layered_lower_bound": m + n if blue is None and red is None else 0,
+        "layered_lower_bound": m + n if neither(layered_coloring(m, n), m, n, kind) else 0,
     }
     for ground in range(1, max_n + 1):
         for idx in range(1 << (1 << ground)):
             out["colorings_checked"] += 1
             c = Coloring.dense_from_int(ground, idx)
-            if pairwise_coloring_is_ramsey(c, m, n, kind) == (None, None):
+            if neither(c, m, n, kind):
                 out["counterexamples"][str(ground)] = idx
                 break
         else:
             out["value"] = ground
             break
     return out
+
+
+def pairwise_ramsey_scan(m, n, kind, max_n):
+    """The threshold scan's result object, every coloring searched pairwise."""
+    return _listing_scan(
+        m, n, kind, max_n, lambda *a: pairwise_coloring_is_ramsey(*a) == (None, None)
+    )
+
+
+def listing_ramsey_scan(m, n, kind, max_n):
+    """The threshold scan's result object, every coloring searched whole by the
+    package's coloring_is_ramsey, which the depth-first scan must agree with."""
+    return _listing_scan(m, n, kind, max_n, lambda *a: coloring_is_ramsey(*a).neither)

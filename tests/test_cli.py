@@ -171,6 +171,33 @@ def test_verify_counts_the_family_once(tmp_path, capsys, monkeypatch):
     assert calls == [16]
 
 
+def test_verify_scans_the_undersupplied_layer_once(tmp_path, capsys, monkeypatch):
+    from latticeramsey import verifier
+
+    out = tmp_path / "lll.json"
+    code, _ = run_cli(
+        capsys,
+        "construct", "lll", "--n", "12", "--m", "4",
+        "--p-incl", "0.1", "--seed", "1", "-o", str(out),
+    )
+    assert code == 0
+    calls = []
+    walk = verifier.layer
+
+    def counted(ground, size):
+        calls.append((ground, size))
+        return walk(ground, size)
+
+    monkeypatch.setattr(verifier, "layer", counted)
+    # --blue-free reads the oversubscribed tops off the shared counts instead
+    # of scanning the conditions a second time.
+    code, cert = run_cli(
+        capsys, "verify", "--coloring", str(out), "--conditions", "--blue-free", "4"
+    )
+    assert code == 0 and cert["result"]["blue_free"]["ok"] is True
+    assert calls == [(16, 3)]
+
+
 def test_construct_modp_prime_override(tmp_path, capsys):
     out = tmp_path / "modp41.json"
     code, cert = run_cli(

@@ -17,6 +17,7 @@ from latticeramsey import constructions
 from latticeramsey.constructions import layered_coloring
 
 from naive import (
+    listing_ramsey_scan,
     naive_find_copy,
     pair_logic_has_copy,
     pairwise_coloring_is_ramsey,
@@ -256,6 +257,26 @@ SCAN_LIST = [
 def test_exhaustive_scan_matches_pairwise_oracle(m, n, kind, max_n):
     got = exhaustive_ramsey_number(m, n, kind, max_n).to_obj()
     assert got == pairwise_ramsey_scan(m, n, kind, max_n)
+
+
+@pytest.mark.parametrize("kind", [WEAK, INDUCED])
+def test_exhaustive_scan_matches_listing_at_q4(kind):
+    # Every (m, n) in 1..3 at max_N = 4, the six scans that decide all 2^16
+    # colorings of Q_4 included: the depth-first scan must stop where the
+    # integer-order listing stops.
+    for m in (1, 2, 3):
+        for n in (1, 2, 3):
+            got = exhaustive_ramsey_number(m, n, kind, 4).to_obj()
+            assert got == listing_ramsey_scan(m, n, kind, 4), (m, n, kind)
+
+
+def test_scan_budget_counts_per_partial_search():
+    # The budget bounds each search of a partial color class.  Those stay
+    # within 5 nodes here, though searching whole colorings of Q_4 does not.
+    r = exhaustive_ramsey_number(3, 2, WEAK, 4, node_budget=5)
+    assert r.status == "complete"
+    assert r.counterexamples[4] == 6015
+    assert r.to_obj() == exhaustive_ramsey_number(3, 2, WEAK, 4).to_obj()
 
 
 def test_exhausted_layered_check_is_null(monkeypatch):
