@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from math import comb, e, isqrt
 from typing import Iterable, Optional
 
@@ -31,6 +31,7 @@ from .lattice import (
     WeightedFamily,
     elements_of,
     event_counts,
+    event_violations,
     full_mask,
     layer,
     lex_key,
@@ -93,18 +94,6 @@ class PairCode:
 
     def masks(self) -> list[SetWord]:
         return [m for _, _, m in self.assignments]
-
-    def to_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "assignments": [
-                {"y": y, "z": z, "set": elements_of(m)}
-                for y, z, m in self.assignments
-            ],
-            "candidates_per_pair": self.candidates_per_pair,
-            "max_blocked": self.max_blocked,
-        }
 
 
 def greedy_pair_code(n: int) -> PairCode:
@@ -201,31 +190,38 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def prime_window(ground: int) -> range:
+    """The moduli a residue code over [ground] admits: ground <= p < 2*(ground-1)."""
+    return range(ground, 2 * (ground - 1))
+
+
+def _check_prime(p: int, ground: int) -> None:
+    window = prime_window(ground)
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if p not in window:
+        raise ValueError(f"prime {p} outside [{window.start}, {window.stop})")
+
+
 def find_prime(ground: int) -> int:
-    """Smallest prime p with ground <= p < 2*(ground-1).
+    """Smallest prime in prime_window(ground).
 
     Such a prime exists for every ground > 3 (Bertrand's postulate).
     """
     if ground <= 3:
         raise ValueError("ground size must exceed 3")
-    for p in range(ground, 2 * (ground - 1)):
-        if _is_prime(p):
-            return p
-    raise AssertionError(f"no prime in [{ground}, {2 * (ground - 1)})")
+    return next(p for p in prime_window(ground) if _is_prime(p))
 
 
 def modp_code(ground: int, k: int, d: int, p: int) -> WeightedFamily:
     """Residue-coded family of (k+1)-subsets of [ground] with sum = d (mod p).
 
-    Requires ground <= p < 2*(ground-1) and 1 <= d <= p.  Two distinct members
-    can never be one element-swap apart: a swap x -> y changes the sum by a
-    nonzero residue since 1 <= x, y <= ground <= p; hence all pairwise
+    Requires a prime p in prime_window(ground) and 1 <= d <= p.  Two distinct
+    members can never be one element-swap apart: a swap x -> y changes the sum
+    by a nonzero residue since 1 <= x, y <= ground <= p; hence all pairwise
     symmetric differences are at least 4.
     """
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if not ground <= p < 2 * (ground - 1):
-        raise ValueError(f"prime {p} outside [{ground}, {2 * (ground - 1)})")
+    _check_prime(p, ground)
     if not 1 <= d <= p:
         raise ValueError(f"residue {d} outside [1, {p}]")
     if k + 1 > ground:
@@ -273,10 +269,13 @@ def olson_subset_sum(values: Iterable[int], p: int, target: int) -> list[int]:
     return sorted(out)
 
 
-def _ceil_sqrt(x: int) -> int:
-    if x <= 0:
-        return 0
-    return isqrt(x - 1) + 1
+def size_window(ground: int, m: int) -> tuple[int, int]:
+    """(k_min, k_max) of the size window sqrt(8N-15) <= k <= n - sqrt(8N-15)
+    over [N] = [ground], n = ground - m: k_min = ceil(sqrt(8N-15)) and
+    k_max = n - k_min, so for k >= 0 the window is k_min <= k <= k_max."""
+    window = 8 * ground - 15
+    k_min = isqrt(window - 1) + 1 if window > 0 else 0
+    return k_min, ground - m - k_min
 
 
 def code_witness(
@@ -292,9 +291,9 @@ def code_witness(
     Constructive: with l = ceil(sqrt(8*ground - 15)), pair the l smallest and
     l largest elements outside `avoid`, fill with the colex-first k-l middle
     elements, and choose which pairs contribute their large element by solving
-    a subset-sum over the pairwise differences mod p.  Requires the size
-    window sqrt(8*ground-15) <= k <= n - sqrt(8*ground-15) where n =
-    ground - m, which guarantees the subset-sum instance is solvable.
+    a subset-sum over the pairwise differences mod p.  Requires k in
+    size_window(ground, m), which guarantees the subset-sum instance is
+    solvable.
     """
     if code.modp_p is None:
         raise ValueError("code must be a mod-p family")
@@ -305,14 +304,11 @@ def code_witness(
     if not avoid & (1 << (y - 1)):
         raise ValueError(f"element {y} is not in the avoided set")
     n = ground - m
-    window = 8 * ground - 15
-    if k * k < window:
-        raise ValueError(f"k = {k} below sqrt({window})")
-    if (n - k) * (n - k) < window or k > n:
-        raise ValueError(f"k = {k} above {n} - sqrt({window})")
+    l, k_max = size_window(ground, m)
+    if not l <= k <= k_max:
+        raise ValueError(f"k = {k} outside the size window [{l}, {k_max}]")
 
     p, d = code.modp_p, code.modp_d
-    l = _ceil_sqrt(window)
     xs = elements_of(full_mask(ground) & ~avoid)
     lows = xs[:l]
     highs = xs[n - l:]
@@ -350,8 +346,8 @@ class WeakParams:
     d: int
     k_min: int
     k_max: int
-    witness_window_ok: bool  # k within [sqrt(8N-15), n - sqrt(8N-15)]
-    strict_window_ok: bool  # k also within the tighter n-1 - sqrt(8N-15) bound
+    witness_window_ok: bool  # k_min <= k <= k_max (size_window)
+    strict_window_ok: bool  # k_min <= k < k_max: n-1 in place of n
     threshold_ok: bool  # n >= sqrt(32m + 260) + 18
 
     def to_obj(self) -> dict:
@@ -391,26 +387,21 @@ def weak_parameters(
     if n < m:
         raise ValueError("need n >= m")
     ground = n + m
-    window = 8 * ground - 15
-    k_min = _ceil_sqrt(window)
-    k_max = n - k_min
+    k_min, k_max = size_window(ground, m)
     if k is None:
         if k_min > k_max:
-            raise ValueError(
-                f"empty k window: need sqrt({window}) <= k <= {n} - sqrt({window})"
-            )
+            raise ValueError(f"empty k window [{k_min}, {k_max}]")
         k = k_min
     if p is None:
         p = find_prime(ground)
-    elif not (_is_prime(p) and ground <= p < 2 * (ground - 1)):
-        raise ValueError(f"override prime {p} outside [{ground}, {2 * (ground - 1)}) or composite")
+    else:
+        _check_prime(p, ground)
     if d is None:
         d = p
-    witness_ok = k * k >= window and k <= n and (n - k) * (n - k) >= window
-    strict_ok = witness_ok and k <= n - 1 and (n - 1 - k) * (n - 1 - k) >= window
     threshold_ok = n >= 18 and (n - 18) * (n - 18) >= 32 * m + 260
     return WeakParams(
-        n, m, ground, k, p, d, k_min, k_max, witness_ok, strict_ok, threshold_ok
+        n, m, ground, k, p, d, k_min, k_max,
+        k_min <= k <= k_max, k_min <= k < k_max, threshold_ok,
     )
 
 
@@ -504,12 +495,12 @@ def lll_family(cfg: LllConfig) -> WeightedFamily:
     # set and has at least one (lex_key, mask) entry in its class's heap; an
     # entry whose event has since healed is dropped when it reaches the top.
     sup_count, sub_count = event_counts(fam, ground)
-    viol_a = {s for s in layer(ground, m - 1) if sup_count[s] <= 1}
-    viol_b = {t for t, cnt in sub_count.items() if cnt >= m}
-    heap_a = [(lex_key(s, ground), s) for s in viol_a]
-    heap_b = [(lex_key(t, ground), t) for t in viol_b]
-    heapify(heap_a)
-    heapify(heap_b)
+    under, over = event_violations(sup_count, sub_count, ground, m)
+    # in lexicographic order, so each list is already a heap
+    heap_a = [(lex_key(s, ground), s) for s, _ in under]
+    heap_b = [(lex_key(t, ground), t) for t, _ in over]
+    viol_a = {s for _, s in heap_a}
+    viol_b = {t for _, t in heap_b}
 
     def toggle(f: SetWord) -> None:
         # An event changes class only when its count crosses the threshold:
@@ -615,15 +606,6 @@ class Refutation:
     triple: SetWord
     subsets_in_family: int
 
-    def to_obj(self) -> dict:
-        return {
-            "singleton": elements_of(self.singleton),
-            "first": elements_of(self.first),
-            "second": elements_of(self.second),
-            "triple": elements_of(self.triple),
-            "subsets_in_family": self.subsets_in_family,
-        }
-
 
 def refute_m2(fam: WeightedFamily) -> Refutation:
     """Exhibit the conflict between the two conditions at weight 2.
@@ -636,11 +618,10 @@ def refute_m2(fam: WeightedFamily) -> Refutation:
         raise ValueError("refutation applies to weight-2 families")
     if not fam.is_explicit:
         raise ValueError("family must be explicit")
+    under, _ = fam.violations()
+    if under:
+        raise PreconditionFailed(under[0][0].bit_length())
     members = fam.members
-    for el in range(1, fam.ground_n + 1):
-        bit = 1 << (el - 1)
-        if sum(1 for f in members if f & bit) < 2:
-            raise PreconditionFailed(el)
     bit = 1
     first, second = [f for f in members if f & bit][:2]
     triple = first | second

@@ -24,9 +24,11 @@ from math import comb
 from typing import Iterable, Iterator, Optional
 
 SetWord = int
+Events = tuple[tuple[SetWord, int], ...]  # (set, count) pairs of violated events
 
 MAX_GROUND = 64
 MAX_DENSE_GROUND = 28
+ENUMERATION_LIMIT = 10**6  # most sets any family or check materializes
 
 
 class Color(Enum):
@@ -133,6 +135,26 @@ def event_counts(
             else:
                 sub_count[f | b] += 1
     return sup_count, sub_count
+
+
+def event_violations(
+    sup_count: dict[SetWord, int], sub_count: dict[SetWord, int], ground: int, weight: int
+) -> tuple[Events, Events]:
+    """The violated events of the two family conditions, read off event_counts.
+
+    For a family of m-sets (m = weight), an (m-1)-set is undersupplied when
+    fewer than 2 members cover it, and an (m+1)-set oversubscribed when at
+    least m members lie inside it.  Returns (undersupplied, oversubscribed),
+    each a tuple of (set, count) pairs in lexicographic order.  The counts are
+    read with .get, so nothing is inserted into them.
+    """
+
+    def lex(entry: tuple[SetWord, int]) -> int:
+        return lex_key(entry[0], ground)
+
+    under = [(s, c) for s in layer(ground, weight - 1) if (c := sup_count.get(s, 0)) < 2]
+    over = [(t, c) for t, c in sub_count.items() if c >= weight]
+    return tuple(sorted(under, key=lex)), tuple(sorted(over, key=lex))
 
 
 def iter_submasks(mask: SetWord) -> Iterator[SetWord]:
@@ -248,16 +270,6 @@ class Permutation:
         """Bitmask of the first i image values."""
         return mask_of(self.image[:i])
 
-    def to_obj(self) -> dict:
-        return {"n": self.base, "k": self.width, "image": list(self.image)}
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "Permutation":
-        """Decode `to_obj` output; a field of the wrong JSON type is a ValueError."""
-        obj = _json_field(obj, dict, "permutation")
-        n, k = (_json_field(obj[key], int, key) for key in ("n", "k"))
-        return cls(n, k, tuple(_json_ints(obj["image"], "image")))
-
 
 @dataclass(frozen=True)
 class WeightedFamily:
@@ -319,13 +331,14 @@ class WeightedFamily:
             object.__setattr__(self, "_cached_member_set", cached)
         return cached
 
-    def event_counts(self) -> tuple[defaultdict[SetWord, int], defaultdict[SetWord, int]]:
-        """event_counts of the members, counted on first use and shared by every
-        caller after it: read them with .get(s, 0), which inserts nothing."""
-        cached = getattr(self, "_cached_event_counts", None)
+    def violations(self) -> tuple[Events, Events]:
+        """event_violations of the members, decided on first use and shared by
+        every caller after it."""
+        cached = getattr(self, "_cached_violations", None)
         if cached is None:
-            cached = event_counts(self.enumerated_members(), self.ground_n)
-            object.__setattr__(self, "_cached_event_counts", cached)
+            counts = event_counts(self.enumerated_members(), self.ground_n)
+            cached = event_violations(*counts, self.ground_n, self.weight)
+            object.__setattr__(self, "_cached_violations", cached)
         return cached
 
     def iter_members(self) -> Iterator[SetWord]:
@@ -337,36 +350,17 @@ class WeightedFamily:
                 if element_sum(m) % p == d % p:
                     yield m
 
-    def enumerated_members(self, limit: int = 1_000_000) -> list[SetWord]:
-        """Materialize the family; refuses when the ambient layer is too big."""
+    def enumerated_members(self) -> list[SetWord]:
+        """Materialize the family; refuses when the ambient layer holds more
+        than ENUMERATION_LIMIT sets."""
         if self.members is not None:
             return list(self.members)
-        if comb(self.ground_n, self.weight) > limit:
+        if comb(self.ground_n, self.weight) > ENUMERATION_LIMIT:
             raise ValueError(
                 f"layer C({self.ground_n},{self.weight}) too large to enumerate "
-                f"(limit {limit})"
+                f"(limit {ENUMERATION_LIMIT})"
             )
         return list(self.iter_members())
-
-    def to_obj(self) -> dict:
-        obj: dict = {"n": self.ground_n, "weight": self.weight}
-        if self.members is not None:
-            obj["members"] = [elements_of(m) for m in self.members]
-        else:
-            obj["modp"] = {"p": self.modp_p, "d": self.modp_d}
-        return obj
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "WeightedFamily":
-        """Decode `to_obj` output; a field of the wrong JSON type is a ValueError."""
-        obj = _json_field(obj, dict, "family")
-        n, weight = (_json_field(obj[key], int, key) for key in ("n", "weight"))
-        if "members" in obj:
-            members = map(mask_of, _json_int_arrays(obj["members"], "members"))
-            return cls(n, weight, members=tuple(sorted(members)))
-        mp = _json_field(obj["modp"], dict, "modp")
-        p, d = (_json_field(mp[key], int, f"modp.{key}") for key in ("p", "d"))
-        return cls(n, weight, modp_p=p, modp_d=d)
 
 
 def sorted_family(masks: Iterable[SetWord], ground_n: int, weight: int) -> WeightedFamily:
@@ -665,15 +659,3 @@ def _write_json(o, depth: int, out: list[str], memo: dict) -> None:
         sep = "," + pad
     out.append(closer)
     memo[id(o), depth] = slice(start, len(out))
-
-
-def chain_from_json(text: str) -> Chain:
-    return Chain.from_obj(json.loads(text))
-
-
-def coloring_from_json(text: str) -> Coloring:
-    return Coloring.from_obj(json.loads(text))
-
-
-def family_from_json(text: str) -> WeightedFamily:
-    return WeightedFamily.from_obj(json.loads(text))

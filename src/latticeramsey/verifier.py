@@ -5,9 +5,9 @@ coverage is counted by an independent dynamic program, and
 monochromatic-freeness of the package's colorings is certified by the
 layer-forcing arguments their shapes support (cross-checked against the
 exhaustive oracle wherever both can run).  The family conditions are read off
-lattice.event_counts, the counting routine the resampler also keeps its event
-counts with, counted once per family (WeightedFamily.event_counts) and shared
-by the certifiers; the test suite checks them against a brute-force scan.
+lattice.event_violations, the routine the resampler also starts from, decided
+once per family (WeightedFamily.violations) and shared by the certifiers; the
+test suite checks them against a brute-force scan.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from typing import Optional
 
+from .constructions import size_window
 from .embedder import EmbedRecord
 from .lattice import (
     Color,
@@ -27,8 +28,9 @@ from .lattice import (
     is_subset,
     iter_submasks,
     layer,
-    lex_key,
 )
+
+LLL_DIGITS = 60  # decimal precision of the local-lemma report
 
 
 @dataclass(frozen=True)
@@ -52,15 +54,13 @@ class CheckResult:
         }
 
 
-def check_min_distance(
-    fam: WeightedFamily, bound: int, enumeration_limit: int = 1_000_000
-) -> CheckResult:
+def check_min_distance(fam: WeightedFamily, bound: int) -> CheckResult:
     """All distinct members at pairwise symmetric difference >= bound.
 
-    Implicit families are materialized (guarded by enumeration_limit).  On
-    failure the witness is the colex-first violating pair.
+    Implicit families are materialized (guarded by lattice.ENUMERATION_LIMIT).
+    On failure the witness is the colex-first violating pair.
     """
-    members = fam.enumerated_members(enumeration_limit)
+    members = fam.enumerated_members()
     for i, a in enumerate(members):
         for b in members[i + 1:]:
             if (a ^ b).bit_count() < bound:
@@ -156,14 +156,8 @@ def check_code_statement(
     hypotheses under which this is guaranteed are evaluated and reported, but
     parameters outside them are still checked (exploratory use).
     """
-    n = ground - m
-    window = 8 * ground - 15
-    hypotheses_ok = (
-        n >= 1
-        and k * k >= window
-        and k <= n
-        and (n - k) * (n - k) >= window
-    )
+    k_min, k_max = size_window(ground, m)
+    hypotheses_ok = ground > m and k_min <= k <= k_max
     pairs = 0
     tops: list[int] = []  # the previous Y's elements, largest first
     tables = [build_dp_table(full_mask(ground), k, p)]  # tables[j]: tops[:j] out
@@ -207,19 +201,10 @@ class ConditionsResult:
 
 def check_conditions(fam: WeightedFamily) -> ConditionsResult:
     """Every (m-1)-set has >= 2 supersets in fam; every (m+1)-set <= m-1 subsets."""
-    ground, m = fam.ground_n, fam.weight
-    sup_count, sub_count = fam.event_counts()
-
-    def lex(mask: SetWord) -> int:
-        return lex_key(mask, ground)
-
-    under = sorted(
-        (s for s in layer(ground, m - 1) if sup_count.get(s, 0) < 2), key=lex
-    )
-    over = sorted((t for t, cnt in sub_count.items() if cnt >= m), key=lex)
+    under, over = fam.violations()
     violations = tuple(
-        [("undersupplied", s, sup_count.get(s, 0)) for s in under]
-        + [("oversubscribed", t, sub_count[t]) for t in over]
+        [("undersupplied", s, cnt) for s, cnt in under]
+        + [("oversubscribed", t, cnt) for t, cnt in over]
     )
     return ConditionsResult(not violations, violations)
 
@@ -286,11 +271,9 @@ def certify_blue_free(coloring: Coloring, m: int) -> CheckResult:
     # low-block: the m level-(m-1) images are forced into the partial layer
     # and under a common top of size m+1, so the subset-count condition kills
     # every copy.  The witness is the lex-first top, as in check_conditions.
-    _, sub_count = fam.event_counts()
-    over = [t for t, cnt in sub_count.items() if cnt >= m]
+    _, over = fam.violations()
     if over:
-        top = min(over, key=lambda t: lex_key(t, fam.ground_n))
-        return CheckResult(False, (top,), "a top hosts m family members")
+        return CheckResult(False, (over[0][0],), "a top hosts m family members")
     return CheckResult(True, detail="forced sizes + subset cap on the partial layer")
 
 
@@ -300,7 +283,8 @@ def certify_red_singleton_bound(coloring: Coloring, n: int, m: int) -> CheckResu
 
     Layer m is not a blue layer, so S has (N - m + 1) - sup_count[S] red
     supersets there, sup_count being the event count of the partial layer's
-    blue family; the bound is that family's at-least-2-supersets condition.
+    blue family.  At N = n + m that is more than n - 1 exactly when S is
+    undersupplied, so the witness is the colex-first undersupplied set.
     """
     shape, _, shape_m, fam = _detect_shape(coloring)
     if shape != "low-block" or shape_m != m:
@@ -308,11 +292,10 @@ def certify_red_singleton_bound(coloring: Coloring, n: int, m: int) -> CheckResu
     ground = coloring.ground_n
     if ground != n + m:
         raise ValueError(f"coloring ground {ground} != n + m = {n + m}")
-    sup_count, _ = fam.event_counts()
-    for s in layer(ground, m - 1):
-        red = ground - m + 1 - sup_count.get(s, 0)
-        if red > n - 1:
-            return CheckResult(False, (s,), f"{red} red supersets > {n - 1}")
+    under, _ = fam.violations()
+    if under:
+        s, cnt = min(under)  # colex order is ascending mask order
+        return CheckResult(False, (s,), f"{n + 1 - cnt} red supersets > {n - 1}")
     return CheckResult(True, detail="every bottom has <= n-1 red supersets")
 
 
@@ -340,23 +323,6 @@ class LllReport:
     deps_as: tuple[int, int]
     deps_bt: tuple[int, int]
 
-    def to_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "p_inclusion": self.p_inclusion,
-            "x_y": self.x_y,
-            "x_z": self.x_z,
-            "P_AS": self.p_as,
-            "P_BT": self.p_bt,
-            "rhs_AS": self.rhs_as,
-            "rhs_BT": self.rhs_bt,
-            "satisfied_AS": self.satisfied_as,
-            "satisfied_BT": self.satisfied_bt,
-            "deps_AS": list(self.deps_as),
-            "deps_BT": list(self.deps_bt),
-        }
-
 
 def lll_inequality_report(
     n: int,
@@ -364,14 +330,13 @@ def lll_inequality_report(
     p_incl: Optional[float] = None,
     x_y: Optional[float] = None,
     x_z: Optional[float] = None,
-    dps: int = 60,
 ) -> LllReport:
     """Evaluate the local-lemma inequality for both event classes.
 
     An undersupplied event depends on n(n+1)/2 oversubscription events and
     (m-1)(n+1) other undersupply events; an oversubscription event depends on
     m(m+1)/2 undersupply events and (n-1)(m+1) other oversubscriptions.
-    Computed in dps-digit decimal arithmetic (60 by default) over the widest
+    Computed in LLL_DIGITS-digit decimal arithmetic over the widest
     exponent range, so boundary parameters are not misclassified and tiny
     probabilities do not flush to zero; no satisfaction value is asserted
     here (at moderate n the undersupply side genuinely fails).
@@ -379,7 +344,7 @@ def lll_inequality_report(
     if m < 2 or n < 2:
         raise ValueError("need n, m >= 2")
     with localcontext() as ctx:
-        ctx.prec, ctx.Emin, ctx.Emax = dps, MIN_EMIN, MAX_EMAX
+        ctx.prec, ctx.Emin, ctx.Emax = LLL_DIGITS, MIN_EMIN, MAX_EMAX
         if p_incl is None:
             p = (4 * (m + 1) * (Decimal(n) ** 2 - 1) * Decimal(1).exp()) ** (Decimal(-1) / m)
         else:
@@ -396,21 +361,8 @@ def lll_inequality_report(
         rhs_as = y * (1 - z) ** deps_as[1] * (1 - y) ** deps_as[0]
         rhs_bt = z * (1 - y) ** deps_bt[0] * (1 - z) ** deps_bt[1]
 
-        return LllReport(
-            n,
-            m,
-            float(p),
-            float(y),
-            float(z),
-            float(p_as),
-            float(p_bt),
-            float(rhs_as),
-            float(rhs_bt),
-            bool(p_as <= rhs_as),
-            bool(p_bt <= rhs_bt),
-            deps_as,
-            deps_bt,
-        )
+        floats = map(float, (p, y, z, p_as, p_bt, rhs_as, rhs_bt))
+        return LllReport(n, m, *floats, p_as <= rhs_as, p_bt <= rhs_bt, deps_as, deps_bt)
 
 
 def verify_embedding(rec: EmbedRecord, coloring: Coloring) -> CheckResult:

@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -172,7 +173,7 @@ def test_verify_counts_the_family_once(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_scans_the_undersupplied_layer_once(tmp_path, capsys, monkeypatch):
-    from latticeramsey import verifier
+    from latticeramsey import lattice
 
     out = tmp_path / "lll.json"
     code, _ = run_cli(
@@ -182,19 +183,22 @@ def test_verify_scans_the_undersupplied_layer_once(tmp_path, capsys, monkeypatch
     )
     assert code == 0
     calls = []
-    walk = verifier.layer
+    walk = lattice.layer
 
     def counted(ground, size):
         calls.append((ground, size))
         return walk(ground, size)
 
-    monkeypatch.setattr(verifier, "layer", counted)
-    # --blue-free reads the oversubscribed tops off the shared counts instead
-    # of scanning the conditions a second time.
+    monkeypatch.setattr(lattice, "layer", counted)
+    # --blue-free and --red-bound read the oversubscribed tops and the
+    # undersupplied bottoms off the family's cached violations instead of
+    # scanning the conditions again.
     code, cert = run_cli(
-        capsys, "verify", "--coloring", str(out), "--conditions", "--blue-free", "4"
+        capsys, "verify", "--coloring", str(out), "--conditions", "--blue-free", "4",
+        "--red-bound", "12,4",
     )
-    assert code == 0 and cert["result"]["blue_free"]["ok"] is True
+    assert code == 0
+    assert cert["result"]["blue_free"]["ok"] and cert["result"]["red_bound"]["ok"]
     assert calls == [(16, 3)]
 
 
@@ -313,6 +317,19 @@ def test_unknown_subcommand_is_usage(capsys):
 def test_empty_scan_range_is_usage(capsys, max_n):
     assert main(["ramsey", "--m", "1", "--n", "1", "--kind", "weak", f"--max-N={max_n}"]) == 2
     assert "max_N" in usage_error_line(capsys)
+
+
+@pytest.mark.parametrize("m, n", [(9, 8), (1, 16)])
+def test_layered_witness_over_the_cap_is_usage(capsys, m, n):
+    # the layered witness is searched on the whole of Q_{m+n-1}, whatever
+    # --max-N is; past the cap the run is refused before any search
+    from latticeramsey.oracle import MAX_LAYERED_GROUND
+
+    assert m + n - 1 == MAX_LAYERED_GROUND + 1
+    start = time.monotonic()
+    assert main(["ramsey", "--m", str(m), "--n", str(n), "--kind", "weak", "--max-N", "1"]) == 2
+    assert time.monotonic() - start < 1
+    assert f"m + n - 1 <= {MAX_LAYERED_GROUND}" in usage_error_line(capsys)
 
 
 def test_malformed_thread_flag_is_usage(capsys):
@@ -524,6 +541,33 @@ def without_run_fields(text: str) -> str:
     return _COMMAND.sub("", _WALL_CLOCK.sub("", text))
 
 
+# sha256 of without_run_fields(certificate) for each README example and each
+# EMBED_EXAMPLES entry, in order; any change to a certificate's bytes shows here
+CERT_SHA256 = {
+    "bound --n 2 --c 6.14": "4e990881089eb616a5f8be8b71e7ca3b7a1d195ea3e431619d1de0056d1262e3",
+    "bound --n 100000 --minimal": "8bf03ae8928aff92af938c46a6f967db9e6323435352b0b67219c28239a20f8d",
+    "construct layered --m 1 --n 1 -o c.json": "adea2784f8dccd6fb002a6b3f5875db357aff0df41970e07245e2738f5f7e209",
+    "verify --coloring c.json --ramsey 1,1 --kind weak": "12e76f3abfe27e7d0bddc37d0ee4a43a163bb7a214b467b82a52a18be36bae82",
+    "construct pairs --n 18 -o pairs.json": "a1efc8bb68963c2684f572e8d4b8111155b81970583e4e353078eba5180d5961",
+    "verify --coloring pairs.json --blue-free 2": "a01ee9b6677472e831c3a21971bee352f8f955f3476502a3701b629675bcbd16",
+    "construct modp --n 34 --m 2 -o modp.json": "fe55527ff03ba2163c4db7df2040a36cde8541aaf21dba7c782fa75e7161b46d",
+    "verify --coloring modp.json --code-statement 36,2,17,37,37": "a8028bf41b5d28a3f060449e8b770b9cd19c7b596bde300f035d55b2c79433bd",
+    "code --n 34 --m 2 --avoid 35,36 --y 35": "b8c57a4496517374f5d40eac3868d76bdee7bb7fd7a8231636fd9603892bfaa5",
+    "construct lll --n 40 --m 4 --p-incl 0.06 --seed 1 -o lll.json": "d73ccbea106f267e465b23bc8d548e7c53d289cd3a4ddd1ba14122592e8ac3b5",
+    "verify --coloring lll.json --conditions --blue-free 4 --red-bound 40,4": "4b924cd9725e33d800dd7db0a09e8ff5bfd67b5eb18b26696ec3a7aa387a0e88",
+    "construct layered --m 2 --n 3 --blue-layers 1,2 -o q4.json": "5d9d64babe9f3fc3a2b5d7726133bc7d87792e3c76307e8fc2771aecdb51fb76",
+    "embed --coloring q4.json --n 2 --k 2 --pi 4,3": "0fc66758bae4c0e66fefce7cff42077825f7d120dd88db33569b8d2aa9844156",
+    "embed --coloring q4.json --n 2 --k 2 --all": "32a57bb0835066306dcdf5eb1deda3b905bcea78c80497d3c052197f0edc1428",
+    "ramsey --m 1 --n 1 --kind induced --max-N 4": "9bf3a975040e1ce4f5eef5541d968e3d20fa7dfa70aeff84eda4b883fa45144c",
+    "ramsey --m 2 --n 2 --kind weak --max-N 4": "364a31ffc6095894f3c5854c66bc458b9d2fa47bf8d5a7384dc6daadf3a758b7",
+    "embed --coloring dense.json --n 8 --k 3 --pi 11,9,10": "02506570984c886921f20359cecb2eb05397db14ebeb6042f11ea12bb7571970",
+    "embed --coloring sparse.json --n 8 --k 3 --pi 10,11,9": "a1a66bac6c7d7e74da0b7a2473c470d520dc98eae5841559888ddb6eb3991ad6",
+    "embed --coloring dense.json --n 8 --k 3 --all": "de7488ae84f69a684e762c044e42919a10ec01d001ea3975ab3ee32ea2076a0f",
+    "embed --coloring sparse.json --n 8 --k 3 --all": "b0106fa10696d0f7b8099d509b2277625b89a1787d74c57ee7fba768d5a0c5a9",
+    "embed --coloring dense.json --n 8 --k 3 --sample 4 --seed 5": "d333ec751d4a80d3c29b9b073663d8efe9e65a8ec6c2a8c92ef06b8ce5ca929f",
+}
+
+
 def test_certificates_are_canonical_and_match_their_output_files(
     tmp_path, monkeypatch, capsys
 ):
@@ -532,12 +576,14 @@ def test_certificates_are_canonical_and_match_their_output_files(
     examples = readme_examples()
     assert len(examples) >= 15
     codes = []
+    digests = {}
     for argv in examples + EMBED_EXAMPLES:
         code = main(list(argv))
         out = capsys.readouterr().out
         codes.append(code)
         assert code in (0, 1), argv
         assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+        digests[" ".join(argv)] = hashlib.sha256(without_run_fields(out).encode()).hexdigest()
         if CERT_OUTPUT_COMMANDS & set(argv):
             assert main(argv + ["-o", "cert.json"]) == code
             assert capsys.readouterr().out == ""
@@ -545,3 +591,4 @@ def test_certificates_are_canonical_and_match_their_output_files(
             assert json.loads(text)["command"] == argv + ["-o", "cert.json"]
             assert without_run_fields(text) == without_run_fields(out)
     assert codes[-len(EMBED_EXAMPLES) :] == [1, 0, 1, 0, 1]
+    assert digests == CERT_SHA256

@@ -8,17 +8,15 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from latticeramsey.embedder import EmbedRecord, embed_with_permutation
 from latticeramsey.lattice import (
     Chain,
     Color,
     Coloring,
     Permutation,
     WeightedFamily,
-    chain_from_json,
-    coloring_from_json,
     dumps,
     elements_of,
-    family_from_json,
     is_subset,
     iter_submasks,
     json_pieces,
@@ -124,18 +122,18 @@ def test_dense_structured_agreement(n):
 def test_chain_roundtrip_and_validation():
     ch = Chain((0, mask_of([3])))
     assert dumps(ch) == '{"sets": [[], [3]]}'
-    assert chain_from_json(dumps(ch)) == ch
+    assert Chain.from_obj(json.loads(dumps(ch))) == ch
     with pytest.raises(ValueError):
-        chain_from_json('{"sets": [[3], []]}')
+        Chain.from_obj(json.loads('{"sets": [[3], []]}'))
     with pytest.raises(ValueError):
         Chain((mask_of([1]), mask_of([1])))
 
 
 def test_coloring_roundtrips():
     c = Coloring.structured(5, blue_layers={2})
-    assert coloring_from_json(dumps(c)) == c
+    assert Coloring.from_obj(json.loads(dumps(c))) == c
     d = Coloring.dense(3, [0, 5, 7])
-    back = coloring_from_json(dumps(d))
+    back = Coloring.from_obj(json.loads(dumps(d)))
     assert back == d
     obj = json.loads(dumps(d))
     assert obj["repr"] == "dense" and obj["blue_hex"] == obj["blue_hex"].lower()
@@ -144,7 +142,7 @@ def test_coloring_roundtrips():
 def test_coloring_with_implicit_code_roundtrip():
     code = WeightedFamily(10, 4, modp_p=11, modp_d=3)
     c = Coloring.structured(10, blue_layers={3, 6}, blue_code=code)
-    back = coloring_from_json(dumps(c))
+    back = Coloring.from_obj(json.loads(dumps(c)))
     assert back == c
     member = next(code.iter_members())
     assert back.color_of(member) is Color.BLUE
@@ -183,11 +181,16 @@ def test_structured_double_listing_rejected():
 
 
 def test_family_roundtrip_and_membership():
+    # families travel inside colorings: explicit ones as blue_extra, mod-p
+    # ones as blue_modp
+    def roundtrip(coloring):
+        return Coloring.from_obj(json.loads(dumps(coloring)))
+
     fam = WeightedFamily(5, 2, members=(mask_of([1, 2]), mask_of([3, 5])))
-    assert family_from_json(dumps(fam)) == fam
+    assert roundtrip(Coloring.structured(5, blue_extra=fam.members)).partial_layer() == fam
     assert fam.contains(mask_of([1, 2])) and not fam.contains(mask_of([1, 3]))
     imp = WeightedFamily(5, 2, modp_p=5, modp_d=3)
-    assert family_from_json(dumps(imp)) == imp
+    assert roundtrip(Coloring.structured(5, blue_code=imp)).blue_code == imp
     assert imp.contains(mask_of([3, 5]))
     assert not imp.contains(mask_of([1, 3]))
 
@@ -204,26 +207,39 @@ def test_family_validation():
 def test_permutation_validation_and_roundtrip():
     p = Permutation(2, 2, (4, 3))
     assert p.prefix_mask(1) == mask_of([4])
-    assert Permutation.from_obj(p.to_obj()) == p
+    # a permutation travels as the perm field of an embedding record
+    rec = embed_with_permutation(Coloring.dense(4, []), 2, 2, p)
+    assert EmbedRecord.from_obj(json.loads(json.dumps(rec.to_obj()))).perm == p
     with pytest.raises(ValueError):
         Permutation(2, 2, (3, 3))
     with pytest.raises(ValueError):
         Permutation(2, 2, (2, 3))
 
 
+def _structured(**fields) -> dict:
+    return {"n": 5, "repr": "structured", **fields}
+
+
+def _record(**fields) -> dict:
+    return {"n": 2, "k": 2, "perm": [4, 3], "images": [], "levels": [], "chains": [], **fields}
+
+
+# Families and permutations are read only inside colorings (blue_extra,
+# blue_modp) and embedding records (perm), so their type checks are driven
+# through those decoders.
 @pytest.mark.parametrize(
     "decode, obj",
     [
-        (WeightedFamily.from_obj, {"n": "5", "weight": 2, "members": [[1, 2]]}),
-        (WeightedFamily.from_obj, {"n": 5, "weight": 2, "members": 5}),
-        (WeightedFamily.from_obj, {"n": 5, "weight": 2, "members": ["ab"]}),
-        (WeightedFamily.from_obj, {"n": 5, "weight": 2, "modp": [5, 3]}),
-        (WeightedFamily.from_obj, {"n": 5, "weight": 2, "modp": {"p": 5, "d": "3"}}),
-        (WeightedFamily.from_obj, [5, 2]),
-        (Permutation.from_obj, {"n": 2, "k": 2, "image": 5}),
-        (Permutation.from_obj, {"n": 2, "k": True, "image": [3, 4]}),
-        (Permutation.from_obj, {"n": 2, "k": 2, "image": [3.0, 4]}),
-        (Permutation.from_obj, "2,2"),
+        (Coloring.from_obj, _structured(blue_modp={"weight": "2", "p": 5, "d": 3})),
+        (Coloring.from_obj, _structured(blue_extra=5)),
+        (Coloring.from_obj, _structured(blue_extra=["ab"])),
+        (Coloring.from_obj, _structured(blue_modp=[5, 3])),
+        (Coloring.from_obj, _structured(blue_modp={"weight": 2, "p": 5, "d": "3"})),
+        (Coloring.from_obj, _structured(blue_modp={"weight": 2, "p": True, "d": 3})),
+        (EmbedRecord.from_obj, _record(perm=5)),
+        (EmbedRecord.from_obj, _record(k=True)),
+        (EmbedRecord.from_obj, _record(perm=[4.0, 3])),
+        (EmbedRecord.from_obj, "2,2"),
     ],
 )
 def test_malformed_family_and_permutation_objects_raise_value_error(decode, obj):

@@ -326,22 +326,23 @@ def test_low_block_certifiers_read_a_blue_code():
 
 
 def test_certifiers_share_the_family_counts_and_leave_them_unchanged():
-    # a sparse family leaves (m-1)-sets without supersets, which a counts
-    # lookup by [] would insert as zeros into the shared dicts
+    # the family caches its violated events, (set, count) pairs decided once;
+    # a sparse family leaves (m-1)-sets without supersets, counted as 0
     rng = random.Random(3)
     extras = [f for f in layer(9, 3) if rng.random() < 0.1]
     col = Coloring.structured(9, blue_layers={0, 1, 4}, blue_extra=extras)
     fam = col.partial_layer()
     assert col.partial_layer() is fam
-    counts = fam.event_counts()
-    before = [dict(c) for c in counts]
-    assert 0 not in before[0].values()
+    cached = fam.violations()
+    before = repr(cached)
+    under, over = cached
+    assert under and not over and min(cnt for _, cnt in under) == 0
     conditions = check_conditions(fam)
     assert not conditions.ok and conditions.violations[0][2] == 0
-    certify_blue_free(col, 3)
-    certify_red_singleton_bound(col, 6, 3)
-    assert fam.event_counts() is counts
-    assert [dict(c) for c in counts] == before
+    blue = certify_blue_free(col, 3)
+    red = certify_red_singleton_bound(col, 6, 3)
+    assert blue.ok and red.witness == (min(under)[0],)
+    assert fam.violations() is cached and repr(cached) == before
 
 
 def test_red_bound_cross_checked_by_oracle_weak_q4():
