@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .lattice import (
     Chain,
-    Color,
     Coloring,
     Permutation,
     SetWord,
@@ -13,7 +12,6 @@ from .lattice import (
     is_subset,
     layer,
     mask_of,
-    sym_diff_size,
 )
 from .oracle import (
     CopyKind,

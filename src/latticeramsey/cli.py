@@ -65,7 +65,11 @@ def derive_seed(master: int, counter: int) -> int:
 def _load_coloring(path: str) -> tuple[Coloring, str]:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return Coloring.from_obj(json.loads(text)), hashlib.sha256(text.encode()).hexdigest()
+    try:
+        coloring = Coloring.from_obj(json.loads(text))
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc.args[0]}") from None
+    return coloring, hashlib.sha256(text.encode()).hexdigest()
 
 
 class _Certificate:
@@ -210,7 +214,7 @@ def _cmd_construct(args, cert: _Certificate) -> str:
         if args.m is None:
             raise ValueError("modp construction needs --m")
         params = cons.weak_parameters(args.n, args.m, args.k, args.d, args.p)
-        coloring = cons.weak_construction(args.n, args.m, args.k, args.d, args.p)
+        coloring = cons.weak_construction(params)
         cert.obj["result"] = {
             "construction": "modp",
             "params": params.to_obj(),
@@ -256,9 +260,9 @@ def _cmd_verify(args, cert: _Certificate) -> str:
     if args.blue_free is not None:
         results["blue_free"] = ver.certify_blue_free(coloring, args.blue_free)
     if args.conditions:
-        results["conditions"] = ver.check_conditions(coloring.partial_layer())
+        results["conditions"] = ver.check_conditions(coloring.partial_layer)
     if args.distance is not None:
-        results["distance"] = ver.check_min_distance(coloring.partial_layer(), args.distance)
+        results["distance"] = ver.check_min_distance(coloring.partial_layer, args.distance)
     if args.code_statement:
         vals = _parse_int_list(args.code_statement, 5, "--code-statement needs N,m,k,p,d")
         results["code_statement"] = ver.check_code_statement(*vals)

@@ -40,6 +40,18 @@ from .lattice import (
 )
 
 
+def spread_layers(k: int, m: int) -> set[int]:
+    """Blue layers of the spread shape around a code on layer k+1: k and
+    k+3 .. k+m+1 (for m = 2 the upper block is the single layer k+3)."""
+    return {k} | set(range(k + 3, k + m + 2))
+
+
+def low_block_layers(m: int) -> set[int]:
+    """Blue layers of the low-block shape around a family on layer m: 0 .. m-2
+    and m+1."""
+    return set(range(0, m - 1)) | {m + 1}
+
+
 def layered_coloring(
     m: int, n: int, blue_layer_indices: Optional[Iterable[int]] = None
 ) -> Coloring:
@@ -166,7 +178,7 @@ def pair_code_coloring(code: PairCode) -> Coloring:
     difference 2, which the pair code rules out.
     """
     return Coloring.structured(
-        code.n + 2, blue_layers={code.k, code.k + 3}, blue_extra=code.masks()
+        code.n + 2, blue_layers=spread_layers(code.k, 2), blue_extra=code.masks()
     )
 
 
@@ -405,23 +417,17 @@ def weak_parameters(
     )
 
 
-def weak_construction(
-    n: int,
-    m: int,
-    k: Optional[int] = None,
-    d: Optional[int] = None,
-    p: Optional[int] = None,
-) -> Coloring:
-    """Coloring of Q_{n+m}: layers k and k+3 .. k+m+1 blue plus a mod-p code.
+def weak_construction(params: WeakParams) -> Coloring:
+    """Coloring of Q_{n+m} for resolved weak_parameters: the spread_layers
+    k and k+3 .. k+m+1 blue plus a mod-p code.
 
     The code sits on layer k+1 and is kept implicit (its layer is far too
-    large to materialize at interesting sizes).  For m = 2 the upper layer
-    block degenerates to the single layer k+3.
+    large to materialize at interesting sizes).
     """
-    params = weak_parameters(n, m, k, d, p)
     code = modp_code(params.ground, params.k, params.d, params.p)
-    blue_layers = {params.k} | set(range(params.k + 3, params.k + m + 2))
-    return Coloring.structured(params.ground, blue_layers=blue_layers, blue_code=code)
+    return Coloring.structured(
+        params.ground, blue_layers=spread_layers(params.k, params.m), blue_code=code
+    )
 
 
 @dataclass(frozen=True)
@@ -572,16 +578,16 @@ def probabilistic_coloring(n: int, m: int, fam: WeightedFamily) -> Coloring:
         raise ValueError(f"family must have weight {m} over [{ground}]")
     if not fam.is_explicit:
         raise ValueError("family must be explicit")
-    from .verifier import check_conditions
-
-    result = check_conditions(fam)
-    if not result.ok:
+    under, over = fam.violations
+    if under or over:
+        s, count = (under or over)[0]
         raise ValueError(
-            f"family violates the superset/subset conditions "
-            f"({len(result.violations)} events); first: {result.violations[0]}"
+            f"family violates the superset/subset conditions ({len(under) + len(over)} "
+            f"events); first: {elements_of(s)} with count {count}"
         )
-    blue_layers = set(range(0, m - 1)) | {m + 1}
-    return Coloring.structured(ground, blue_layers=blue_layers, blue_extra=fam.members)
+    return Coloring.structured(
+        ground, blue_layers=low_block_layers(m), blue_extra=fam.members
+    )
 
 
 class PreconditionFailed(Exception):
@@ -618,7 +624,7 @@ def refute_m2(fam: WeightedFamily) -> Refutation:
         raise ValueError("refutation applies to weight-2 families")
     if not fam.is_explicit:
         raise ValueError("family must be explicit")
-    under, _ = fam.violations()
+    under, _ = fam.violations
     if under:
         raise PreconditionFailed(under[0][0].bit_length())
     members = fam.members

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import e, factorial, floor, inf, isfinite, lgamma, log2
 from typing import Iterator, Optional
 
@@ -370,17 +370,7 @@ class BoundReport:
     stirling_coeff_ok: bool
 
     def to_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "c": self.c,
-            "k": self.k,
-            "exponent": self.exponent,
-            "log2_factorial": self.log2_factorial,
-            "contradiction": self.contradiction,
-            "method": self.method,
-            "stirling_lower_bits": self.stirling_lower_bits,
-            "stirling_coeff_ok": self.stirling_coeff_ok,
-        }
+        return asdict(self)
 
 
 def _log2_factorial(k: int) -> float:

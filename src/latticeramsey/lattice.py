@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass
-from enum import Enum
+from functools import cached_property
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from math import comb
@@ -29,11 +29,6 @@ Events = tuple[tuple[SetWord, int], ...]  # (set, count) pairs of violated event
 MAX_GROUND = 64
 MAX_DENSE_GROUND = 28
 ENUMERATION_LIMIT = 10**6  # most sets any family or check materializes
-
-
-class Color(Enum):
-    BLUE = "blue"
-    RED = "red"
 
 
 def mask_of(elements: Iterable[int]) -> SetWord:
@@ -78,15 +73,19 @@ def is_proper_subset(a: SetWord, b: SetWord) -> bool:
     return a != b and a & ~b == 0
 
 
-def sym_diff_size(a: SetWord, b: SetWord) -> int:
-    """|a symmetric-difference b|."""
-    return (a ^ b).bit_count()
+def _check_ground(n: int) -> None:
+    if not 0 <= n <= MAX_GROUND:
+        raise ValueError(f"ground size {n} outside [0, {MAX_GROUND}]")
+
+
+def _check_member(mask: SetWord, n: int) -> None:
+    if mask < 0 or mask >> n:
+        raise ValueError(f"mask {mask:#x} has elements outside [1, {n}]")
 
 
 def layer(n: int, s: int) -> Iterator[SetWord]:
     """All subsets of [n] of size s, in colex (= ascending numeric) order."""
-    if not 0 <= n <= MAX_GROUND:
-        raise ValueError(f"ground size {n} outside [0, {MAX_GROUND}]")
+    _check_ground(n)
     if not 0 <= s <= n:
         raise ValueError(f"layer index {s} outside [0, {n}]")
     if s == 0:
@@ -197,16 +196,6 @@ def _json_int_arrays(value, name: str) -> list[list[int]]:
     ):
         raise ValueError(f"{name} must be a JSON array of integer arrays")
     return value
-
-
-def _check_ground(n: int) -> None:
-    if not 0 <= n <= MAX_GROUND:
-        raise ValueError(f"ground size {n} outside [0, {MAX_GROUND}]")
-
-
-def _check_member(mask: SetWord, n: int) -> None:
-    if mask < 0 or mask >> n:
-        raise ValueError(f"mask {mask:#x} has elements outside [1, {n}]")
 
 
 @dataclass(frozen=True)
@@ -320,26 +309,20 @@ class WeightedFamily:
         if mask.bit_count() != self.weight:
             return False
         if self.members is not None:
-            return mask in self._member_set()
+            return mask in self._member_set
         return element_sum(mask) % self.modp_p == self.modp_d % self.modp_p
 
+    # cached_property stores into the instance __dict__, so it works on a frozen dataclass
+    @cached_property
     def _member_set(self) -> frozenset:
-        # cached on first use; object is frozen so this is safe
-        cached = getattr(self, "_cached_member_set", None)
-        if cached is None:
-            cached = frozenset(self.members)
-            object.__setattr__(self, "_cached_member_set", cached)
-        return cached
+        return frozenset(self.members)
 
+    @cached_property
     def violations(self) -> tuple[Events, Events]:
         """event_violations of the members, decided on first use and shared by
         every caller after it."""
-        cached = getattr(self, "_cached_violations", None)
-        if cached is None:
-            counts = event_counts(self.enumerated_members(), self.ground_n)
-            cached = event_violations(*counts, self.ground_n, self.weight)
-            object.__setattr__(self, "_cached_violations", cached)
-        return cached
+        counts = event_counts(self.enumerated_members(), self.ground_n)
+        return event_violations(*counts, self.ground_n, self.weight)
 
     def iter_members(self) -> Iterator[SetWord]:
         if self.members is not None:
@@ -463,19 +446,14 @@ class Coloring:
             blue_code=blue_code,
         )
 
-    def color_of(self, s: SetWord) -> Color:
+    def is_blue(self, s: SetWord) -> bool:
+        """The color of SetWord s: True for blue, False for red."""
         _check_member(s, self.ground_n)
         if self.blue_bits is not None:
-            blue = (self.blue_bits[s >> 3] >> (s & 7)) & 1
-            return Color.BLUE if blue else Color.RED
+            return (self.blue_bits[s >> 3] >> (s & 7)) & 1 == 1
         if s.bit_count() in self.blue_layers or s in self.blue_extra:
-            return Color.BLUE
-        if self.blue_code is not None and self.blue_code.contains(s):
-            return Color.BLUE
-        return Color.RED
-
-    def is_blue(self, s: SetWord) -> bool:
-        return self.color_of(s) is Color.BLUE
+            return True
+        return self.blue_code is not None and self.blue_code.contains(s)
 
     def blue_family(self) -> list[SetWord]:
         """All blue SetWords; requires an enumerable ground set."""
@@ -483,11 +461,7 @@ class Coloring:
             raise ValueError("ground set too large to enumerate")
         return [s for s in range(1 << self.ground_n) if self.is_blue(s)]
 
-    def red_family(self) -> list[SetWord]:
-        if self.ground_n > MAX_DENSE_GROUND:
-            raise ValueError("ground set too large to enumerate")
-        return [s for s in range(1 << self.ground_n) if not self.is_blue(s)]
-
+    @cached_property
     def partial_layer(self) -> WeightedFamily:
         """The blue sets off the blue layers, as one family of a single weight:
         blue_code when there are no extras, else the extras as an explicit
@@ -496,15 +470,11 @@ class Coloring:
         serve every certifier that reads it."""
         if self.blue_code is not None and not self.blue_extra:
             return self.blue_code
-        cached = getattr(self, "_cached_partial_layer", None)
-        if cached is None:
-            sizes = {s.bit_count() for s in self.blue_extra}
-            if self.blue_code is not None or len(sizes) != 1:
-                raise ValueError("coloring extras do not form a single-weight family")
-            members = tuple(sorted(self.blue_extra))
-            cached = WeightedFamily(self.ground_n, sizes.pop(), members=members)
-            object.__setattr__(self, "_cached_partial_layer", cached)
-        return cached
+        sizes = {s.bit_count() for s in self.blue_extra}
+        if self.blue_code is not None or len(sizes) != 1:
+            raise ValueError("coloring extras do not form a single-weight family")
+        members = tuple(sorted(self.blue_extra))
+        return WeightedFamily(self.ground_n, sizes.pop(), members=members)
 
     def densify(self) -> "Coloring":
         """Equivalent dense coloring (for small ground sets)."""
@@ -546,8 +516,11 @@ class Coloring:
         code = None
         if "blue_modp" in obj:
             mp = _json_field(obj["blue_modp"], dict, "blue_modp")
+            # keyed by full field names, so a missing one's KeyError names it
+            fields = {f"blue_modp.{key}": value for key, value in mp.items()}
             weight, p, d = (
-                _json_field(mp[key], int, f"blue_modp.{key}") for key in ("weight", "p", "d")
+                _json_field(fields[name], int, name)
+                for name in ("blue_modp.weight", "blue_modp.p", "blue_modp.d")
             )
             code = WeightedFamily(n, weight, modp_p=p, modp_d=d)
         return cls.structured(

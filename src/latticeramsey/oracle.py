@@ -14,6 +14,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Optional
 
+from . import constructions
 from .lattice import Chain, Coloring, SetWord, elements_of, is_subset, subsets_by_rank
 
 DEFAULT_NODE_BUDGET = 10**8
@@ -405,9 +406,7 @@ def exhaustive_ramsey_number(
         raise ValueError(f"layered witness needs m + n - 1 <= {MAX_LAYERED_GROUND}")
 
     # Layered witness: top m layers of Q_{m+n-1} blue; certifies value >= m+n.
-    from .constructions import layered_coloring
-
-    witness = layered_coloring(m, n)
+    witness = constructions.layered_coloring(m, n)
     lower: Optional[int] = 0
     try:
         if coloring_is_ramsey(witness, m, n, kind, node_budget).neither:

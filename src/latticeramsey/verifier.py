@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from typing import Optional
 
-from .constructions import size_window
+from .constructions import low_block_layers, size_window, spread_layers
 from .embedder import EmbedRecord
 from .lattice import (
-    Color,
     Coloring,
     SetWord,
     WeightedFamily,
@@ -201,7 +200,7 @@ class ConditionsResult:
 
 def check_conditions(fam: WeightedFamily) -> ConditionsResult:
     """Every (m-1)-set has >= 2 supersets in fam; every (m+1)-set <= m-1 subsets."""
-    under, over = fam.violations()
+    under, over = fam.violations
     violations = tuple(
         [("undersupplied", s, cnt) for s, cnt in under]
         + [("oversubscribed", t, cnt) for t, cnt in over]
@@ -216,28 +215,24 @@ class UnknownShape(ValueError):
 def _detect_shape(coloring: Coloring) -> tuple[str, int, int, WeightedFamily]:
     """Classify a structured coloring; returns (shape, k-or-0, m, partial layer).
 
-    "spread": layers {k, k+3, ..., k+m+1} with a partial layer of size k+1
-    (the pair-code and mod-p colorings; m = 2 collapses the block to {k, k+3}).
-    "low-block": layers {0..m-2, m+1} with a partial layer of size m (the
+    "spread": constructions.spread_layers(k, m), m >= 2, with a partial layer
+    of size k+1 (the pair-code and mod-p colorings).  "low-block":
+    constructions.low_block_layers(m) with a partial layer of size m (the
     resampled coloring).
     """
     if coloring.is_dense:
         raise UnknownShape("dense coloring carries no construction shape")
     try:
-        fam = coloring.partial_layer()
+        fam = coloring.partial_layer
     except ValueError as exc:
         raise UnknownShape(str(exc)) from None
-    layers = sorted(coloring.blue_layers)
-    w = fam.weight
-
-    if len(layers) >= 2 and layers[0] == w - 1 and layers[1:] == list(
-        range(w + 2, w + len(layers) + 1)
-    ):
-        # layers are {k} + {k+3 .. k+m+1} with k = w - 1, so m = len(layers)
+    layers, w = coloring.blue_layers, fam.weight
+    # spread_layers(k, m) holds m layers, so m = len(layers)
+    if len(layers) >= 2 and layers == spread_layers(w - 1, len(layers)):
         return "spread", w - 1, len(layers), fam
-    if layers == list(range(0, w - 1)) + [w + 1]:
+    if layers == low_block_layers(w):
         return "low-block", 0, w, fam
-    raise UnknownShape(f"layers {layers} with extras at {w} match no known shape")
+    raise UnknownShape(f"layers {sorted(layers)} with extras at {w} match no known shape")
 
 
 def certify_blue_free(coloring: Coloring, m: int) -> CheckResult:
@@ -271,7 +266,7 @@ def certify_blue_free(coloring: Coloring, m: int) -> CheckResult:
     # low-block: the m level-(m-1) images are forced into the partial layer
     # and under a common top of size m+1, so the subset-count condition kills
     # every copy.  The witness is the lex-first top, as in check_conditions.
-    _, over = fam.violations()
+    _, over = fam.violations
     if over:
         return CheckResult(False, (over[0][0],), "a top hosts m family members")
     return CheckResult(True, detail="forced sizes + subset cap on the partial layer")
@@ -292,7 +287,7 @@ def certify_red_singleton_bound(coloring: Coloring, n: int, m: int) -> CheckResu
     ground = coloring.ground_n
     if ground != n + m:
         raise ValueError(f"coloring ground {ground} != n + m = {n + m}")
-    under, _ = fam.violations()
+    under, _ = fam.violations
     if under:
         s, cnt = min(under)  # colex order is ascending mask order
         return CheckResult(False, (s,), f"{n + 1 - cnt} red supersets > {n - 1}")
@@ -399,7 +394,7 @@ def verify_embedding(rec: EmbedRecord, coloring: Coloring) -> CheckResult:
                 return CheckResult(False, (a,), "image is not A + permuted prefix")
             if img & full_mask(n) != a:
                 return CheckResult(False, (a,), "image meets [n] beyond A")
-            if coloring.color_of(img) is not Color.RED:
+            if coloring.is_blue(img):
                 return CheckResult(False, (a,), "image is not red")
 
     # Monotonicity is checked on the covering pairs (A - {x}, A) only.  A is
@@ -430,7 +425,7 @@ def verify_embedding(rec: EmbedRecord, coloring: Coloring) -> CheckResult:
         if len(chain) != min(rec.levels[a], k + 1):
             return CheckResult(False, (a,), "chain length differs from level")
         for i, s in enumerate(chain):
-            if coloring.color_of(s) is not Color.BLUE:
+            if not coloring.is_blue(s):
                 return CheckResult(False, (a,), "chain contains a red set")
             if s & ~full_mask(n) != prefixes[i]:
                 return CheckResult(False, (a,), "chain step has wrong top part")

@@ -22,7 +22,6 @@ from latticeramsey.constructions import (
 )
 from latticeramsey.lattice import (
     Chain,
-    Color,
     Coloring,
     SetWord,
     elements_of,
@@ -412,7 +411,7 @@ def naive_certify_red_singleton_bound(coloring, n, m):
             bit = 1 << (el - 1)
             if s & bit:
                 continue
-            if coloring.color_of(s | bit) is Color.RED:
+            if not coloring.is_blue(s | bit):
                 red += 1
         if red > n - 1:
             return CheckResult(False, (s,), f"{red} red supersets > {n - 1}")
@@ -697,7 +696,8 @@ def pairwise_coloring_is_ramsey(coloring, m, n, kind, node_budget=DEFAULT_NODE_B
     w = pairwise_find_copy(coloring.blue_family(), m, kind, node_budget)
     if w is not None:
         return w, None
-    return None, pairwise_find_copy(coloring.red_family(), n, kind, node_budget)
+    red = [s for s in range(1 << coloring.ground_n) if not coloring.is_blue(s)]
+    return None, pairwise_find_copy(red, n, kind, node_budget)
 
 
 def _listing_scan(m, n, kind, max_n, neither):

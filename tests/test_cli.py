@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line driver and its certificates."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -12,8 +14,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latticeramsey.cli import main
+from latticeramsey.lattice import elements_of, layer
 from latticeramsey.oracle import SearchExhausted
 
 
@@ -503,6 +507,92 @@ def test_malformed_coloring_file_is_usage(tmp_path, capsys, obj):
     path.write_text(json.dumps(obj))
     assert main(["verify", "--coloring", str(path), "--ramsey", "1,1"]) == 2
     usage_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "obj, field",
+    [
+        ({"n": 5}, "repr"),
+        ({"n": 5, "repr": "structured", "blue_modp": {"p": 7, "d": 1}}, "blue_modp.weight"),
+    ],
+)
+def test_missing_coloring_field_names_the_file_and_the_field(tmp_path, capsys, obj, field):
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", "--coloring", str(path), "--ramsey", "1,1"]) == 2
+    assert usage_error_line(capsys) == f"error: {path}: missing field {field}\n"
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.text("abdensu", max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("np", max_size=2), inner),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _coloring_objs(draw):
+    """A coloring of Q_n, n <= 5, as JSON: dense, or structured with its blue
+    sets off the layers on one layer w, often in a construction shape on Q_5;
+    it may still be invalid (say, no extras at all)."""
+    n = draw(st.integers(0, 5))
+    if draw(st.integers(0, 2)) == 0:
+        bits = draw(st.integers(0, (1 << (1 << n)) - 1)).to_bytes(((1 << n) + 7) // 8, "little")
+        return {"n": n, "repr": "dense", "blue_hex": bits.hex()}
+    if draw(st.booleans()):  # spread (m = 2) or low-block layers around layer w
+        n, w = 5, draw(st.sampled_from([2, 3]))
+        layers = draw(st.sampled_from([{w - 1, w + 2}, set(range(w - 1)) | {w + 1}]))
+    else:
+        w = draw(st.integers(0, n))
+        layers = draw(st.sets(st.integers(0, n))) - {w}
+    obj = {"n": n, "repr": "structured", "blue_layers": sorted(layers)}
+    if draw(st.booleans()):
+        p = draw(st.integers(2, 7))
+        obj["blue_modp"] = {"weight": w, "p": p, "d": draw(st.integers(1, p))}
+    else:
+        sets = [elements_of(s) for s in layer(n, w)]
+        obj["blue_extra"] = draw(st.lists(st.sampled_from(sets), max_size=8, unique_by=tuple))
+    return obj
+
+
+@st.composite
+def _damaged(draw, obj):
+    """obj with one field dropped or replaced by any JSON value."""
+    key = draw(st.sampled_from(sorted(obj)))
+    rest = {k: v for k, v in obj.items() if k != key}
+    return rest if draw(st.booleans()) else {**rest, key: draw(_JSON)}
+
+
+_COLORING_JSON = _coloring_objs() | _coloring_objs().flatmap(_damaged) | _JSON
+_CHECKS = st.sampled_from([
+    ["--red-bound", "3,2"], ["--blue-free", "2"], ["--conditions"], ["--ramsey", "1,1"],
+    ["--red-bound", "2,3"], ["--blue-free", "3"], ["--distance", "4"], ["--ramsey", "0,2"],
+    ["--code-statement", "6,2,1,7,3"], ["--ramsey", "2,1", "--kind", "induced"],
+])
+
+
+def _holds_witness(check: dict) -> bool:
+    if "neither" in check:  # --ramsey
+        return check["blue_witness"] is not None or check["red_witness"] is not None
+    return check.get("witness") is not None or bool(check.get("violations"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_COLORING_JSON, check=_CHECKS)
+def test_verify_on_arbitrary_coloring_json_exits_cleanly(tmp_path_factory, obj, check):
+    path = tmp_path_factory.getbasetemp() / "fuzz-coloring.json"
+    path.write_text(json.dumps(obj))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "--coloring", str(path), *check])
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    elif code != 3:
+        checks = json.loads(out.getvalue())["result"]
+        # exit 1 exactly when some check carries a witness or violations
+        assert (code == 1) == any(map(_holds_witness, checks.values()))
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

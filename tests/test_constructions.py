@@ -27,7 +27,6 @@ from latticeramsey.constructions import (
     weak_parameters,
 )
 from latticeramsey.lattice import (
-    Color,
     elements_of,
     full_mask,
     mask_of,
@@ -51,8 +50,8 @@ def test_layered_defaults_and_oracle():
 
 def test_layered_custom_layers():
     c = layered_coloring(1, 2, blue_layer_indices=[0])
-    assert c.color_of(0) is Color.BLUE
-    assert c.color_of(mask_of([1])) is Color.RED
+    assert c.is_blue(0)
+    assert not c.is_blue(mask_of([1]))
     with pytest.raises(ValueError):
         layered_coloring(2, 2, blue_layer_indices=[0])
     with pytest.raises(ValueError):
@@ -106,7 +105,7 @@ def test_induced_q2_coloring_shape():
     assert c.blue_layers == {9, 12}
     assert len(c.blue_extra) == 380
     assert all(s.bit_count() == 10 for s in c.blue_extra)
-    assert c.color_of(0) is Color.RED
+    assert not c.is_blue(0)
 
 
 def test_find_prime_examples():
@@ -211,19 +210,19 @@ def test_weak_parameters_prime_override():
 
 
 def test_weak_construction_shape():
-    c = weak_construction(34, 2)
+    c = weak_construction(weak_parameters(34, 2))
     assert c.ground_n == 36
     assert c.blue_layers == {17, 20}
     assert c.blue_code is not None and c.blue_code.weight == 18
-    assert c.color_of(0) is Color.RED
+    assert not c.is_blue(0)
     # build a code member by shifting the top element until the sum fits
     base = list(range(1, 19))  # sums to 171; push the top up to reach 0 mod 37
     base[-1] += (-sum(base)) % 37
     member = mask_of(base)
     assert c.blue_code.contains(member)
-    assert c.color_of(member) is Color.BLUE
+    assert c.is_blue(member)
 
-    m3 = weak_construction(40, 3)
+    m3 = weak_construction(weak_parameters(40, 3))
     assert m3.blue_layers == {weak_parameters(40, 3).k} | {
         weak_parameters(40, 3).k + 3,
         weak_parameters(40, 3).k + 4,
@@ -331,8 +330,8 @@ def test_probabilistic_coloring_toy():
     assert check_conditions(fam).ok
     c = probabilistic_coloring(5, 3, fam)
     assert c.blue_layers == {0, 1, 4}
-    assert c.color_of(0) is Color.BLUE
-    assert c.color_of(full_mask(8)) is Color.RED
+    assert c.is_blue(0)
+    assert not c.is_blue(full_mask(8))
     blue = c.blue_family()
     assert find_chain(blue, 4) is not None  # height is exactly m + 1 = 4
     assert find_chain(blue, 5) is None

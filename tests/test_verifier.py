@@ -331,9 +331,9 @@ def test_certifiers_share_the_family_counts_and_leave_them_unchanged():
     rng = random.Random(3)
     extras = [f for f in layer(9, 3) if rng.random() < 0.1]
     col = Coloring.structured(9, blue_layers={0, 1, 4}, blue_extra=extras)
-    fam = col.partial_layer()
-    assert col.partial_layer() is fam
-    cached = fam.violations()
+    fam = col.partial_layer
+    assert col.partial_layer is fam
+    cached = fam.violations
     before = repr(cached)
     under, over = cached
     assert under and not over and min(cnt for _, cnt in under) == 0
@@ -342,14 +342,15 @@ def test_certifiers_share_the_family_counts_and_leave_them_unchanged():
     blue = certify_blue_free(col, 3)
     red = certify_red_singleton_bound(col, 6, 3)
     assert blue.ok and red.witness == (min(under)[0],)
-    assert fam.violations() is cached and repr(cached) == before
+    assert fam.violations is cached and repr(cached) == before
 
 
 def test_red_bound_cross_checked_by_oracle_weak_q4():
     fam7 = sorted_family([mask_of(t) for t in two_fold_triples_7()], 7, 3)
     col = probabilistic_coloring(4, 3, fam7)
     assert certify_red_singleton_bound(col, 4, 3).ok
-    assert find_copy(col.red_family(), 4, CopyKind.WEAK) is None
+    red = [s for s in range(1 << 7) if not col.is_blue(s)]
+    assert find_copy(red, 4, CopyKind.WEAK) is None
 
 
 def test_lll_report_closed_forms():
