@@ -295,7 +295,7 @@ def _cmd_embed(args, cert: _Certificate) -> str:
     coloring, digest = _load_coloring(args.coloring)
     cert.obj["inputs"][args.coloring] = digest
     n, k = args.n, args.k
-    if args.pi:
+    if args.pi is not None:  # "" is the empty permutation, for k = 0
         perm = Permutation(n, k, tuple(_parse_int_list(args.pi)))
         rec = embed_with_permutation(coloring, n, k, perm)
         cert.obj["result"] = rec.to_obj()

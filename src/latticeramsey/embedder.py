@@ -1,7 +1,7 @@
 """Recursive embedding of Q_n into the red side of a colored Q_{n+k}.
 
 Given a permutation of the top block [n+1, n+k], the embedder processes the
-subsets A of [n] in cardinality-then-colex order and tries to map each one to
+subsets A of [n], each after all of its subsets, and tries to map each one to
 the red set A + {first few permuted top elements}, extending past any blue
 sets it hits.  Per subset it records the image (or a failure marker), the
 number of top elements consumed (the "level"), and the chain of blue sets
@@ -23,6 +23,7 @@ from .lattice import (
     Chain,
     Coloring,
     Permutation,
+    SetList,
     SetWord,
     _json_field,
     _json_ints,
@@ -73,6 +74,8 @@ class EmbedRecord:
         return None if a is None else self.chains[a]
 
     def to_obj(self) -> dict:
+        """The record as JSON-able values for json_pieces: images stay masks,
+        in a SetList that json_pieces writes as element arrays."""
         # Subsets that add no blue set share their donor's Chain object, so
         # each distinct object is converted once and its dict is shared too.
         objs = {key: c.to_obj() for key, c in {id(c): c for c in self.chains}.items()}
@@ -80,9 +83,7 @@ class EmbedRecord:
             "n": self.n,
             "k": self.k,
             "perm": list(self.perm.image),
-            "images": [
-                None if img is None else elements_of(img) for img in self.images
-            ],
+            "images": SetList(self.images),
             "levels": list(self.levels),
             "chains": [objs[id(c)] for c in self.chains],
         }
@@ -115,6 +116,12 @@ def embed_with_permutation(
     failed proper subset, and the blocking-chain prefix is copied from the
     colex-first proper subset attaining the maximum level.  Both are read
     from per-subset tables, so a run does O(n * 2^n) work, not O(3^n).
+
+    Every subset A is read through the table of its immediate subsets only,
+    so any order that puts subsets first gives the same tables; ascending
+    numeric order does (a submask is never larger).  The colors of level i,
+    the sets A | prefix_i, are one contiguous range of SetWords, read once
+    with Coloring.blue_range on the first probe of that level.
     """
     if coloring.ground_n != n + k:
         raise ValueError(
@@ -130,51 +137,52 @@ def embed_with_permutation(
     size = 1 << n
     full = size - 1
     prefixes = [perm.prefix_mask(i) for i in range(k + 1)]
-    is_blue = coloring.is_blue
+    level_blue: list[Optional[bytes]] = [None] * (k + 1)
 
     images: list[Optional[SetWord]] = [None] * size
     levels = [0] * size
     chains: list[Optional[Chain]] = [None] * size
-    # Per-subset tables over all submasks s of A, A included, each filled from
-    # the n immediate subsets A - {x} (every proper submask lies below one):
-    # least_failed[A] is the least failed s (numeric = colex order), or `size`;
-    # best[A] packs the lexicographic max of (levels[s], -s) over non-failed s
-    # as levels[s] * 2^n + (2^n - 1 - s).  Once a subset fails, every superset
-    # fails too, so best[A] is left unset for a failed A.
-    least_failed = [size] * size
+    # best[A] is the max over all submasks s of A, A included, filled from
+    # the n immediate subsets A - {x} (every proper submask lies below one).
+    # A non-failed s counts as levels[s] * 2^n + (2^n - 1 - s), so the max is
+    # the highest level, then the least (colex-first) s attaining it.  A
+    # failed s counts as (k+1) * 2^n + (2^n - 1 - s), above every non-failed
+    # one: once a subset fails every superset fails, from the least failed s.
+    # Either way the winner is s = full ^ (best & full), at level best >> n.
     best = [0] * size
+    failed = (k + 1) << n
 
-    for a in subsets_by_rank(n):
-        # Failure propagates from the colex-first failed proper subset.
-        propagate = size
+    for a in range(size):
         top = 0
         rest = a
         while rest:
             low = rest & -rest
             rest ^= low
-            s = a ^ low
-            if least_failed[s] < propagate:
-                propagate = least_failed[s]
-            if best[s] > top:
-                top = best[s]
-        if propagate < size:
-            least_failed[a] = propagate
-            levels[a] = k + 1
-            chains[a] = chains[propagate]
-            continue
+            v = best[a ^ low]
+            if v > top:
+                top = v
         beta = top >> n
+        if beta > k:  # failure propagates from the least failed proper subset
+            best[a] = top
+            levels[a] = k + 1
+            chains[a] = chains[full ^ (top & full)]
+            continue
 
         level = k + 1
         for i in range(beta, k + 1):
-            if not is_blue(a | prefixes[i]):
+            blue = level_blue[i]
+            if blue is None:
+                blue = level_blue[i] = coloring.blue_range(prefixes[i], size)
+            if not blue[a >> 3] >> (a & 7) & 1:
                 level = i
                 break
         levels[a] = level
         if level <= k:
             images[a] = a | prefixes[level]
-            best[a] = max(top, (level << n) | (full ^ a))
+            own = (level << n) | (full ^ a)
+            best[a] = own if own > top else top
         else:
-            least_failed[a] = a
+            best[a] = failed | (full ^ a)
 
         # The donor is the colex-first proper subset attaining the maximum
         # level.  A subset that adds no blue set shares the donor's Chain.

@@ -320,7 +320,12 @@ class WeightedFamily:
     @cached_property
     def violations(self) -> tuple[Events, Events]:
         """event_violations of the members, decided on first use and shared by
-        every caller after it."""
+        every caller after it.  The conditions speak of (m-1)-sets, so a
+        family of weight 0 is a ValueError."""
+        if self.weight < 1:
+            raise ValueError(
+                f"family conditions need a weight >= 1; this family has weight {self.weight}"
+            )
         counts = event_counts(self.enumerated_members(), self.ground_n)
         return event_violations(*counts, self.ground_n, self.weight)
 
@@ -455,6 +460,27 @@ class Coloring:
             return True
         return self.blue_code is not None and self.blue_code.contains(s)
 
+    def blue_range(self, start: SetWord, count: int) -> bytes:
+        """is_blue of the SetWords start .. start+count-1 as one bit vector.
+
+        Bit i % 8 of byte i // 8 is is_blue(start + i), so the bytes read like
+        blue_bits.  A dense coloring with start and count multiples of 8 gives
+        a slice of blue_bits; any other range is built from is_blue.  A range
+        reaching outside [0, 2^N) is a ValueError, as is_blue is per set.
+        """
+        if count < 0:
+            raise ValueError(f"negative range length {count}")
+        if count:
+            _check_member(start, self.ground_n)
+            _check_member(start + count - 1, self.ground_n)
+        if self.blue_bits is not None and not (start | count) & 7:
+            return self.blue_bits[start >> 3 : (start + count) >> 3]
+        buf = bytearray((count + 7) >> 3)
+        for i in range(count):
+            if self.is_blue(start + i):
+                buf[i >> 3] |= 1 << (i & 7)
+        return bytes(buf)
+
     def blue_family(self) -> list[SetWord]:
         """All blue SetWords; requires an enumerable ground set."""
         if self.ground_n > MAX_DENSE_GROUND:
@@ -531,6 +557,19 @@ class Coloring:
         )
 
 
+class SetList(tuple):
+    """A tuple of SetWords or None that json_pieces writes from the masks.
+
+    Its JSON is that of [None if s is None else elements_of(s) for s in it]:
+    null, or the set's sorted 1-based elements.  json_pieces renders each set
+    from per-byte text tables instead of building the element lists, so a
+    large table of sets (an embedding record's images) costs one string per
+    set.  json.dumps knows nothing of this and would write the masks as ints.
+    """
+
+    __slots__ = ()
+
+
 def dumps(obj) -> str:
     """Serialize any of the package's JSON-able objects to text."""
     return json.dumps(obj.to_obj(), sort_keys=True)
@@ -543,8 +582,9 @@ def json_pieces(obj) -> list[str]:
     is built, and a container met again at the same depth repeats the pieces
     of its first rendering instead of being rendered again, so a shared
     sub-object costs one list copy of references.  Lists of plain ints are
-    rendered in one join.  Like json.dumps, this recurses once per nesting
-    level; obj must not contain itself.
+    rendered in one join.  A SetList is written as its element arrays, one
+    piece per set.  Like json.dumps, this recurses once per nesting level;
+    obj must not contain itself.
     """
     text = _json_text(obj, 0)
     if text is not None:
@@ -570,7 +610,7 @@ def _json_text(o, depth: int) -> Optional[str]:
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        if set(map(type, o)) != {int}:
+        if isinstance(o, SetList) or set(map(type, o)) != {int}:
             return None
         pad = "\n" + "  " * (depth + 1)
         return "[" + pad + ("," + pad).join(map(int.__repr__, o)) + pad[:-2] + "]"
@@ -612,6 +652,14 @@ def _write_json(o, depth: int, out: list[str], memo: dict) -> None:
     """
     start = len(out)
     pad = "\n" + "  " * (depth + 1)
+    if isinstance(o, SetList):
+        sep = "[" + pad
+        for text in _set_texts(o, depth + 1):
+            out.append(sep + text)
+            sep = "," + pad
+        out.append(pad[:-2] + "]")
+        memo[id(o), depth] = slice(start, len(out))
+        return
     if isinstance(o, dict):
         sep, closer = "{" + pad, pad[:-2] + "}"
         items = [(_json_key(k) + ": ", v) for k, v in sorted(o.items())]
@@ -632,3 +680,28 @@ def _write_json(o, depth: int, out: list[str], memo: dict) -> None:
         sep = "," + pad
     out.append(closer)
     memo[id(o), depth] = slice(start, len(out))
+
+
+def _set_texts(sets: SetList, depth: int) -> Iterator[str]:
+    """The JSON text of each item of sets, the items sitting at depth `depth`.
+
+    Byte j of a mask holds elements 8j+1 .. 8j+8; tables[j][v] is the text of
+    the elements of byte value v, each behind the "," and newline pad that
+    precede an element of an array at this depth.  A set's text is then its
+    bytes' entries concatenated, less the first ",".
+    """
+    pad = "\n" + "  " * (depth + 1)
+    width = (max(filter(None, sets), default=0).bit_length() + 7) >> 3
+    tables = [
+        ["".join(f",{pad}{8 * j + b + 1}" for b in range(8) if v >> b & 1) for v in range(256)]
+        for j in range(width)
+    ]
+    closer = pad[:-2] + "]"
+    entry = list.__getitem__
+    for s in sets:
+        if s is None:
+            yield "null"
+        elif s:
+            yield "[" + "".join(map(entry, tables, s.to_bytes(width, "little")))[1:] + closer
+        else:
+            yield "[]"

@@ -96,6 +96,34 @@ def test_embed_single_permutation(tmp_path, capsys):
     assert cert["result"]["levels"] == [0, 0, 0, 0]
 
 
+@pytest.mark.parametrize("blue", [[], [0b101]])
+def test_embed_empty_permutation_at_width_zero(tmp_path, capsys, blue):
+    from latticeramsey.embedder import EmbedRecord
+    from latticeramsey.lattice import Coloring, dumps
+
+    path = tmp_path / "q3.json"
+    path.write_text(dumps(Coloring.dense(3, blue)))
+    sizes = ["embed", "--coloring", str(path), "--n", "3", "--k", "0"]
+    code, record = run_cli(capsys, *sizes, "--pi", "")
+    sweep_code, sweep = run_cli(capsys, *sizes, "--all")
+    assert code == sweep_code == (1 if blue else 0)
+    report = sweep["result"]
+    if blue:  # the one permutation fails, with the record's failure chain
+        chain = EmbedRecord.from_obj(record["result"]).failure_chain()
+        assert report["failures"] == [{"perm": [], "chain": chain.to_obj()}]
+    else:
+        assert report["success"] == record["result"]
+
+
+def test_embed_empty_permutation_at_positive_width_is_usage(tmp_path, capsys):
+    from latticeramsey.lattice import Coloring, dumps
+
+    path = tmp_path / "q3.json"
+    path.write_text(dumps(Coloring.dense(3, [])))
+    assert main(["embed", "--coloring", str(path), "--n", "2", "--k", "1", "--pi", ""]) == 2
+    assert "bijection" in usage_error_line(capsys)
+
+
 def test_embed_sweep_all(tmp_path, capsys):
     from latticeramsey.lattice import Coloring, dumps
 
@@ -431,6 +459,17 @@ def test_code_plus_extras_coloring_is_usage(tmp_path, capsys, check):
     assert "single-weight" in usage_error_line(capsys)
 
 
+@pytest.mark.parametrize(
+    "partial",
+    [{"blue_extra": [[]]}, {"blue_modp": {"weight": 0, "p": 3, "d": 1}}],
+)
+def test_weight_zero_partial_layer_conditions_are_usage(tmp_path, capsys, partial):
+    path = tmp_path / "w0.json"
+    path.write_text(json.dumps({"n": 4, "repr": "structured", "blue_layers": [2], **partial}))
+    assert main(["verify", "--coloring", str(path), "--conditions"]) == 2
+    assert "weight 0" in usage_error_line(capsys)
+
+
 def _search_exhausted(*args):
     raise SearchExhausted(7)
 
@@ -593,6 +632,57 @@ def test_verify_on_arbitrary_coloring_json_exits_cleanly(tmp_path_factory, obj, 
         checks = json.loads(out.getvalue())["result"]
         # exit 1 exactly when some check carries a witness or violations
         assert (code == 1) == any(map(_holds_witness, checks.values()))
+
+
+@st.composite
+def _embed_argv(draw, path: str, ground: int) -> list[str]:
+    """An embed command line on a coloring of Q_ground: sizes that often add
+    up to the ground, sometimes one of them spoiled or dropped, then up to two
+    of --pi (often a true permutation), --all, --sample and --seed."""
+    n = draw(st.integers(-1, ground + 1))
+    k = ground - n if draw(st.booleans()) else draw(st.integers(-2, 6))
+    sizes = {"--n": str(n), "--k": str(k)}
+    if draw(st.integers(0, 3)) == 0:
+        sizes[draw(st.sampled_from(sorted(sizes)))] = draw(
+            st.sampled_from([None, "", "x", "2.0", "99"])
+        )
+    top = list(range(n + 1, n + max(k, 0) + 1))
+    pi = st.permutations(top) | st.lists(st.integers(-1, 8), max_size=6)
+    modes = st.one_of(
+        pi.map(lambda image: ["--pi", ",".join(map(str, image))]),
+        st.sampled_from([["--pi", text] for text in ("", " ", ",", "4,,5", "a,b", "3 4")]),
+        st.just(["--all"]),
+        st.integers(-2, 12).map(lambda count: ["--sample", str(count)]),
+        st.integers(-3, 3).map(lambda seed: ["--seed", str(seed)]),
+    )
+    argv = ["embed", "--coloring", path]
+    argv += [token for flag, value in sizes.items() if value is not None for token in (flag, value)]
+    for mode in draw(st.lists(modes, min_size=min(draw(st.integers(0, 3)), 1), max_size=2)):
+        argv += mode
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(ground=st.integers(0, 5), structured=st.booleans(), seed=st.integers(0, 2**16), data=st.data())
+def test_embed_on_arbitrary_arguments_exits_cleanly(tmp_path_factory, ground, structured, seed, data):
+    from latticeramsey.lattice import Coloring, dumps
+
+    rng = random.Random(seed)
+    coloring = Coloring.dense(ground, [s for s in range(1 << ground) if rng.random() < 0.2])
+    if structured:
+        coloring = Coloring.structured(ground, {rng.randrange(ground + 1)})
+    path = tmp_path_factory.getbasetemp() / "fuzz-embed.json"
+    path.write_text(dumps(coloring))
+    argv = data.draw(_embed_argv(str(path), ground))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert json.loads(out.getvalue())["outcome"] == {0: "ok", 1: "witness", 3: "exhausted"}[code]
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

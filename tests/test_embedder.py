@@ -7,6 +7,7 @@ import random
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latticeramsey.embedder import (
     EmbedRecord,
@@ -18,7 +19,16 @@ from latticeramsey.embedder import (
     sweep_permutations,
 )
 from latticeramsey.cli import main
-from latticeramsey.lattice import Chain, Coloring, Permutation, dumps, mask_of
+from latticeramsey.lattice import (
+    Chain,
+    Coloring,
+    Permutation,
+    WeightedFamily,
+    dumps,
+    elements_of,
+    json_pieces,
+    mask_of,
+)
 from latticeramsey.oracle import CopyKind, find_copy
 from latticeramsey.verifier import verify_embedding
 
@@ -34,6 +44,11 @@ def random_dense(ground, seed, density=0.5):
     return Coloring.dense(
         ground, [s for s in range(1 << ground) if rng.random() < density]
     )
+
+
+def written(obj):
+    """obj as it reads back from the certificate writer's text."""
+    return json.loads("".join(json_pieces(obj)))
 
 
 def test_all_red_embeds_identically():
@@ -207,7 +222,7 @@ def test_embed_dimension_mismatch():
 def test_record_roundtrip():
     c = random_dense(4, seed=77, density=0.6)
     rec = embed_with_permutation(c, 2, 2, Permutation(2, 2, (4, 3)))
-    assert EmbedRecord.from_obj(rec.to_obj()) == rec
+    assert EmbedRecord.from_obj(written(rec.to_obj())) == rec
 
 
 def test_chains_without_new_blue_sets_are_shared():
@@ -219,7 +234,7 @@ def test_chains_without_new_blue_sets_are_shared():
     assert len(distinct) < len(rec.chains)
     obj = rec.to_obj()
     assert len({id(c) for c in obj["chains"]}) == len(distinct)
-    assert EmbedRecord.from_obj(obj) == rec
+    assert EmbedRecord.from_obj(written(obj)) == rec
 
 
 def emitted(tmp_path, coloring, *argv) -> dict:
@@ -266,7 +281,7 @@ def test_emitted_records_round_trip(tmp_path):
 )
 def test_malformed_record_is_value_error(field, value):
     rec = embed_with_permutation(random_dense(4, seed=5), 2, 2, Permutation(2, 2, (4, 3)))
-    obj = json.loads(json.dumps(rec.to_obj()))
+    obj = written(rec.to_obj())
     obj[field] = value
     with pytest.raises(ValueError):
         EmbedRecord.from_obj(obj)
@@ -276,6 +291,49 @@ def test_malformed_record_is_value_error(field, value):
 def test_malformed_chain_is_value_error(obj):
     with pytest.raises(ValueError):
         Chain.from_obj(obj)
+
+
+def plain_record(rec: EmbedRecord) -> dict:
+    """rec.to_obj() with its images spelled out as element lists."""
+    obj = rec.to_obj()
+    obj["images"] = [None if img is None else elements_of(img) for img in rec.images]
+    return obj
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(0, 6),
+    k=st.integers(0, 3),
+    density=st.sampled_from([0.0, 0.01, 0.05, 0.2, 0.5, 1.0]),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_record_text_matches_json_dumps_of_element_lists(n, k, density, seed, data):
+    # n < 3 reads unaligned levels through is_blue, n >= 3 slices blue_bits
+    image = tuple(data.draw(st.permutations(range(n + 1, n + k + 1))))
+    rec = embed_with_permutation(random_dense(n + k, seed, density), n, k, Permutation(n, k, image))
+    text = "".join(json_pieces({"result": rec.to_obj()}))
+    assert text == json.dumps({"result": plain_record(rec)}, sort_keys=True, indent=2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(0, 5), k=st.integers(0, 3), data=st.data())
+def test_structured_coloring_embeds_like_its_dense_copy(n, k, data):
+    ground = n + k
+    layers = data.draw(st.sets(st.integers(0, ground)))
+    off_layers = [s for s in range(1 << ground) if s.bit_count() not in layers]
+    extra = data.draw(st.lists(st.sampled_from(off_layers), max_size=6)) if off_layers else []
+    code = None
+    free = sorted(set(range(ground + 1)) - layers - {s.bit_count() for s in extra})
+    if free and data.draw(st.booleans()):
+        p = data.draw(st.integers(2, 7))
+        code = WeightedFamily(ground, data.draw(st.sampled_from(free)), modp_p=p, modp_d=p)
+    coloring = Coloring.structured(ground, layers, extra, code)
+    image = tuple(data.draw(st.permutations(range(n + 1, ground + 1))))
+    perm = Permutation(n, k, image)
+    dense = coloring.densify()
+    assert dense.is_dense
+    assert embed_with_permutation(coloring, n, k, perm) == embed_with_permutation(dense, n, k, perm)
 
 
 def test_embed_matches_independent_reimplementation():

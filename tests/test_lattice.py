@@ -13,6 +13,7 @@ from latticeramsey.lattice import (
     Chain,
     Coloring,
     Permutation,
+    SetList,
     WeightedFamily,
     dumps,
     elements_of,
@@ -193,7 +194,7 @@ def test_permutation_validation_and_roundtrip():
     assert p.prefix_mask(1) == mask_of([4])
     # a permutation travels as the perm field of an embedding record
     rec = embed_with_permutation(Coloring.dense(4, []), 2, 2, p)
-    assert EmbedRecord.from_obj(json.loads(json.dumps(rec.to_obj()))).perm == p
+    assert EmbedRecord.from_obj(json.loads("".join(json_pieces(rec.to_obj())))).perm == p
     with pytest.raises(ValueError):
         Permutation(2, 2, (3, 3))
     with pytest.raises(ValueError):
@@ -288,3 +289,46 @@ def test_json_pieces_share_pieces_and_leave_no_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@st.composite
+def small_colorings(draw) -> Coloring:
+    """A coloring of Q_n, n <= 6: dense, or structured by layers and extras."""
+    n = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        return Coloring.dense_from_int(n, draw(st.integers(0, (1 << (1 << n)) - 1)))
+    layers = draw(st.sets(st.integers(0, n)))
+    extra = draw(st.sets(st.integers(0, (1 << n) - 1), max_size=8))
+    return Coloring.structured(n, layers, {s for s in extra if s.bit_count() not in layers})
+
+
+@given(coloring=small_colorings(), data=st.data())
+def test_blue_range_agrees_with_is_blue(coloring, data):
+    size = 1 << coloring.ground_n
+    # multiples of 8 take the blue_bits slice on a dense coloring
+    start = data.draw(st.integers(-9, size + 9) | st.integers(0, size >> 3).map(lambda j: 8 * j))
+    count = data.draw(st.integers(-2, size + 9) | st.integers(0, size >> 3).map(lambda j: 8 * j))
+    members = range(start, start + count)
+    if count < 0 or not all(0 <= s < size for s in members):
+        with pytest.raises(ValueError):
+            coloring.blue_range(start, count)
+        for s in members:
+            if not 0 <= s < size:
+                with pytest.raises(ValueError):
+                    coloring.is_blue(s)
+        return
+    bits = coloring.blue_range(start, count)
+    assert len(bits) == (count + 7) // 8
+    read = [bits[i >> 3] >> (i & 7) & 1 == 1 for i in range(8 * len(bits))]
+    assert read == [coloring.is_blue(s) for s in members] + [False] * (8 * len(bits) - count)
+
+
+set_lists = st.lists(st.none() | st.integers(0, 2**64 - 1) | st.integers(0, 300), max_size=6)
+
+
+@given(sets=set_lists, depth=st.integers(0, 3))
+def test_json_pieces_write_set_lists_as_element_arrays(sets, depth):
+    obj, plain = SetList(sets), [None if s is None else elements_of(s) for s in sets]
+    for _ in range(depth):  # nest, and repeat, so shared renderings are met too
+        obj, plain = {"x": [obj, 1, obj]}, {"x": [plain, 1, plain]}
+    assert "".join(json_pieces(obj)) == indent2(plain)
