@@ -313,6 +313,8 @@ def code_witness(
         raise ValueError("code parameters do not match (ground, k)")
     if avoid.bit_count() != m or avoid >> ground:
         raise ValueError(f"avoid must be an m-set over [{ground}]")
+    if not 1 <= y <= ground:
+        raise ValueError(f"y = {y} outside [1, {ground}]")
     if not avoid & (1 << (y - 1)):
         raise ValueError(f"element {y} is not in the avoided set")
     n = ground - m

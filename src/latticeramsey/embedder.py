@@ -63,7 +63,11 @@ class EmbedRecord:
         return all(img is not None for img in self.images)
 
     def first_failure(self) -> Optional[SetWord]:
-        """First failed subset in processing order, or None."""
+        """The failed subset first in cardinality-then-colex order, or None.
+
+        This tie-break, not the embedder's ascending numeric fill order, picks
+        the subset whose chain failure_chain returns.
+        """
         for a in subsets_by_rank(self.n):
             if self.images[a] is None:
                 return a
@@ -107,6 +111,18 @@ class EmbedRecord:
         )
 
 
+def _check_sizes(coloring: Coloring, n: int, k: int) -> None:
+    """Refuse an (n, k) that does not match the coloring or exceeds a cap."""
+    if coloring.ground_n != n + k:
+        raise ValueError(
+            f"coloring is over [{coloring.ground_n}], expected [{n + k}]"
+        )
+    if n > MAX_BASE_DIM:
+        raise ValueError(f"base dimension capped at {MAX_BASE_DIM}")
+    if k > MAX_WIDTH:
+        raise ValueError(f"width capped at {MAX_WIDTH}")
+
+
 def embed_with_permutation(
     coloring: Coloring, n: int, k: int, perm: Permutation
 ) -> EmbedRecord:
@@ -123,16 +139,9 @@ def embed_with_permutation(
     the sets A | prefix_i, are one contiguous range of SetWords, read once
     with Coloring.blue_range on the first probe of that level.
     """
-    if coloring.ground_n != n + k:
-        raise ValueError(
-            f"coloring is over [{coloring.ground_n}], expected [{n + k}]"
-        )
+    _check_sizes(coloring, n, k)
     if perm.base != n or perm.width != k:
         raise ValueError("permutation dimensions do not match (n, k)")
-    if n > MAX_BASE_DIM:
-        raise ValueError(f"base dimension capped at {MAX_BASE_DIM}")
-    if k > MAX_WIDTH:
-        raise ValueError(f"width capped at {MAX_WIDTH}")
 
     size = 1 << n
     full = size - 1
@@ -269,20 +278,19 @@ class SweepReport:
 
 def _sampled_perm_images(
     n: int, k: int, count: int, seed: int
-) -> list[tuple[int, ...]]:
+) -> Iterator[tuple[int, ...]]:
+    """Draw count permutations, yielding each new one as it is drawn."""
     rng = random.Random(seed)
     values = list(range(n + 1, n + k + 1))
     total = factorial(k)
     seen = set()
-    out = []
     for _ in range(count):
         img = tuple(rng.sample(values, k))
         if img not in seen:
             seen.add(img)
-            out.append(img)
-            if len(out) == total:  # every later draw would be a duplicate
-                break
-    return out
+            yield img
+            if len(seen) == total:  # every later draw would be a duplicate
+                return
 
 
 def sweep_permutations(
@@ -310,10 +318,11 @@ def sweep_permutations(
     elif mode == "sample":
         if sample_count < 1:
             raise ValueError("sample mode needs sample_count >= 1")
-        perm_images = iter(_sampled_perm_images(n, k, sample_count, seed))
+        perm_images = _sampled_perm_images(n, k, sample_count, seed)
         mode_desc = f"sample({sample_count}, seed={seed})"
     else:
         raise ValueError(f"unknown sweep mode {mode!r}")
+    _check_sizes(coloring, n, k)  # before the first draw
 
     failures: list[tuple[tuple[int, ...], Chain]] = []
     recover_ok = True
@@ -392,13 +401,7 @@ def _factorial_exceeds_power(k: int, exponent: int) -> tuple[bool, str]:
         return True, "log-domain"
     if approx - exponent < -1e-3:
         return False, "log-domain"
-    f = factorial(k)
-    bl = f.bit_length()
-    if bl > exponent + 1:
-        return True, "exact"
-    if bl < exponent + 1:
-        return False, "exact"
-    return f != (1 << exponent), "exact"
+    return factorial(k) > 1 << exponent, "exact"
 
 
 def counting_bound(n: int, c: float) -> BoundReport:

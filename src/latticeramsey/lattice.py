@@ -19,7 +19,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from json.encoder import encode_basestring_ascii
 from math import comb
 from typing import Iterable, Iterator, Optional
 
@@ -594,48 +593,24 @@ def json_pieces(obj) -> list[str]:
     return out
 
 
-def _json_float(o: float) -> str:
-    if o != o:
-        return "NaN"
-    if o == float("inf"):
-        return "Infinity"
-    if o == float("-inf"):
-        return "-Infinity"
-    return float.__repr__(o)
-
-
 def _json_text(o, depth: int) -> Optional[str]:
     """The JSON text of o at nesting depth `depth`, or None if o is a
     non-empty list, tuple or dict other than a list of plain ints."""
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
+    if isinstance(o, (list, tuple)) and o:
         if isinstance(o, SetList) or set(map(type, o)) != {int}:
             return None
         pad = "\n" + "  " * (depth + 1)
         return "[" + pad + ("," + pad).join(map(int.__repr__, o)) + pad[:-2] + "]"
-    if isinstance(o, dict):
-        return None if o else "{}"
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _json_float(o)
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+    if isinstance(o, dict) and o:
+        return None
+    return json.dumps(o)
 
 
 def _json_key(key) -> str:
     if isinstance(key, str):
-        return encode_basestring_ascii(key)
+        return json.dumps(key)
     if key is None or isinstance(key, (int, float)):
-        return '"' + _json_text(key, 0) + '"'
+        return '"' + json.dumps(key) + '"'
     raise TypeError(
         f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
     )

@@ -34,21 +34,16 @@ LLL_DIGITS = 60  # decimal precision of the local-lemma report
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of a structural check: ok, or a witness of failure."""
+    """Outcome of a structural check: ok, or a witness of failure (SetWords)."""
 
     ok: bool
-    witness: Optional[tuple] = None
+    witness: Optional[tuple[SetWord, ...]] = None
     detail: str = ""
 
     def to_obj(self) -> dict:
-        def enc(x):
-            if isinstance(x, int):
-                return elements_of(x)
-            return x
-
         return {
             "ok": self.ok,
-            "witness": None if self.witness is None else [enc(x) for x in self.witness],
+            "witness": None if self.witness is None else list(map(elements_of, self.witness)),
             "detail": self.detail,
         }
 
@@ -249,8 +244,6 @@ def certify_blue_free(coloring: Coloring, m: int) -> CheckResult:
     if shape == "spread":
         # Singleton images are forced onto the code layer and pairwise share a
         # forced bottom, so any copy needs two code sets at distance 2.
-        if m < 2:
-            raise ValueError("spread shape needs m >= 2")
         if not fam.is_explicit and fam.modp_p >= coloring.ground_n:
             # One element-swap changes the residue sum by a nonzero amount
             # mod p, so distance-2 pairs cannot exist; nothing to scan.
@@ -319,13 +312,7 @@ class LllReport:
     deps_bt: tuple[int, int]
 
 
-def lll_inequality_report(
-    n: int,
-    m: int,
-    p_incl: Optional[float] = None,
-    x_y: Optional[float] = None,
-    x_z: Optional[float] = None,
-) -> LllReport:
+def lll_inequality_report(n: int, m: int, p_incl: Optional[float] = None) -> LllReport:
     """Evaluate the local-lemma inequality for both event classes.
 
     An undersupplied event depends on n(n+1)/2 oversubscription events and
@@ -344,8 +331,8 @@ def lll_inequality_report(
             p = (4 * (m + 1) * (Decimal(n) ** 2 - 1) * Decimal(1).exp()) ** (Decimal(-1) / m)
         else:
             p = Decimal(p_incl)
-        y = Decimal(x_y) if x_y is not None else 1 / Decimal(4 * (m - 1) * (n + 1))
-        z = Decimal(x_z) if x_z is not None else 1 / Decimal(4 * (n - 1) * (n + 1))
+        y = 1 / Decimal(4 * (m - 1) * (n + 1))
+        z = 1 / Decimal(4 * (n - 1) * (n + 1))
 
         q = 1 - p
         p_as = (n + 1) * q**n * p + q ** (n + 1)

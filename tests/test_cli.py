@@ -305,6 +305,12 @@ def test_code_subcommand(capsys):
     assert len(member) == 18 and sum(member) % 37 == 0
 
 
+@pytest.mark.parametrize("y", ["0", "-3"])
+def test_code_with_y_outside_the_ground_is_usage(capsys, y):
+    assert main(["code", "--n", "34", "--m", "2", "--avoid", "35,36", "--y", y]) == 2
+    assert f"y = {y} outside" in usage_error_line(capsys)
+
+
 def test_verify_code_statement(tmp_path, capsys):
     from latticeramsey.lattice import Coloring, dumps
 
@@ -634,6 +640,20 @@ def test_verify_on_arbitrary_coloring_json_exits_cleanly(tmp_path_factory, obj, 
         assert (code == 1) == any(map(_holds_witness, checks.values()))
 
 
+def assert_exits_cleanly(argv: list[str]) -> None:
+    """Run main(argv): an exit code in {0,1,2,3}, on exit 2 one `error:` line
+    and no stdout, otherwise a certificate whose outcome matches the code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert json.loads(out.getvalue())["outcome"] == {0: "ok", 1: "witness", 3: "exhausted"}[code]
+
+
 @st.composite
 def _embed_argv(draw, path: str, ground: int) -> list[str]:
     """An embed command line on a coloring of Q_ground: sizes that often add
@@ -673,16 +693,79 @@ def test_embed_on_arbitrary_arguments_exits_cleanly(tmp_path_factory, ground, st
         coloring = Coloring.structured(ground, {rng.randrange(ground + 1)})
     path = tmp_path_factory.getbasetemp() / "fuzz-embed.json"
     path.write_text(dumps(coloring))
-    argv = data.draw(_embed_argv(str(path), ground))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 1, 2, 3)
-    if code == 2:
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    assert_exits_cleanly(data.draw(_embed_argv(str(path), ground)))
+
+
+@pytest.mark.parametrize("n, k, sample", [("1", "12", "200000"), ("1", "2000000", "1")])
+def test_oversized_sample_sweep_is_refused_before_drawing(tmp_path, capsys, n, k, sample):
+    from latticeramsey.lattice import Coloring, dumps
+
+    path = tmp_path / "q3.json"
+    path.write_text(dumps(Coloring.dense(3, [1, 6])))
+    start = time.monotonic()
+    assert main(["embed", "--coloring", str(path), "--n", n, "--k", k, "--sample", sample]) == 2
+    assert time.monotonic() - start < 1
+    usage_error_line(capsys)
+
+
+def _flags(values: dict) -> list[str]:
+    """Each flag as flag=value, or dropped when the value is None."""
+    return [f"{flag}={value}" for flag, value in values.items() if value is not None]
+
+
+@st.composite
+def _code_argv(draw) -> list[str]:
+    """A code command line: often a valid one (n >= 34, m in 2..4, the top m
+    elements avoided and y one of them), else sizes and sets drawn freely;
+    --k and --d often at their defaults, and sometimes one value spoiled or
+    dropped."""
+    if draw(st.booleans()):
+        n, m = draw(st.integers(34, 60)), draw(st.integers(2, 4))
+        avoid = list(range(n + 1, n + m + 1))
+        y = draw(st.sampled_from(avoid))
     else:
-        assert json.loads(out.getvalue())["outcome"] == {0: "ok", 1: "witness", 3: "exhausted"}[code]
+        n, m = draw(st.integers(-1, 40)), draw(st.integers(-1, 5))
+        avoid = draw(st.lists(st.integers(-1, n + m + 2), max_size=6))
+        y = draw(st.integers(-3, n + m + 2))
+    values = {
+        "--n": str(n),
+        "--m": str(m),
+        "--k": draw(st.none() | st.integers(-2, 70).map(str)),
+        "--d": draw(st.none() | st.integers(-2, 70).map(str)),
+        "--avoid": ",".join(map(str, avoid)),
+        "--y": str(y),
+    }
+    if draw(st.integers(0, 3)) == 0:
+        values[draw(st.sampled_from(sorted(values)))] = draw(
+            st.sampled_from([None, "", "x", "1.5", "3,,4"])
+        )
+    return ["code", *_flags(values)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_code_argv())
+def test_code_on_arbitrary_arguments_exits_cleanly(argv):
+    assert_exits_cleanly(argv)
+
+
+@st.composite
+def _bound_argv(draw) -> list[str]:
+    """A bound command line with --n up to 10^6, any float --c (or none) and
+    --minimal on or off, sometimes with a value spoiled or dropped."""
+    values = {
+        "--n": str(draw(st.integers(-2, 10**6) | st.integers(-2, 64))),
+        "--c": draw(st.none() | st.floats().map(repr) | st.floats(-10, 10).map(repr)),
+    }
+    if draw(st.integers(0, 4)) == 0:
+        values[draw(st.sampled_from(sorted(values)))] = draw(st.sampled_from([None, "", "x", "1e", "2.5"]))
+    argv = ["bound", *_flags(values)]
+    return argv + ["--minimal"] if draw(st.booleans()) else argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_bound_argv())
+def test_bound_on_arbitrary_arguments_exits_cleanly(argv):
+    assert_exits_cleanly(argv)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -199,9 +199,9 @@ def test_sample_draws_stop_once_every_permutation_is_seen(monkeypatch):
         draws.append(tuple(real_sample(self, population, k)))
         return list(draws[-1])
 
-    full = _sampled_perm_images(2, 3, 100, seed=4)
+    full = list(_sampled_perm_images(2, 3, 100, seed=4))
     monkeypatch.setattr(random.Random, "sample", counting_sample)
-    got = _sampled_perm_images(2, 3, 10**6, seed=4)
+    got = list(_sampled_perm_images(2, 3, 10**6, seed=4))
     assert got == full and len(full) == factorial(3)
     # the last draw is the one that completes the set
     assert len(set(draws[:-1])) == factorial(3) - 1 and draws[-1] not in draws[:-1]
