@@ -563,7 +563,11 @@ def lll_family(cfg: LllConfig) -> WeightedFamily:
             if want != (f in fam):
                 toggle(f)
 
-    return sorted_family(fam, ground, m)
+    out = sorted_family(fam, ground, m)
+    # The loop ends only with viol_a and viol_b empty, so the conditions hold:
+    # seed the cached violations instead of counting the family again.
+    out.__dict__["violations"] = ((), ())
+    return out
 
 
 def probabilistic_coloring(n: int, m: int, fam: WeightedFamily) -> Coloring:

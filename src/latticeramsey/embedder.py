@@ -132,12 +132,47 @@ def embed_with_permutation(
     failed proper subset, and the blocking-chain prefix is copied from the
     colex-first proper subset attaining the maximum level.  Both are read
     from per-subset tables, so a run does O(n * 2^n) work, not O(3^n).
+    """
+    rec = _embed(coloring, n, k, perm, cut_at_failure=False)
+    assert isinstance(rec, EmbedRecord)
+    return rec
+
+
+def _ascending_below(size: int, cut: list[int]) -> Iterator[SetWord]:
+    """0 .. size-1 ascending, skipping each number with cut[0] or more bits.
+
+    cut[0] is read again after every yield, so the caller may lower it as it
+    goes.  Every number in [a, a + (a & -a)) holds all bits of a, so a number
+    with too many bits skips that whole run in one step.
+    """
+    a = 0
+    while a < size:
+        yield a
+        a += 1
+        while a < size and a.bit_count() >= cut[0]:
+            a += a & -a
+
+
+def _embed(
+    coloring: Coloring, n: int, k: int, perm: Permutation, cut_at_failure: bool
+) -> EmbedRecord | Chain:
+    """The embedding loop: the full record, or with cut_at_failure the
+    blocking chain of the first failed subset in rank order once it is known.
 
     Every subset A is read through the table of its immediate subsets only,
     so any order that puts subsets first gives the same tables; ascending
     numeric order does (a submask is never larger).  The colors of level i,
     the sets A | prefix_i, are one contiguous range of SetWords, read once
     with Coloring.blue_range on the first probe of that level.
+
+    With cut_at_failure, a failure of cardinality c skips every later subset
+    of cardinality >= c.  None of those can come first in rank order, which
+    is colex (= numeric) order within a cardinality; every subset still run
+    has all of its subsets run; and an inherited failure can only land on a
+    skipped subset, since failures form an up-set.  So the last failure run
+    is the rank-first failed subset, failing on its own scan, and its chain
+    comes from the same tables as in the full run.  The record is built only
+    when no subset fails, and then every subset has run.
     """
     _check_sizes(coloring, n, k)
     if perm.base != n or perm.width != k:
@@ -160,8 +195,10 @@ def embed_with_permutation(
     # Either way the winner is s = full ^ (best & full), at level best >> n.
     best = [0] * size
     failed = (k + 1) << n
+    cut = [n + 1]  # no subset has n + 1 elements
+    last_failure = -1
 
-    for a in range(size):
+    for a in _ascending_below(size, cut) if cut_at_failure else range(size):
         top = 0
         rest = a
         while rest:
@@ -192,6 +229,9 @@ def embed_with_permutation(
             best[a] = own if own > top else top
         else:
             best[a] = failed | (full ^ a)
+            if cut_at_failure:
+                cut[0] = a.bit_count()
+                last_failure = a
 
         # The donor is the colex-first proper subset attaining the maximum
         # level.  A subset that adds no blue set shares the donor's Chain.
@@ -202,6 +242,8 @@ def embed_with_permutation(
             new_blue = tuple(a | prefixes[i] for i in range(beta, min(level, k + 1)))
             chains[a] = Chain(donor.sets + new_blue)  # type: ignore[union-attr]
 
+    if last_failure >= 0:
+        return chains[last_failure]  # type: ignore[return-value]
     return EmbedRecord(
         n,
         k,
@@ -328,18 +370,16 @@ def sweep_permutations(
     recover_ok = True
     run = 0
     for img in perm_images:
-        perm = Permutation(n, k, img)
-        rec = embed_with_permutation(coloring, n, k, perm)
+        # a failed permutation stops at its rank-first failed subset (_embed)
+        out = _embed(coloring, n, k, Permutation(n, k, img), cut_at_failure=True)
         run += 1
-        if rec.succeeded:
+        if isinstance(out, EmbedRecord):
             return SweepReport(
-                n, k, mode_desc, run, rec, tuple(failures), (), None, recover_ok
+                n, k, mode_desc, run, out, tuple(failures), (), None, recover_ok
             )
-        chain = rec.failure_chain()
-        assert chain is not None
-        if tuple(recover_permutation(chain, n)) != img:
+        if tuple(recover_permutation(out, n)) != img:
             recover_ok = False
-        failures.append((img, chain))
+        failures.append((img, out))
 
     endpoint_owner: dict[tuple[SetWord, SetWord], tuple[int, ...]] = {}
     collisions: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
@@ -442,10 +482,26 @@ def counting_bound(n: int, c: float) -> BoundReport:
 
 
 def minimal_k(n: int) -> int:
-    """Least k with k! > 2^(2(n+k)), decided exactly by a linear scan from 1."""
+    """Least k with k! > 2^(2(n+k)), decided exactly at each probe.
+
+    The predicate is false for k <= 4 (k! <= 24) and, from k = 4 on, its
+    log-margin log2 k! - 2(n+k) grows by log2(k+1) - 2 > 0 per step, so it is
+    false and then true for every larger k.  Doubling brackets the crossing
+    and bisection finds it, in O(log n) probes.
+    """
     if n < 2:
         raise ValueError("n must be >= 2")
-    k = 1
-    while not _factorial_exceeds_power(k, 2 * (n + k))[0]:
-        k += 1
-    return k
+
+    def exceeds(k: int) -> bool:
+        return _factorial_exceeds_power(k, 2 * (n + k))[0]
+
+    lo, hi = 4, 8  # exceeds(lo) is false
+    while not exceeds(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:  # exceeds(lo) is false and exceeds(hi) true
+        mid = (lo + hi) // 2
+        if exceeds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi

@@ -362,9 +362,19 @@ def verify_embedding(rec: EmbedRecord, coloring: Coloring) -> CheckResult:
     if coloring.ground_n != n + k:
         raise ValueError("record and coloring dimensions do not match")
     size = 1 << n
+    full = size - 1
     if not (len(rec.images) == len(rec.levels) == len(rec.chains) == size):
         return CheckResult(False, None, "table sizes do not match 2^n")
     prefixes = [rec.perm.prefix_mask(i) for i in range(k + 1)]
+    # The sets A | prefix_i of level i are one contiguous range of SetWords,
+    # so each level's colors are read once, on first use, as the embedder does.
+    level_blue: list[Optional[bytes]] = [None] * (k + 1)
+
+    def blue_at(i: int, a: SetWord) -> int:
+        blue = level_blue[i]
+        if blue is None:
+            blue = level_blue[i] = coloring.blue_range(prefixes[i], size)
+        return blue[a >> 3] >> (a & 7) & 1
 
     for a in range(size):
         lvl = rec.levels[a]
@@ -379,9 +389,9 @@ def verify_embedding(rec: EmbedRecord, coloring: Coloring) -> CheckResult:
                 return CheckResult(False, (a,), "image missing at non-failure level")
             if img != a | prefixes[lvl]:
                 return CheckResult(False, (a,), "image is not A + permuted prefix")
-            if img & full_mask(n) != a:
+            if img & full != a:
                 return CheckResult(False, (a,), "image meets [n] beyond A")
-            if coloring.is_blue(img):
+            if blue_at(lvl, a):
                 return CheckResult(False, (a,), "image is not red")
 
     # Monotonicity is checked on the covering pairs (A - {x}, A) only.  A is
@@ -412,9 +422,11 @@ def verify_embedding(rec: EmbedRecord, coloring: Coloring) -> CheckResult:
         if len(chain) != min(rec.levels[a], k + 1):
             return CheckResult(False, (a,), "chain length differs from level")
         for i, s in enumerate(chain):
-            if not coloring.is_blue(s):
+            # a set off its level's range (wrong top part) is read on its own
+            top = s & ~full
+            if not (blue_at(i, s & full) if top == prefixes[i] else coloring.is_blue(s)):
                 return CheckResult(False, (a,), "chain contains a red set")
-            if s & ~full_mask(n) != prefixes[i]:
+            if top != prefixes[i]:
                 return CheckResult(False, (a,), "chain step has wrong top part")
         if 1 <= rec.levels[a] <= k:
             if not is_subset(chain[rec.levels[a] - 1], rec.images[a]):

@@ -296,6 +296,87 @@ def naive_embed(is_blue, n, k, perm_image):
     return images, levels, chains
 
 
+def naive_sweep(coloring, n, k, mode, sample_count=0, seed=0):
+    """sweep_permutations from the definitions, as the JSON object of its
+    report.  Each permutation runs naive_embed in full; a failed one is named
+    by the chain of its failed subset first in cardinality-then-colex order,
+    and the first permutation with no failed subset ends the sweep."""
+    top = list(range(n + 1, n + k + 1))
+    if mode == "all":
+        images = list(permutations(top))
+        desc = "all"
+    else:
+        rng = random.Random(seed)
+        images = []
+        for _ in range(sample_count):
+            img = tuple(rng.sample(top, k))
+            if img not in images:
+                images.append(img)
+            if len(images) == factorial(k):
+                break
+        desc = f"sample({sample_count}, seed={seed})"
+
+    def mask(fs):
+        return sum(1 << (x - 1) for x in fs)
+
+    def is_blue(fs):
+        return coloring.is_blue(mask(fs))
+
+    subsets = [frozenset(c) for r in range(n + 1) for c in combinations(range(1, n + 1), r)]
+    by_rank = sorted(subsets, key=lambda a: (len(a), _colex_key(a)))
+    by_mask = sorted(subsets, key=mask)
+
+    def chain_obj(chain):
+        return {"sets": [sorted(s) for s in chain]}
+
+    base = frozenset(range(1, n + 1))
+
+    def recovers(img, chain):
+        """Set i of the chain holds i top elements, the i-th being img[i-1]."""
+        tops = [s - base for s in chain]
+        return len(chain) == k + 1 and all(
+            len(t) == i and (i == 0 or t - tops[i - 1] == {img[i - 1]})
+            for i, t in enumerate(tops)
+        )
+
+    def report(run, success, failures, collisions, injective):
+        recover_ok = all(recovers(img, chain) for img, chain in failures)
+        return {
+            "n": n,
+            "k": k,
+            "mode": desc,
+            "perms_run": run,
+            "success": success,
+            "failures": [{"perm": list(img), "chain": chain_obj(c)} for img, c in failures],
+            "collisions": [[list(p), list(q)] for p, q in collisions],
+            "injective": injective,
+            "recover_ok": recover_ok,
+        }
+
+    failures = []
+    for run, img in enumerate(images, 1):
+        imgs, levels, chains = naive_embed(is_blue, n, k, img)
+        first = next((a for a in by_rank if imgs[a] is None), None)
+        if first is None:
+            success = {
+                "n": n,
+                "k": k,
+                "perm": list(img),
+                "images": [sorted(imgs[a]) for a in by_mask],
+                "levels": [levels[a] for a in by_mask],
+                "chains": [chain_obj(chains[a]) for a in by_mask],
+            }
+            return report(run, success, failures, [], None)
+        failures.append((img, chains[first]))
+    # each later permutation pairs with the first whose chain has its endpoints
+    collisions = []
+    for j, (q, cq) in enumerate(failures):
+        owner = next((p for p, cp in failures[:j] if (cp[0], cp[-1]) == (cq[0], cq[-1])), None)
+        if owner is not None:
+            collisions.append((owner, q))
+    return report(len(images), None, failures, collisions, not collisions)
+
+
 def naive_verify_embedding(rec, coloring):
     """The embedding re-check with nothing skipped.
 

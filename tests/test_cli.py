@@ -750,10 +750,10 @@ def test_code_on_arbitrary_arguments_exits_cleanly(argv):
 
 @st.composite
 def _bound_argv(draw) -> list[str]:
-    """A bound command line with --n up to 10^6, any float --c (or none) and
+    """A bound command line with --n up to 10^11, any float --c (or none) and
     --minimal on or off, sometimes with a value spoiled or dropped."""
     values = {
-        "--n": str(draw(st.integers(-2, 10**6) | st.integers(-2, 64))),
+        "--n": str(draw(st.integers(-2, 10**11) | st.integers(-2, 64))),
         "--c": draw(st.none() | st.floats().map(repr) | st.floats(-10, 10).map(repr)),
     }
     if draw(st.integers(0, 4)) == 0:

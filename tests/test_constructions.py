@@ -28,6 +28,8 @@ from latticeramsey.constructions import (
 )
 from latticeramsey.lattice import (
     elements_of,
+    event_counts,
+    event_violations,
     full_mask,
     mask_of,
     sorted_family,
@@ -303,17 +305,22 @@ def test_lll_family_matches_min_scan_oracle():
     assert outcomes["ok"] >= 15 and outcomes["exhausted"] >= 200
 
 
+PINNED_LLL_RUNS = [
+    # the certify benchmark's construct lll runs (CLI seeds 1, 2, 6, 9)
+    (16, 4, 0.10, derive_seed(1, 0)),
+    (20, 4, 0.08, derive_seed(2, 0)),
+    (24, 4, 0.07, derive_seed(6, 0)),
+    (24, 4, 0.07, derive_seed(9, 0)),
+    # A6's pinned (40, 3) run
+    (40, 3, 0.02, 6),
+]
+
+
 @pytest.mark.parametrize(
     "n, m, p, seed, budget",
-    [
-        # the certify benchmark's construct lll runs (CLI seeds 1, 2, 6, 9)
-        (16, 4, 0.10, derive_seed(1, 0), 10**6),
-        (20, 4, 0.08, derive_seed(2, 0), 10**6),
-        (24, 4, 0.07, derive_seed(6, 0), 10**6),
-        (24, 4, 0.07, derive_seed(9, 0), 10**6),
-        # A6's pinned (40, 3) run
-        (40, 3, 0.02, 6, 10**6),
-        # the same runs cut short
+    [(*run, 10**6) for run in PINNED_LLL_RUNS]
+    + [
+        # two of them cut short
         (24, 4, 0.07, derive_seed(6, 0), 40),
         (40, 3, 0.02, 6, 500),
     ],
@@ -323,6 +330,15 @@ def test_lll_family_matches_min_scan_oracle_on_pinned_runs(n, m, p, seed, budget
     got = _resample_outcome(lll_family, cfg)
     assert got == _resample_outcome(naive_lll_family, cfg)
     assert got[0] == ("ok" if budget == 10**6 else "exhausted")
+
+
+@pytest.mark.parametrize("n, m, p, seed", PINNED_LLL_RUNS)
+def test_lll_family_seeds_the_violations_a_fresh_count_finds(n, m, p, seed):
+    fam = lll_family(LllConfig(n, m, p_inclusion=p, seed=seed))
+    # seeded by lll_family itself, so reading it counts nothing
+    assert "violations" in vars(fam)
+    counts = event_counts(fam.members, fam.ground_n)
+    assert fam.violations == event_violations(*counts, fam.ground_n, m) == ((), ())
 
 
 def test_probabilistic_coloring_toy():

@@ -207,6 +207,45 @@ def test_sample_draws_stop_once_every_permutation_is_seen(monkeypatch):
     assert len(set(draws[:-1])) == factorial(3) - 1 and draws[-1] not in draws[:-1]
 
 
+def sweep_text(coloring, n, k, mode, sample_count=0, seed=0):
+    """The sweep's report and naive_sweep's object, as certificate text."""
+    from naive import naive_sweep
+
+    report = sweep_permutations(coloring, n, k, mode, sample_count, seed)
+    got = "".join(json_pieces({"result": report.to_obj()}))
+    want = "".join(json_pieces({"result": naive_sweep(coloring, n, k, mode, sample_count, seed)}))
+    return report, got, want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(0, 8),
+    k=st.integers(0, 4),
+    density=st.sampled_from([0.0, 0.002, 0.02, 0.1, 0.3, 0.5, 0.8, 1.0]) | st.floats(0, 1),
+    seed=st.integers(0, 2**16),
+    sample=st.none() | st.tuples(st.integers(1, 30), st.integers(0, 99)),
+)
+def test_sweep_matches_naive_sweep(n, k, density, seed, sample):
+    coloring = random_dense(n + k, seed, density)
+    mode, count, draw_seed = ("all", 0, 0) if sample is None else ("sample", *sample)
+    _, got, want = sweep_text(coloring, n, k, mode, count, draw_seed)
+    assert got == want
+
+
+def test_sweep_succeeds_after_failed_permutations():
+    # over the top elements 4, 5, 6, every level of the empty set is blue
+    # unless the permutation starts with 6: the lexicographic sweep fails four
+    # times at the empty set, then embeds everything at level 1 (the sample
+    # from seed 1 draws three permutations before one that starts with 6)
+    blue = [mask_of(s) for s in ([], [4], [5], [4, 5], [4, 6], [5, 6], [4, 5, 6])]
+    coloring = Coloring.dense(6, blue)
+    for mode, count in (("all", 0), ("sample", 20)):
+        report, got, want = sweep_text(coloring, 3, 3, mode, count, seed=1)
+        assert got == want
+        assert report.success is not None and report.success.perm.image[0] == 6
+        assert len(report.failures) == report.perms_run - 1 >= 2
+
+
 def test_sweep_guard():
     c = random_dense(5, seed=1)
     with pytest.raises(ValueError):
@@ -413,8 +452,18 @@ def test_minimal_k_small_values_exact():
 def test_minimal_k_matches_original_scan():
     from naive import naive_minimal_k
 
-    for n in list(range(2, 501)) + [10**4, 10**5, 10**6]:
+    for n in list(range(2, 3001)) + [10**4, 10**5, 10**6]:
         assert minimal_k(n) == naive_minimal_k(n)
+
+
+@pytest.mark.parametrize("n", [10**9, 10**11])
+def test_minimal_k_crosses_exactly_at_large_n(n):
+    # past the linear scan's reach: k is the first k with k! > 2^(2(n+k))
+    from latticeramsey.embedder import _factorial_exceeds_power
+
+    k = minimal_k(n)
+    assert _factorial_exceeds_power(k, 2 * (n + k))[0]
+    assert not _factorial_exceeds_power(k - 1, 2 * (n + k - 1))[0]
 
 
 def test_stirling_remark_fields_reported_not_asserted():

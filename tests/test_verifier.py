@@ -7,7 +7,7 @@ from math import comb, e
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from latticeramsey.constructions import (
     LllConfig,
@@ -18,6 +18,7 @@ from latticeramsey.constructions import (
 )
 from latticeramsey.embedder import embed_with_permutation
 from latticeramsey.lattice import (
+    Chain,
     Coloring,
     Permutation,
     WeightedFamily,
@@ -516,3 +517,40 @@ def test_verify_embedding_matches_all_pairs_oracle():
             details.add(got.detail)
     assert "all embedding properties verified" in details
     assert "level not monotone under inclusion" in details
+
+
+def _verdict(check, rec, coloring):
+    """check's CheckResult, or the text of the ValueError it raised."""
+    try:
+        return check(rec, coloring)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(0, 6),
+    k=st.integers(0, 4),
+    density=st.sampled_from([0.0, 0.05, 0.2, 0.5, 0.9]) | st.floats(0, 1),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_verify_embedding_matches_naive_on_tampered_records(n, k, density, seed, data):
+    rng = random.Random(seed)
+    coloring = Coloring.dense(n + k, [s for s in range(1 << (n + k)) if rng.random() < density])
+    image = tuple(data.draw(st.permutations(range(n + 1, n + k + 1))))
+    rec = embed_with_permutation(coloring, n, k, Permutation(n, k, image))
+    records = _tampered_records(rec, coloring, rng)
+    # The last set of a chain gains one element: a base element keeps it on
+    # its level's range, a top element moves it off (read on its own), and
+    # element n + k + 1 takes it out of the cube (a ValueError from both).
+    a = data.draw(st.integers(0, (1 << n) - 1))
+    chain = rec.chains[a]
+    bit = 1 << data.draw(st.integers(0, n + k))
+    if len(chain) and not chain[-1] & bit:
+        chains = list(rec.chains)
+        chains[a] = Chain(chain.sets[:-1] + (chain[-1] | bit,))
+        records.append(replace(rec, chains=tuple(chains)))
+    for forged in records:
+        want = _verdict(naive_verify_embedding, forged, coloring)
+        assert _verdict(verify_embedding, forged, coloring) == want
