@@ -63,11 +63,8 @@ class EmbedRecord:
         return all(img is not None for img in self.images)
 
     def first_failure(self) -> Optional[SetWord]:
-        """The failed subset first in cardinality-then-colex order, or None.
-
-        This tie-break, not the embedder's ascending numeric fill order, picks
-        the subset whose chain failure_chain returns.
-        """
+        """The failed subset first in cardinality-then-colex order, or None:
+        the subset at which a sweep stops, whose chain failure_chain returns."""
         for a in subsets_by_rank(self.n):
             if self.images[a] is None:
                 return a
@@ -133,72 +130,48 @@ def embed_with_permutation(
     colex-first proper subset attaining the maximum level.  Both are read
     from per-subset tables, so a run does O(n * 2^n) work, not O(3^n).
     """
-    rec = _embed(coloring, n, k, perm, cut_at_failure=False)
+    _check_sizes(coloring, n, k)
+    if perm.base != n or perm.width != k:
+        raise ValueError("permutation dimensions do not match (n, k)")
+    rec = _embed(coloring, n, k, perm, stop_at_failure=False)
     assert isinstance(rec, EmbedRecord)
     return rec
 
 
-def _ascending_below(size: int, cut: list[int]) -> Iterator[SetWord]:
-    """0 .. size-1 ascending, skipping each number with cut[0] or more bits.
-
-    cut[0] is read again after every yield, so the caller may lower it as it
-    goes.  Every number in [a, a + (a & -a)) holds all bits of a, so a number
-    with too many bits skips that whole run in one step.
-    """
-    a = 0
-    while a < size:
-        yield a
-        a += 1
-        while a < size and a.bit_count() >= cut[0]:
-            a += a & -a
-
-
 def _embed(
-    coloring: Coloring, n: int, k: int, perm: Permutation, cut_at_failure: bool
+    coloring: Coloring, n: int, k: int, perm: Permutation, stop_at_failure: bool
 ) -> EmbedRecord | Chain:
-    """The embedding loop: the full record, or with cut_at_failure the
-    blocking chain of the first failed subset in rank order once it is known.
+    """The embedding loop: the full record, or with stop_at_failure the
+    blocking chain of the first failed subset in rank order.
 
     Every subset A is read through the table of its immediate subsets only,
-    so any order that puts subsets first gives the same tables; ascending
-    numeric order does (a submask is never larger).  The colors of level i,
-    the sets A | prefix_i, are one contiguous range of SetWords, read once
-    with Coloring.blue_range on the first probe of that level.
-
-    With cut_at_failure, a failure of cardinality c skips every later subset
-    of cardinality >= c.  None of those can come first in rank order, which
-    is colex (= numeric) order within a cardinality; every subset still run
-    has all of its subsets run; and an inherited failure can only land on a
-    skipped subset, since failures form an up-set.  So the last failure run
-    is the rank-first failed subset, failing on its own scan, and its chain
-    comes from the same tables as in the full run.  The record is built only
-    when no subset fails, and then every subset has run.
+    so any order that puts subsets first gives the same tables.  A full run
+    takes ascending numeric order, the cheapest to generate.  With
+    stop_at_failure the loop takes rank order (cardinality, then colex) and
+    returns at the first failure it meets: that subset fails on its own scan,
+    since an inherited failure needs an earlier one, and it is the rank-first
+    failed subset.  The colors of level i, the sets A | prefix_i, are one
+    contiguous range of SetWords, read once with Coloring.blue_range.
     """
-    _check_sizes(coloring, n, k)
-    if perm.base != n or perm.width != k:
-        raise ValueError("permutation dimensions do not match (n, k)")
-
     size = 1 << n
     full = size - 1
     prefixes = [perm.prefix_mask(i) for i in range(k + 1)]
     level_blue: list[Optional[bytes]] = [None] * (k + 1)
 
-    images: list[Optional[SetWord]] = [None] * size
-    levels = [0] * size
     chains: list[Optional[Chain]] = [None] * size
     # best[A] is the max over all submasks s of A, A included, filled from
     # the n immediate subsets A - {x} (every proper submask lies below one).
-    # A non-failed s counts as levels[s] * 2^n + (2^n - 1 - s), so the max is
+    # A non-failed s counts as level(s) * 2^n + (2^n - 1 - s), so the max is
     # the highest level, then the least (colex-first) s attaining it.  A
     # failed s counts as (k+1) * 2^n + (2^n - 1 - s), above every non-failed
     # one: once a subset fails every superset fails, from the least failed s.
     # Either way the winner is s = full ^ (best & full), at level best >> n.
+    # A's own level is at least that of each subset, so best[A] >> n is the
+    # level of A (k+1 on failure): the record's levels and images are read
+    # off best after the loop.
     best = [0] * size
-    failed = (k + 1) << n
-    cut = [n + 1]  # no subset has n + 1 elements
-    last_failure = -1
 
-    for a in _ascending_below(size, cut) if cut_at_failure else range(size):
+    for a in subsets_by_rank(n) if stop_at_failure else range(size):
         top = 0
         rest = a
         while rest:
@@ -210,7 +183,6 @@ def _embed(
         beta = top >> n
         if beta > k:  # failure propagates from the least failed proper subset
             best[a] = top
-            levels[a] = k + 1
             chains[a] = chains[full ^ (top & full)]
             continue
 
@@ -222,17 +194,6 @@ def _embed(
             if not blue[a >> 3] >> (a & 7) & 1:
                 level = i
                 break
-        levels[a] = level
-        if level <= k:
-            images[a] = a | prefixes[level]
-            own = (level << n) | (full ^ a)
-            best[a] = own if own > top else top
-        else:
-            best[a] = failed | (full ^ a)
-            if cut_at_failure:
-                cut[0] = a.bit_count()
-                last_failure = a
-
         # The donor is the colex-first proper subset attaining the maximum
         # level.  A subset that adds no blue set shares the donor's Chain.
         donor = chains[full ^ (top & full)] if beta > 0 else EMPTY_CHAIN
@@ -242,14 +203,21 @@ def _embed(
             new_blue = tuple(a | prefixes[i] for i in range(beta, min(level, k + 1)))
             chains[a] = Chain(donor.sets + new_blue)  # type: ignore[union-attr]
 
-    if last_failure >= 0:
-        return chains[last_failure]  # type: ignore[return-value]
+        if level <= k:
+            own = (level << n) | (full ^ a)
+            best[a] = own if own > top else top
+        elif stop_at_failure:
+            return chains[a]  # type: ignore[return-value]
+        else:
+            best[a] = ((k + 1) << n) | (full ^ a)
+
+    levels = tuple(b >> n for b in best)
     return EmbedRecord(
         n,
         k,
         perm,
-        tuple(images),
-        tuple(levels),
+        tuple(None if lv > k else a | prefixes[lv] for a, lv in enumerate(levels)),
+        levels,
         tuple(chains),  # type: ignore[arg-type]
     )
 
@@ -371,7 +339,7 @@ def sweep_permutations(
     run = 0
     for img in perm_images:
         # a failed permutation stops at its rank-first failed subset (_embed)
-        out = _embed(coloring, n, k, Permutation(n, k, img), cut_at_failure=True)
+        out = _embed(coloring, n, k, Permutation(n, k, img), stop_at_failure=True)
         run += 1
         if isinstance(out, EmbedRecord):
             return SweepReport(

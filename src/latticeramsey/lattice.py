@@ -569,11 +569,6 @@ class SetList(tuple):
     __slots__ = ()
 
 
-def dumps(obj) -> str:
-    """Serialize any of the package's JSON-able objects to text."""
-    return json.dumps(obj.to_obj(), sort_keys=True)
-
-
 def json_pieces(obj) -> list[str]:
     """The text of json.dumps(obj, sort_keys=True, indent=2), as a list of pieces.
 

@@ -19,8 +19,9 @@ from .lattice import Chain, Coloring, SetWord, elements_of, is_subset, subsets_b
 
 DEFAULT_NODE_BUDGET = 10**8
 MAX_SCAN_GROUND = 5
-# The layered witness is searched on all of Q_{m+n-1}: at m = n = 8 (N = 15)
-# that took 2.4 s and 293 MiB, at m = n = 9 (N = 17) 31.6 s and 4.4 GiB.
+# coloring_is_ramsey searches the whole of Q_N, whose order takes about
+# 2^(2N)/4 bytes: the layered witness (N = m+n-1) at m = n = 8 (N = 15) took
+# 2.4 s and 293 MiB, at m = n = 9 (N = 17) 31.6 s and 4.4 GiB.
 MAX_LAYERED_GROUND = 15
 
 
@@ -301,6 +302,8 @@ def coloring_is_ramsey(
     if m < 0 or n < 0:
         raise ValueError("pattern dimension must be >= 0")
     ground = coloring.ground_n
+    if ground > MAX_LAYERED_GROUND:  # before densify and the order of Q_N
+        raise ValueError(f"Ramsey search needs a ground of at most {MAX_LAYERED_GROUND}")
     blue = int.from_bytes(coloring.densify().blue_bits, "little")
     words = range(1 << ground)
     up, down = _cube(ground) if ground <= MAX_SCAN_GROUND else _order(words)

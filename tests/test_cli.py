@@ -20,6 +20,8 @@ from latticeramsey.cli import main
 from latticeramsey.lattice import elements_of, layer
 from latticeramsey.oracle import SearchExhausted
 
+from helpers import dumps
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -71,7 +73,7 @@ def test_construct_layered_then_verify_ramsey(tmp_path, capsys):
 
 def test_verify_witness_exit_code(tmp_path, capsys):
     # an all-blue dense coloring of Q_2 contains a blue pair
-    from latticeramsey.lattice import Coloring, dumps
+    from latticeramsey.lattice import Coloring
 
     path = tmp_path / "allblue.json"
     path.write_text(dumps(Coloring.dense(2, range(4))))
@@ -84,7 +86,7 @@ def test_verify_witness_exit_code(tmp_path, capsys):
 
 
 def test_embed_single_permutation(tmp_path, capsys):
-    from latticeramsey.lattice import Coloring, dumps
+    from latticeramsey.lattice import Coloring
 
     path = tmp_path / "allred.json"
     path.write_text(dumps(Coloring.dense(3, [])))
@@ -99,7 +101,7 @@ def test_embed_single_permutation(tmp_path, capsys):
 @pytest.mark.parametrize("blue", [[], [0b101]])
 def test_embed_empty_permutation_at_width_zero(tmp_path, capsys, blue):
     from latticeramsey.embedder import EmbedRecord
-    from latticeramsey.lattice import Coloring, dumps
+    from latticeramsey.lattice import Coloring
 
     path = tmp_path / "q3.json"
     path.write_text(dumps(Coloring.dense(3, blue)))
@@ -116,7 +118,7 @@ def test_embed_empty_permutation_at_width_zero(tmp_path, capsys, blue):
 
 
 def test_embed_empty_permutation_at_positive_width_is_usage(tmp_path, capsys):
-    from latticeramsey.lattice import Coloring, dumps
+    from latticeramsey.lattice import Coloring
 
     path = tmp_path / "q3.json"
     path.write_text(dumps(Coloring.dense(3, [])))
@@ -125,7 +127,7 @@ def test_embed_empty_permutation_at_positive_width_is_usage(tmp_path, capsys):
 
 
 def test_embed_sweep_all(tmp_path, capsys):
-    from latticeramsey.lattice import Coloring, dumps
+    from latticeramsey.lattice import Coloring
 
     blue = [(1 << j) - 1 for j in range(5)]
     path = tmp_path / "chain.json"
@@ -312,7 +314,7 @@ def test_code_with_y_outside_the_ground_is_usage(capsys, y):
 
 
 def test_verify_code_statement(tmp_path, capsys):
-    from latticeramsey.lattice import Coloring, dumps
+    from latticeramsey.lattice import Coloring
 
     path = tmp_path / "any.json"
     path.write_text(dumps(Coloring.structured(5, blue_layers={1})))
@@ -370,6 +372,20 @@ def test_layered_witness_over_the_cap_is_usage(capsys, m, n):
     assert f"m + n - 1 <= {MAX_LAYERED_GROUND}" in usage_error_line(capsys)
 
 
+def test_ramsey_check_on_q16_is_usage(tmp_path, capsys):
+    # coloring_is_ramsey searches the whole cube, whose order alone would
+    # take about 1 GiB at N = 16; the file is refused before densify
+    from latticeramsey.lattice import Coloring
+    from latticeramsey.oracle import MAX_LAYERED_GROUND
+
+    path = tmp_path / "q16.json"
+    path.write_text(dumps(Coloring.structured(16, blue_layers={0, 8})))
+    start = time.monotonic()
+    assert main(["verify", "--coloring", str(path), "--ramsey", "2,2"]) == 2
+    assert time.monotonic() - start < 1
+    assert f"at most {MAX_LAYERED_GROUND}" in usage_error_line(capsys)
+
+
 def test_malformed_thread_flag_is_usage(capsys):
     assert main(["--threads", "abc", "bound", "--n", "2", "--minimal"]) == 2
     assert "--threads" in usage_error_line(capsys)
@@ -402,7 +418,7 @@ def usage_error_line(capsys):
     ],
 )
 def test_bad_code_statement_is_usage(tmp_path, capsys, statement):
-    from latticeramsey.lattice import Coloring, dumps
+    from latticeramsey.lattice import Coloring
 
     path = tmp_path / "any.json"
     path.write_text(dumps(Coloring.structured(5, blue_layers={1})))
@@ -433,7 +449,7 @@ def test_construction_and_shape_errors_are_usage(tmp_path, capsys, construct, ve
 def test_verify_reads_the_partial_layer_of_a_code_coloring(tmp_path, capsys):
     # the low-block coloring of test_low_block_certifiers_read_a_blue_code:
     # its partial layer is a weight-3 code mod 2, which enumerates
-    from latticeramsey.lattice import Coloring, WeightedFamily, dumps, elements_of
+    from latticeramsey.lattice import Coloring, WeightedFamily, elements_of
     from naive import naive_check_conditions
 
     fam = WeightedFamily(7, 3, modp_p=2, modp_d=1)
@@ -454,7 +470,7 @@ def test_verify_reads_the_partial_layer_of_a_code_coloring(tmp_path, capsys):
 
 @pytest.mark.parametrize("check", [["--conditions"], ["--distance", "4"], ["--blue-free", "3"]])
 def test_code_plus_extras_coloring_is_usage(tmp_path, capsys, check):
-    from latticeramsey.lattice import Coloring, WeightedFamily, dumps, mask_of
+    from latticeramsey.lattice import Coloring, WeightedFamily, mask_of
 
     fam = WeightedFamily(7, 3, modp_p=2, modp_d=1)
     extra = [mask_of([1, 2])]
@@ -496,7 +512,7 @@ def test_each_outcome_maps_to_its_exit_code(
     tmp_path, monkeypatch, capsys, outcome, code, command, exhaust_oracle
 ):
     from latticeramsey import cli
-    from latticeramsey.lattice import Coloring, dumps
+    from latticeramsey.lattice import Coloring
 
     blue, out = tmp_path / "allblue.json", tmp_path / "out.json"
     blue.write_text(dumps(Coloring.dense(2, range(4))))
@@ -642,7 +658,8 @@ def test_verify_on_arbitrary_coloring_json_exits_cleanly(tmp_path_factory, obj, 
 
 def assert_exits_cleanly(argv: list[str]) -> None:
     """Run main(argv): an exit code in {0,1,2,3}, on exit 2 one `error:` line
-    and no stdout, otherwise a certificate whose outcome matches the code."""
+    and no stdout, otherwise a certificate whose outcome matches the code
+    (exit 0 is "ok", or "unknown" for a threshold above the scanned range)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -651,7 +668,8 @@ def assert_exits_cleanly(argv: list[str]) -> None:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
     else:
-        assert json.loads(out.getvalue())["outcome"] == {0: "ok", 1: "witness", 3: "exhausted"}[code]
+        outcomes = {0: ("ok", "unknown"), 1: ("witness",), 3: ("exhausted",)}[code]
+        assert json.loads(out.getvalue())["outcome"] in outcomes
 
 
 @st.composite
@@ -685,7 +703,7 @@ def _embed_argv(draw, path: str, ground: int) -> list[str]:
 @settings(max_examples=300, deadline=None)
 @given(ground=st.integers(0, 5), structured=st.booleans(), seed=st.integers(0, 2**16), data=st.data())
 def test_embed_on_arbitrary_arguments_exits_cleanly(tmp_path_factory, ground, structured, seed, data):
-    from latticeramsey.lattice import Coloring, dumps
+    from latticeramsey.lattice import Coloring
 
     rng = random.Random(seed)
     coloring = Coloring.dense(ground, [s for s in range(1 << ground) if rng.random() < 0.2])
@@ -698,7 +716,7 @@ def test_embed_on_arbitrary_arguments_exits_cleanly(tmp_path_factory, ground, st
 
 @pytest.mark.parametrize("n, k, sample", [("1", "12", "200000"), ("1", "2000000", "1")])
 def test_oversized_sample_sweep_is_refused_before_drawing(tmp_path, capsys, n, k, sample):
-    from latticeramsey.lattice import Coloring, dumps
+    from latticeramsey.lattice import Coloring
 
     path = tmp_path / "q3.json"
     path.write_text(dumps(Coloring.dense(3, [1, 6])))
@@ -768,6 +786,75 @@ def test_bound_on_arbitrary_arguments_exits_cleanly(argv):
     assert_exits_cleanly(argv)
 
 
+@st.composite
+def _construct_argv(draw) -> list[str]:
+    """A construct command line with --m up to 4 and at most 200 resamples:
+    often only sizes in the variant's working range (--n up to 12 for layered
+    and lll), else --n up to 12 and every value drawn freely (any float
+    --p-incl, no valid variant) and sometimes one of them spoiled or dropped."""
+    n_range = {"layered": (1, 12), "lll": (1, 12), "modp": (34, 40), "pairs": (18, 20)}
+    variant = draw(st.sampled_from(sorted(n_range)))
+    if draw(st.booleans()):
+        values = {
+            "--n": str(draw(st.integers(*n_range[variant]))),
+            "--m": str(draw(st.integers(1, 4))),
+            "--max-resamples": str(draw(st.integers(0, 200))),
+        }
+        return ["construct", variant, *_flags(values)]
+    values = {
+        "--n": str(draw(st.integers(-2, 12))),
+        "--m": draw(st.none() | st.integers(-1, 4).map(str)),
+        "--k": draw(st.none() | st.integers(-1, 6).map(str)),
+        "--d": draw(st.none() | st.integers(-1, 6).map(str)),
+        "--p": draw(st.none() | st.integers(-1, 13).map(str)),
+        "--blue-layers": draw(
+            st.none() | st.lists(st.integers(-1, 16), max_size=4).map(lambda ls: ",".join(map(str, ls)))
+        ),
+        "--seed": draw(st.none() | st.integers(-3, 3).map(str)),
+        "--p-incl": draw(st.none() | st.floats().map(repr)),
+        "--max-resamples": str(draw(st.integers(-1, 200))),
+    }
+    if draw(st.integers(0, 3)) == 0:
+        values[draw(st.sampled_from(sorted(values)))] = draw(
+            st.sampled_from([None, "", "x", "1.5", "3,,4"])
+        )
+    return ["construct", draw(st.sampled_from([variant, "other"])), *_flags(values)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_construct_argv())
+def test_construct_on_arbitrary_arguments_exits_cleanly(argv):
+    assert_exits_cleanly(argv)
+
+
+@st.composite
+def _ramsey_argv(draw) -> list[str]:
+    """A ramsey command line with --max-N at most 3: often a valid one with m
+    and n at most 6, else values drawn freely (16 is past the layered cap)
+    and sometimes one of them spoiled or dropped."""
+    if draw(st.booleans()):
+        dims = st.integers(1, 6)
+        kind, max_n = st.sampled_from(["weak", "induced"]), st.integers(1, 3).map(str)
+    else:
+        dims = st.integers(-1, 6) | st.just(16)
+        kind, max_n = st.sampled_from(["weak", "induced", "strong"]), st.none() | st.integers(-1, 3).map(str)
+    values = {
+        "--m": str(draw(dims)),
+        "--n": str(draw(dims)),
+        "--kind": draw(kind),
+        "--max-N": draw(max_n),
+    }
+    if draw(st.integers(0, 3)) == 0:
+        values[draw(st.sampled_from(sorted(values)))] = draw(st.sampled_from([None, "", "x", "1.5"]))
+    return ["ramsey", *_flags(values)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_ramsey_argv())
+def test_ramsey_on_arbitrary_arguments_exits_cleanly(argv):
+    assert_exits_cleanly(argv)
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 # -o names the certificate file for these subcommands
 CERT_OUTPUT_COMMANDS = {"embed", "ramsey", "bound", "code"}
@@ -787,7 +874,7 @@ def readme_examples() -> list[list[str]]:
 
 
 def write_seeded_colorings():
-    from latticeramsey.lattice import Coloring, dumps
+    from latticeramsey.lattice import Coloring
 
     rng = random.Random(8)
     for name, density in (("dense.json", 0.3), ("sparse.json", 0.005)):

@@ -24,13 +24,14 @@ from latticeramsey.lattice import (
     Coloring,
     Permutation,
     WeightedFamily,
-    dumps,
     elements_of,
     json_pieces,
     mask_of,
 )
 from latticeramsey.oracle import CopyKind, find_copy
 from latticeramsey.verifier import verify_embedding
+
+from helpers import dumps
 
 
 def chain_blue_coloring(ground):
@@ -373,6 +374,8 @@ def test_structured_coloring_embeds_like_its_dense_copy(n, k, data):
     dense = coloring.densify()
     assert dense.is_dense
     assert embed_with_permutation(coloring, n, k, perm) == embed_with_permutation(dense, n, k, perm)
+    # a sweep reads colors through the same blue_range, and stops early on failure
+    assert sweep_permutations(coloring, n, k, mode="all") == sweep_permutations(dense, n, k, mode="all")
 
 
 def test_embed_matches_independent_reimplementation():

@@ -40,3 +40,30 @@ def test_no_unused_import():
                     if (alias.asname or alias.name.partition(".")[0]) not in used
                 ]
     assert found == []
+
+
+def _bound_names(stmt: ast.stmt) -> set[str]:
+    """The names a module-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return {node.id for t in targets if t is not None for node in ast.walk(t) if isinstance(node, ast.Name)}
+
+
+def test_no_unused_private_name():
+    # A module-level _name that no module reads is left over from deleted
+    # code.  Names read only inside their own definition (a recursive call)
+    # do not count as read.
+    defined, read = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            bound = _bound_names(stmt)
+            defined += [
+                (name, f"{path.name}:{stmt.lineno}")
+                for name in bound
+                if name.startswith("_") and not name.startswith("__")
+            ]
+            nodes = list(ast.walk(stmt))
+            read |= {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)} - bound
+            read |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    assert [f"{where} {name}" for name, where in defined if name not in read] == []

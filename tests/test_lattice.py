@@ -15,7 +15,6 @@ from latticeramsey.lattice import (
     Permutation,
     SetList,
     WeightedFamily,
-    dumps,
     elements_of,
     is_subset,
     iter_submasks,
@@ -23,6 +22,8 @@ from latticeramsey.lattice import (
     layer,
     mask_of,
 )
+
+from helpers import dumps
 
 masks6 = st.integers(min_value=0, max_value=63)
 
