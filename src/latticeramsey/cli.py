@@ -112,6 +112,18 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _glued(argv: list[str]) -> list[str]:
+    """argv with each `--c VALUE` written `--c=VALUE`, since argparse takes a
+    separate value such as -inf or -1e5 for an option, not for bound's float."""
+    out: list[str] = []
+    for arg in argv:
+        if out[-1:] == ["--c"]:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="latticeramsey",
@@ -364,7 +376,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     cert = _Certificate(argv)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_glued(argv))
         outcome = _HANDLERS[args.cmd](args, cert)
     except SystemExit:  # --help has been printed
         return EXIT_OK

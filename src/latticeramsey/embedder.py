@@ -16,8 +16,9 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from math import e, factorial, floor, inf, isfinite, lgamma, log2
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .lattice import (
     Chain,
@@ -48,7 +49,9 @@ class EmbedRecord:
     the assigned red set, or None on failure; levels[A] counts the top-block
     elements included in the image (k+1 marks failure); chains[A] is the
     blocking chain of blue sets encountered for A and its subsets.  A subset
-    that adds no blue set holds the same Chain object as its donor.
+    that adds no blue set holds the same Chain object as its donor, so the
+    record of a run holds one Chain per subset that adds blue sets, besides
+    EMPTY_CHAIN, and a writer renders each once.
     """
 
     n: int
@@ -127,99 +130,148 @@ def embed_with_permutation(
 
     Ties are broken deterministically: failure propagates from the colex-first
     failed proper subset, and the blocking-chain prefix is copied from the
-    colex-first proper subset attaining the maximum level.  Both are read
-    from per-subset tables, so a run does O(n * 2^n) work, not O(3^n).
+    colex-first proper subset attaining the maximum level.  The levels take
+    O(k * n) operations on 2^n-bit ints (_reach), and only the subsets whose
+    level differs from that of a subset one element smaller look for their
+    chain (_record).
     """
     _check_sizes(coloring, n, k)
     if perm.base != n or perm.width != k:
         raise ValueError("permutation dimensions do not match (n, k)")
-    rec = _embed(coloring, n, k, perm, stop_at_failure=False)
-    assert isinstance(rec, EmbedRecord)
-    return rec
+    return _record(n, k, perm, _reach(coloring, n, k, perm, []))
 
 
-def _embed(
-    coloring: Coloring, n: int, k: int, perm: Permutation, stop_at_failure: bool
-) -> EmbedRecord | Chain:
-    """The embedding loop: the full record, or with stop_at_failure the
-    blocking chain of the first failed subset in rank order.
+# _SPREAD[v] holds bit i of v as byte i
+_SPREAD = [bytes(bits[::-1]) for bits in itertools.product((0, 1), repeat=8)]
 
-    Every subset A is read through the table of its immediate subsets only,
-    so any order that puts subsets first gives the same tables.  A full run
-    takes ascending numeric order, the cheapest to generate.  With
-    stop_at_failure the loop takes rank order (cardinality, then colex) and
-    returns at the first failure it meets: that subset fails on its own scan,
-    since an inherited failure needs an earlier one, and it is the rank-first
-    failed subset.  The colors of level i, the sets A | prefix_i, are one
-    contiguous range of SetWords, read once with Coloring.blue_range.
+
+@lru_cache(maxsize=None)
+def _cube_bitsets(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Bitsets over the subsets of [n], bit a standing for subset a:
+    lacking[j] holds the subsets without element j+1, layers[c] those of size c."""
+    lacking, layers = [], [1]
+    for j in range(n):  # from [j] to [j+1]: the subsets with j+1 come above
+        h = 1 << j
+        lacking = [m | m << h for m in lacking] + [(1 << h) - 1]
+        layers = [lo | hi << h for lo, hi in zip(layers + [0], [0] + layers)]
+    return tuple(lacking), tuple(layers)
+
+
+def _reach(
+    coloring: Coloring, n: int, k: int, perm: Permutation, reach: list[int]
+) -> list[int]:
+    """[U_0, U_1, ...] up to U_{k+1} or the first empty U_t, continuing
+    `reach`, which may hold the first few already.
+
+    U_t is the bitset of the subsets at level >= t, so U_0 is every subset;
+    B_t is that of the a with a | prefix_t blue, one blue_range read.  Then
+    U_{t+1} is the up-closure of U_t & B_t, taken in n shift-and-or steps.
+    An a in U_t & B_t is at a level >= t whose set is blue, so it is past t,
+    and levels grow upwards.  Conversely, an a past t holds a minimal such s,
+    whose proper subsets are at levels <= t: s's scan starts at or below t
+    and passes t, so s | prefix_t is blue.  U_{k+1} is the failed set.  The
+    first empty U_t ends the run, so level t is read only when some subset
+    reaches it, as a scan subset by subset reads it.  U_{t+1} depends on the
+    first t images alone, so a sweep passes on those of the permutation before.
     """
-    size = 1 << n
-    full = size - 1
+    lacking = _cube_bitsets(n)[0]
+    reach = reach or [(1 << (1 << n)) - 1]
+    while reach[-1] and len(reach) <= k + 1:
+        blue = coloring.blue_range(perm.prefix_mask(len(reach) - 1), 1 << n)
+        x = reach[-1] & int.from_bytes(blue, "little")
+        for j, lack in enumerate(lacking):
+            x |= (x & lack) << (1 << j)
+        reach.append(x)
+    return reach
+
+
+def _record(n: int, k: int, perm: Permutation, reach: list[int]) -> EmbedRecord:
+    """The full record of a run from its U_t (_reach).
+
+    Chains by the highest-bit rule.  A subset that adds no blue set copies
+    the chain of the colex-first proper subset at its level L, failed or
+    not, which is r(a), the least submask of a at level L; so chains[a] is
+    the chain of r(a).  Let b be the highest bit of a with a ^ b at level L.
+    For each higher bit c, a ^ c is below L, so every submask of a at level
+    L holds all of a's bits above b; one that also held b would exceed
+    r(a ^ b), which lacks it.  So r(a) lies in a ^ b and r(a) = r(a ^ b).
+    With no such b, every proper subset is below L, and a adds blue sets
+    (_adder) unless L = 0, where its chain is EMPTY_CHAIN.
+    """
+    width = ((1 << n) + 7) >> 3
     prefixes = [perm.prefix_mask(i) for i in range(k + 1)]
-    level_blue: list[Optional[bytes]] = [None] * (k + 1)
+    # levels[a] counts the U_t, t >= 1, holding a: each U_t is spread to one
+    # byte per subset, and the spreads are summed as ints with no carry
+    rows = (u.to_bytes(width, "little") for u in reach[1:])
+    spreads = (int.from_bytes(b"".join(map(_SPREAD.__getitem__, r)), "little") for r in rows)
+    levels = sum(spreads).to_bytes(8 * width, "little")[: 1 << n]
+    chains = [Chain(tuple(prefixes[: levels[0]])) if levels[0] else EMPTY_CHAIN]
+    for j in range(n):
+        h = 1 << j
+        # a + h takes the chain of a, unless element j+1 moved its level
+        chains *= 2
+        moved = int.from_bytes(levels[h : 2 * h], "big") ^ int.from_bytes(levels[:h], "big")
+        for a in itertools.compress(range(h, 2 * h), moved.to_bytes(h, "big")):
+            level, rest = levels[a], a ^ h
+            while rest:
+                b = 1 << rest.bit_length() - 1
+                if levels[a ^ b] == level:
+                    chains[a] = chains[a ^ b]
+                    break
+                rest ^= b
+            else:
+                donor, beta = _adder(a, levels.__getitem__)
+                new_blue = tuple(a | p for p in prefixes[beta:level])
+                chains[a] = Chain(chains[donor].sets + new_blue)
+    images = tuple(None if lv > k else a | prefixes[lv] for a, lv in enumerate(levels))
+    return EmbedRecord(n, k, perm, images, tuple(levels), tuple(chains))
 
-    chains: list[Optional[Chain]] = [None] * size
-    # best[A] is the max over all submasks s of A, A included, filled from
-    # the n immediate subsets A - {x} (every proper submask lies below one).
-    # A non-failed s counts as level(s) * 2^n + (2^n - 1 - s), so the max is
-    # the highest level, then the least (colex-first) s attaining it.  A
-    # failed s counts as (k+1) * 2^n + (2^n - 1 - s), above every non-failed
-    # one: once a subset fails every superset fails, from the least failed s.
-    # Either way the winner is s = full ^ (best & full), at level best >> n.
-    # A's own level is at least that of each subset, so best[A] >> n is the
-    # level of A (k+1 on failure): the record's levels and images are read
-    # off best after the loop.
-    best = [0] * size
 
-    for a in subsets_by_rank(n) if stop_at_failure else range(size):
-        top = 0
-        rest = a
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = best[a ^ low]
-            if v > top:
-                top = v
-        beta = top >> n
-        if beta > k:  # failure propagates from the least failed proper subset
-            best[a] = top
-            chains[a] = chains[full ^ (top & full)]
-            continue
+def _failure_chain(n: int, k: int, perm: Permutation, reach: list[int]) -> Chain:
+    """The blocking chain of the first failed subset in rank order, from the
+    U_t of a failed run (_reach), with no per-subset table.
 
-        level = k + 1
-        for i in range(beta, k + 1):
-            blue = level_blue[i]
-            if blue is None:
-                blue = level_blue[i] = coloring.blue_range(prefixes[i], size)
-            if not blue[a >> 3] >> (a & 7) & 1:
-                level = i
-                break
-        # The donor is the colex-first proper subset attaining the maximum
-        # level.  A subset that adds no blue set shares the donor's Chain.
-        donor = chains[full ^ (top & full)] if beta > 0 else EMPTY_CHAIN
-        if level == beta:
-            chains[a] = donor
-        else:
-            new_blue = tuple(a | prefixes[i] for i in range(beta, min(level, k + 1)))
-            chains[a] = Chain(donor.sets + new_blue)  # type: ignore[union-attr]
+    That subset is the least bit of the first nonempty layer of U_{k+1}.  Its
+    proper subsets lie in earlier layers and so do not fail: it adds blue
+    sets, and its chain is built by _adder from donor to donor, the levels
+    read as bit tests on the nested U_t.
+    """
 
-        if level <= k:
-            own = (level << n) | (full ^ a)
-            best[a] = own if own > top else top
-        elif stop_at_failure:
-            return chains[a]  # type: ignore[return-value]
-        else:
-            best[a] = ((k + 1) << n) | (full ^ a)
+    def level_of(s: SetWord) -> int:
+        return sum(1 for _ in itertools.takewhile(lambda u: u >> s & 1, reach[1:]))
 
-    levels = tuple(b >> n for b in best)
-    return EmbedRecord(
-        n,
-        k,
-        perm,
-        tuple(None if lv > k else a | prefixes[lv] for a, lv in enumerate(levels)),
-        levels,
-        tuple(chains),  # type: ignore[arg-type]
-    )
+    bits = (1 << x - 1 for x in perm.image)
+    prefixes = list(itertools.accumulate(bits, int.__or__, initial=0))  # perm.prefix_mask(i)
+    first = next(filter(None, (reach[k + 1] & c for c in _cube_bitsets(n)[1])))
+    a, level, sets = (first & -first).bit_length() - 1, k + 1, ()
+    while level:  # each donor adds the blue sets below its adder's
+        donor, beta = _adder(a, level_of)
+        sets = tuple(a | p for p in prefixes[beta:level]) + sets
+        a, level = donor, beta
+    return Chain(sets)
+
+
+def _adder(a: SetWord, level_of: Callable[[SetWord], int]) -> tuple[SetWord, int]:
+    """(donor, beta) for a subset a whose proper subsets all sit below its level.
+
+    Such an a adds the blue sets a | prefix_i for i from beta, the highest
+    level among its immediate subsets (each proper subset lies below one),
+    up to its own level.  Its chain continues that of the donor, the
+    colex-first proper subset at level beta, so the donor is also the least
+    submask of a at level >= beta: a qualifies but exceeds every proper one.
+    Those submasks form an up-set within a, so bits are dropped highest
+    first while the level stays >= beta: the least member lacks a bit iff
+    some member agreeing with the bits decided so far lacks it, iff the
+    largest such set does.  For beta = 0 the donor is the empty set, whose
+    chain is EMPTY_CHAIN.
+    """
+    bits = [1 << j for j in range(a.bit_length()) if a >> j & 1]
+    beta = max((level_of(a ^ b) for b in bits), default=0)
+    donor = a
+    for b in reversed(bits):
+        if level_of(donor ^ b) >= beta:
+            donor ^= b
+    return donor, beta
 
 
 def recover_permutation(chain: Chain, n: int) -> list[int]:
@@ -337,17 +389,22 @@ def sweep_permutations(
     failures: list[tuple[tuple[int, ...], Chain]] = []
     recover_ok = True
     run = 0
+    reach: list[int] = []
+    prev: tuple[int, ...] = ()
     for img in perm_images:
-        # a failed permutation stops at its rank-first failed subset (_embed)
-        out = _embed(coloring, n, k, Permutation(n, k, img), stop_at_failure=True)
+        perm = Permutation(n, k, img)
+        same = 0  # U_{t+1} depends on the first t images alone (_reach)
+        while same < len(prev) and img[same] == prev[same]:
+            same += 1
+        reach, prev = _reach(coloring, n, k, perm, reach[: same + 2]), img
         run += 1
-        if isinstance(out, EmbedRecord):
-            return SweepReport(
-                n, k, mode_desc, run, out, tuple(failures), (), None, recover_ok
-            )
-        if tuple(recover_permutation(out, n)) != img:
+        if not reach[-1]:  # no subset failed
+            rec = _record(n, k, perm, reach)
+            return SweepReport(n, k, mode_desc, run, rec, tuple(failures), (), None, recover_ok)
+        chain = _failure_chain(n, k, perm, reach)
+        if tuple(recover_permutation(chain, n)) != img:
             recover_ok = False
-        failures.append((img, out))
+        failures.append((img, chain))
 
     endpoint_owner: dict[tuple[SetWord, SetWord], tuple[int, ...]] = {}
     collisions: list[tuple[tuple[int, ...], tuple[int, ...]]] = []

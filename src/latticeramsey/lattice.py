@@ -573,12 +573,12 @@ def json_pieces(obj) -> list[str]:
     """The text of json.dumps(obj, sort_keys=True, indent=2), as a list of pieces.
 
     Joined, the pieces are that text exactly, but no string of its whole size
-    is built, and a container met again at the same depth repeats the pieces
-    of its first rendering instead of being rendered again, so a shared
-    sub-object costs one list copy of references.  Lists of plain ints are
-    rendered in one join.  A SetList is written as its element arrays, one
-    piece per set.  Like json.dumps, this recurses once per nesting level;
-    obj must not contain itself.
+    is built.  A container met again at the same depth is not rendered again:
+    each repeat is one piece, the join of its first rendering, made once and
+    shared, so a shared sub-object costs a reference per repeat.  Lists of
+    plain ints are rendered in one join.  A SetList is written as its element
+    arrays, one piece per set.  Like json.dumps, this recurses once per
+    nesting level; obj must not contain itself.
     """
     text = _json_text(obj, 0)
     if text is not None:
@@ -614,19 +614,20 @@ def _json_key(key) -> str:
 def _write_json(o, depth: int, out: list[str], memo: dict) -> None:
     """Append the pieces of o, a container at nesting depth `depth`, to out.
 
-    memo maps (id(container), depth) to the slice of out holding that
-    container's first rendering.  Only containers of the caller's tree are
-    keys: that tree stays alive for the whole call, so no key's id is reused
-    while memo exists.  The memo is passed down, not closed over, so it dies
-    with the json_pieces call.
+    memo maps (id(container), depth) to that container's first rendering:
+    the slice of out holding it, replaced by the slice's join when the
+    container is met again, so that each repeat appends that one string.
+    Only containers of the caller's tree are keys: that tree stays alive
+    for the whole call, so no key's id is reused while memo exists.  The
+    memo is passed down, not closed over, so it dies with the json_pieces
+    call.
     """
     start = len(out)
     pad = "\n" + "  " * (depth + 1)
+    comma = "," + pad
     if isinstance(o, SetList):
-        sep = "[" + pad
-        for text in _set_texts(o, depth + 1):
-            out.append(sep + text)
-            sep = "," + pad
+        out.extend(_set_texts(o, depth + 1))  # each behind a comma
+        out[start] = "[" + out[start][1:]
         out.append(pad[:-2] + "]")
         memo[id(o), depth] = slice(start, len(out))
         return
@@ -637,41 +638,49 @@ def _write_json(o, depth: int, out: list[str], memo: dict) -> None:
         sep, closer = "[" + pad, pad[:-2] + "]"
         items = zip(repeat(""), o)
     for label, value in items:
-        text = _json_text(value, depth + 1)
-        if text is None:
+        key = id(value), depth + 1
+        first = memo.get(key)  # only containers of the tree are keys
+        if first is not None:
+            if type(first) is slice:
+                first = memo[key] = "".join(out[first])
             out.append(sep + label)
-            span = memo.get((id(value), depth + 1))
-            if span is None:
-                _write_json(value, depth + 1, out, memo)
-            else:
-                out.extend(out[span])
+            out.append(first)
+        elif (text := _json_text(value, depth + 1)) is None:
+            out.append(sep + label)
+            _write_json(value, depth + 1, out, memo)
         else:
             out.append(sep + label + text)
-        sep = "," + pad
+        sep = comma
     out.append(closer)
     memo[id(o), depth] = slice(start, len(out))
 
 
 def _set_texts(sets: SetList, depth: int) -> Iterator[str]:
-    """The JSON text of each item of sets, the items sitting at depth `depth`.
+    """The JSON text of each item of sets, the items sitting at depth
+    `depth`, each behind the "," and newline pad that precede an item there.
 
-    Byte j of a mask holds elements 8j+1 .. 8j+8; tables[j][v] is the text of
-    the elements of byte value v, each behind the "," and newline pad that
-    precede an element of an array at this depth.  A set's text is then its
-    bytes' entries concatenated, less the first ",".
+    An element e is written ",{pad}e", pad being an element's.  low[v] is
+    the text of the elements of byte value v, elements 1 .. 8, built by
+    doubling; the text of the elements past 8 is built once per distinct
+    s >> 8 and kept, with the closing bracket.  A set's text is then one
+    concatenation of the two, behind the item's opening.
     """
-    pad = "\n" + "  " * (depth + 1)
-    width = (max(filter(None, sets), default=0).bit_length() + 7) >> 3
-    tables = [
-        ["".join(f",{pad}{8 * j + b + 1}" for b in range(8) if v >> b & 1) for v in range(256)]
-        for j in range(width)
-    ]
-    closer = pad[:-2] + "]"
-    entry = list.__getitem__
+    item = ",\n" + "  " * depth
+    pad = item[1:] + "  "
+    low = [""]
+    for e in range(1, 9):
+        low += [text + f",{pad}{e}" for text in low]
+    opened = [item + "[" + text[1:] for text in low]
+    null, empty, closer = item + "null", item + "[]", item[1:] + "]"
+    rests: dict[int, str] = {}
     for s in sets:
         if s is None:
-            yield "null"
+            yield null
         elif s:
-            yield "[" + "".join(map(entry, tables, s.to_bytes(width, "little")))[1:] + closer
+            rest = rests.get(s >> 8)
+            if rest is None:
+                above = elements_of(s >> 8 << 8)
+                rest = rests[s >> 8] = "".join(f",{pad}{e}" for e in above) + closer
+            yield opened[s & 255] + rest if s & 255 else item + "[" + rest[1:]
         else:
-            yield "[]"
+            yield empty

@@ -3,9 +3,10 @@
 These deliberately share no machinery with the package: copies are found by
 enumerating injections (or by direct pair logic for the tiny patterns), and
 counts are taken by materializing subsets.  Agreement between these and the
-package's searchers is what the equivalence tests assert.  The pairwise
-oracle at the end is the package's own former searcher, kept as the reference
-a faster replacement must match witness for witness.
+package's searchers is what the equivalence tests assert.  Two references
+are the package's own former code instead: loop_embed, the embedding loop
+that a faster embedder must match record for record, and the pairwise oracle
+at the end, the searcher that a faster one must match witness for witness.
 """
 
 import random
@@ -20,9 +21,11 @@ from latticeramsey.constructions import (
     ResampleBudgetExceeded,
     layered_coloring,
 )
+from latticeramsey.embedder import EMPTY_CHAIN, EmbedRecord
 from latticeramsey.lattice import (
     Chain,
     Coloring,
+    Permutation,
     SetWord,
     elements_of,
     full_mask,
@@ -294,6 +297,91 @@ def naive_embed(is_blue, n, k, perm_image):
         levels_hit = range(beta, min(level, k + 1))
         chains[a] = head + tuple(a | prefix[i] for i in levels_hit)
     return images, levels, chains
+
+
+# The package's former embedding loop, one subset at a time, kept verbatim.
+def loop_embed(
+    coloring: Coloring, n: int, k: int, perm: Permutation, stop_at_failure: bool
+) -> EmbedRecord | Chain:
+    """The embedding loop: the full record, or with stop_at_failure the
+    blocking chain of the first failed subset in rank order.
+
+    Every subset A is read through the table of its immediate subsets only,
+    so any order that puts subsets first gives the same tables.  A full run
+    takes ascending numeric order, the cheapest to generate.  With
+    stop_at_failure the loop takes rank order (cardinality, then colex) and
+    returns at the first failure it meets: that subset fails on its own scan,
+    since an inherited failure needs an earlier one, and it is the rank-first
+    failed subset.  The colors of level i, the sets A | prefix_i, are one
+    contiguous range of SetWords, read once with Coloring.blue_range.
+    """
+    size = 1 << n
+    full = size - 1
+    prefixes = [perm.prefix_mask(i) for i in range(k + 1)]
+    level_blue: list[Optional[bytes]] = [None] * (k + 1)
+
+    chains: list[Optional[Chain]] = [None] * size
+    # best[A] is the max over all submasks s of A, A included, filled from
+    # the n immediate subsets A - {x} (every proper submask lies below one).
+    # A non-failed s counts as level(s) * 2^n + (2^n - 1 - s), so the max is
+    # the highest level, then the least (colex-first) s attaining it.  A
+    # failed s counts as (k+1) * 2^n + (2^n - 1 - s), above every non-failed
+    # one: once a subset fails every superset fails, from the least failed s.
+    # Either way the winner is s = full ^ (best & full), at level best >> n.
+    # A's own level is at least that of each subset, so best[A] >> n is the
+    # level of A (k+1 on failure): the record's levels and images are read
+    # off best after the loop.
+    best = [0] * size
+
+    for a in subsets_by_rank(n) if stop_at_failure else range(size):
+        top = 0
+        rest = a
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = best[a ^ low]
+            if v > top:
+                top = v
+        beta = top >> n
+        if beta > k:  # failure propagates from the least failed proper subset
+            best[a] = top
+            chains[a] = chains[full ^ (top & full)]
+            continue
+
+        level = k + 1
+        for i in range(beta, k + 1):
+            blue = level_blue[i]
+            if blue is None:
+                blue = level_blue[i] = coloring.blue_range(prefixes[i], size)
+            if not blue[a >> 3] >> (a & 7) & 1:
+                level = i
+                break
+        # The donor is the colex-first proper subset attaining the maximum
+        # level.  A subset that adds no blue set shares the donor's Chain.
+        donor = chains[full ^ (top & full)] if beta > 0 else EMPTY_CHAIN
+        if level == beta:
+            chains[a] = donor
+        else:
+            new_blue = tuple(a | prefixes[i] for i in range(beta, min(level, k + 1)))
+            chains[a] = Chain(donor.sets + new_blue)  # type: ignore[union-attr]
+
+        if level <= k:
+            own = (level << n) | (full ^ a)
+            best[a] = own if own > top else top
+        elif stop_at_failure:
+            return chains[a]  # type: ignore[return-value]
+        else:
+            best[a] = ((k + 1) << n) | (full ^ a)
+
+    levels = tuple(b >> n for b in best)
+    return EmbedRecord(
+        n,
+        k,
+        perm,
+        tuple(None if lv > k else a | prefixes[lv] for a, lv in enumerate(levels)),
+        levels,
+        tuple(chains),  # type: ignore[arg-type]
+    )
 
 
 def naive_sweep(coloring, n, k, mode, sample_count=0, seed=0):

@@ -48,13 +48,15 @@ def test_bound_usage_error(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("c", ["inf", "-inf", "1e308", "nan", "1e306", "1e305", "-5", "-0.1"])
+@pytest.mark.parametrize("c", ["inf", "-inf", "1e308", "nan", "1e306", "1e305", "-5", "-0.1", "-1e5"])
 def test_bound_with_non_finite_ratio_is_usage(capsys, c):
     # c * n / log2(n) is infinite or NaN, k is negative, or log2 k! overflows
     # (inside lgamma at 1e306, in the division by ln 2 at 1e305); exit 1 would
-    # claim a witness
-    assert main(["bound", "--n", "2", f"--c={c}"]) == 2
-    assert f"c = {float(c)}" in usage_error_line(capsys)
+    # claim a witness.  Written as two arguments, a value such as -inf or -1e5
+    # must still be read as the value of --c, not as an option.
+    for value in ([f"--c={c}"], ["--c", c]):
+        assert main(["bound", "--n", "2", *value]) == 2
+        assert f"c = {float(c)}" in usage_error_line(capsys)
 
 
 def test_construct_layered_then_verify_ramsey(tmp_path, capsys):

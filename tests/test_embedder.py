@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latticeramsey.embedder import (
+    EMPTY_CHAIN,
     EmbedRecord,
     _sampled_perm_images,
     counting_bound,
@@ -32,6 +33,7 @@ from latticeramsey.oracle import CopyKind, find_copy
 from latticeramsey.verifier import verify_embedding
 
 from helpers import dumps
+from naive import loop_embed
 
 
 def chain_blue_coloring(ground):
@@ -376,6 +378,68 @@ def test_structured_coloring_embeds_like_its_dense_copy(n, k, data):
     assert embed_with_permutation(coloring, n, k, perm) == embed_with_permutation(dense, n, k, perm)
     # a sweep reads colors through the same blue_range, and stops early on failure
     assert sweep_permutations(coloring, n, k, mode="all") == sweep_permutations(dense, n, k, mode="all")
+
+
+def shared_groups(chains) -> list[list[int]]:
+    """The subsets grouped by the Chain object they hold."""
+    groups: dict[int, list[int]] = {}
+    for a, chain in enumerate(chains):
+        groups.setdefault(id(chain), []).append(a)
+    return sorted(groups.values())
+
+
+@st.composite
+def dense_or_structured(draw, ground):
+    """A dense coloring of Q_ground at a drawn density, or a structured one
+    from blue layers and extras."""
+    if draw(st.booleans()):
+        densities = [0.0, 0.002, 0.02, 0.1, 0.3, 0.5, 0.9, 1.0]
+        density = draw(st.sampled_from(densities) | st.floats(0, 1))
+        return random_dense(ground, draw(st.integers(0, 2**16)), density)
+    layers = draw(st.sets(st.integers(0, ground)))
+    off_layers = [s for s in range(1 << ground) if s.bit_count() not in layers]
+    extra = draw(st.lists(st.sampled_from(off_layers), max_size=12)) if off_layers else []
+    return Coloring.structured(ground, layers, extra)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(0, 8), k=st.integers(0, 4), data=st.data())
+def test_embedding_matches_the_former_loop(n, k, data):
+    coloring = data.draw(dense_or_structured(n + k))
+    perm = Permutation(n, k, tuple(data.draw(st.permutations(range(n + 1, n + k + 1)))))
+    rec = embed_with_permutation(coloring, n, k, perm)
+    want = loop_embed(coloring, n, k, perm, False)
+    assert rec == want
+    assert shared_groups(rec.chains) == shared_groups(want.chains)
+    # a sweep passes U_t on between permutations: lexicographic and drawn orders
+    sample = data.draw(st.none() | st.tuples(st.integers(1, 30), st.integers(0, 99)))
+    mode, count, seed = ("all", 0, 0) if sample is None else ("sample", *sample)
+    report = sweep_permutations(coloring, n, k, mode, count, seed)
+    for image, chain in report.failures:
+        assert chain == loop_embed(coloring, n, k, Permutation(n, k, image), True)
+    if report.success is not None:
+        want = loop_embed(coloring, n, k, report.success.perm, True)
+        assert report.success == want
+        assert shared_groups(report.success.chains) == shared_groups(want.chains)
+
+
+def test_chains_are_built_once_per_distinct_chain(monkeypatch):
+    # counts, not timings: a full run builds one Chain per distinct chain of
+    # its record (EMPTY_CHAIN is built at import), and a failed sweep
+    # permutation at most k+1, not one per subset that adds a blue set
+    built = []
+    post_init = Chain.__post_init__
+    monkeypatch.setattr(Chain, "__post_init__", lambda self: built.append(post_init(self)))
+    for seed, density in ((7, 0.02), (9, 0.1), (8, 0.3)):
+        coloring = random_dense(13, seed, density)
+        built.clear()
+        rec = embed_with_permutation(coloring, 10, 3, Permutation(10, 3, (13, 11, 12)))
+        assert len(built) == len({id(c) for c in rec.chains} - {id(EMPTY_CHAIN)}) > 10
+    coloring = random_dense(14, seed=5, density=0.5)
+    built.clear()
+    report = sweep_permutations(coloring, 10, 4, mode="all")
+    assert report.success is None and report.perms_run == 24
+    assert len(built) <= 5 * 24
 
 
 def test_embed_matches_independent_reimplementation():

@@ -281,8 +281,16 @@ def test_json_pieces_shared_and_subclassed_containers():
 def test_json_pieces_share_pieces_and_leave_no_cycle():
     row = {"sets": [[1], [1, 2]]}
     pieces = json_pieces([row, row])
-    half = (len(pieces) - 1) // 2  # opener and a separator, the row twice, closer
-    assert all(a is b for a, b in zip(pieces[1:half], pieces[half + 1 : -1], strict=True))
+    # opener, the row's pieces, then the separator and the row's text as one string
+    assert pieces[-3] == ",\n  " and pieces[-2] == "".join(pieces[1:-3])
+    assert "".join(pieces) == indent2([row, row])
+    # every repeat appends the same separator and text objects: no text per repeat
+    pieces = json_pieces([row] * 1000)
+    first = len(pieces) - 2 * 999 - 1
+    repeats = pieces[first:-1]
+    assert {id(p) for p in repeats[0::2]} == {id(repeats[0])}
+    assert {id(p) for p in repeats[1::2]} == {id(repeats[1])}
+    assert repeats[1] == "".join(pieces[1:first])
     gc.collect()
     gc.disable()
     try:
