@@ -20,7 +20,7 @@ weight 2.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from heapq import heappop, heappush
 from math import comb, e, isqrt
 from typing import Iterable, Optional
@@ -365,19 +365,9 @@ class WeakParams:
     threshold_ok: bool  # n >= sqrt(32m + 260) + 18
 
     def to_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "N": self.ground,
-            "k": self.k,
-            "p": self.p,
-            "d": self.d,
-            "k_min": self.k_min,
-            "k_max": self.k_max,
-            "witness_window_ok": self.witness_window_ok,
-            "strict_window_ok": self.strict_window_ok,
-            "threshold_ok": self.threshold_ok,
-        }
+        obj = asdict(self)
+        obj["N"] = obj.pop("ground")
+        return obj
 
 
 def weak_parameters(

@@ -37,6 +37,7 @@ from .lattice import (
 MAX_BASE_DIM = 20
 MAX_WIDTH = 20
 MAX_SWEEP_WIDTH = 8
+EXACT_FACTORIAL_MAX = 10**5  # factorial(10**5) takes 0.3 s, 10**6 9 s (2-core x86 VM)
 
 EMPTY_CHAIN = Chain(())
 
@@ -138,7 +139,7 @@ def embed_with_permutation(
     _check_sizes(coloring, n, k)
     if perm.base != n or perm.width != k:
         raise ValueError("permutation dimensions do not match (n, k)")
-    return _record(n, k, perm, _reach(coloring, n, k, perm, []))
+    return _record(perm, _reach(coloring, perm, []))
 
 
 # _SPREAD[v] holds bit i of v as byte i
@@ -157,11 +158,9 @@ def _cube_bitsets(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(lacking), tuple(layers)
 
 
-def _reach(
-    coloring: Coloring, n: int, k: int, perm: Permutation, reach: list[int]
-) -> list[int]:
-    """[U_0, U_1, ...] up to U_{k+1} or the first empty U_t, continuing
-    `reach`, which may hold the first few already.
+def _reach(coloring: Coloring, perm: Permutation, reach: list[int]) -> list[int]:
+    """[U_0, U_1, ...] for perm's n, k and prefixes, up to U_{k+1} or the first
+    empty U_t, continuing `reach`, which may hold the first few already.
 
     U_t is the bitset of the subsets at level >= t, so U_0 is every subset;
     B_t is that of the a with a | prefix_t blue, one blue_range read.  Then
@@ -174,10 +173,11 @@ def _reach(
     reaches it, as a scan subset by subset reads it.  U_{t+1} depends on the
     first t images alone, so a sweep passes on those of the permutation before.
     """
+    n, k = perm.base, perm.width
     lacking = _cube_bitsets(n)[0]
     reach = reach or [(1 << (1 << n)) - 1]
     while reach[-1] and len(reach) <= k + 1:
-        blue = coloring.blue_range(perm.prefix_mask(len(reach) - 1), 1 << n)
+        blue = coloring.blue_range(perm.prefixes[len(reach) - 1], 1 << n)
         x = reach[-1] & int.from_bytes(blue, "little")
         for j, lack in enumerate(lacking):
             x |= (x & lack) << (1 << j)
@@ -185,8 +185,8 @@ def _reach(
     return reach
 
 
-def _record(n: int, k: int, perm: Permutation, reach: list[int]) -> EmbedRecord:
-    """The full record of a run from its U_t (_reach).
+def _record(perm: Permutation, reach: list[int]) -> EmbedRecord:
+    """The full record of a run from its U_t (_reach) and perm's n, k and prefixes.
 
     Chains by the highest-bit rule.  A subset that adds no blue set copies
     the chain of the colex-first proper subset at its level L, failed or
@@ -198,8 +198,8 @@ def _record(n: int, k: int, perm: Permutation, reach: list[int]) -> EmbedRecord:
     With no such b, every proper subset is below L, and a adds blue sets
     (_adder) unless L = 0, where its chain is EMPTY_CHAIN.
     """
+    n, k, prefixes = perm.base, perm.width, perm.prefixes
     width = ((1 << n) + 7) >> 3
-    prefixes = [perm.prefix_mask(i) for i in range(k + 1)]
     # levels[a] counts the U_t, t >= 1, holding a: each U_t is spread to one
     # byte per subset, and the spreads are summed as ints with no carry
     rows = (u.to_bytes(width, "little") for u in reach[1:])
@@ -227,9 +227,9 @@ def _record(n: int, k: int, perm: Permutation, reach: list[int]) -> EmbedRecord:
     return EmbedRecord(n, k, perm, images, tuple(levels), tuple(chains))
 
 
-def _failure_chain(n: int, k: int, perm: Permutation, reach: list[int]) -> Chain:
-    """The blocking chain of the first failed subset in rank order, from the
-    U_t of a failed run (_reach), with no per-subset table.
+def _failure_chain(perm: Permutation, reach: list[int]) -> Chain:
+    """The blocking chain of the first failed subset in rank order, from perm's
+    n, k and prefixes and the U_t of a failed run (_reach), with no per-subset table.
 
     That subset is the least bit of the first nonempty layer of U_{k+1}.  Its
     proper subsets lie in earlier layers and so do not fail: it adds blue
@@ -240,8 +240,7 @@ def _failure_chain(n: int, k: int, perm: Permutation, reach: list[int]) -> Chain
     def level_of(s: SetWord) -> int:
         return sum(1 for _ in itertools.takewhile(lambda u: u >> s & 1, reach[1:]))
 
-    bits = (1 << x - 1 for x in perm.image)
-    prefixes = list(itertools.accumulate(bits, int.__or__, initial=0))  # perm.prefix_mask(i)
+    n, k, prefixes = perm.base, perm.width, perm.prefixes
     first = next(filter(None, (reach[k + 1] & c for c in _cube_bitsets(n)[1])))
     a, level, sets = (first & -first).bit_length() - 1, k + 1, ()
     while level:  # each donor adds the blue sets below its adder's
@@ -387,8 +386,10 @@ def sweep_permutations(
     _check_sizes(coloring, n, k)  # before the first draw
 
     failures: list[tuple[tuple[int, ...], Chain]] = []
+    owners: dict[tuple[SetWord, SetWord], tuple[int, ...]] = {}  # by chain endpoints
+    collisions: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     recover_ok = True
-    run = 0
+    success: Optional[EmbedRecord] = None
     reach: list[int] = []
     prev: tuple[int, ...] = ()
     for img in perm_images:
@@ -396,33 +397,27 @@ def sweep_permutations(
         same = 0  # U_{t+1} depends on the first t images alone (_reach)
         while same < len(prev) and img[same] == prev[same]:
             same += 1
-        reach, prev = _reach(coloring, n, k, perm, reach[: same + 2]), img
-        run += 1
+        reach, prev = _reach(coloring, perm, reach[: same + 2]), img
         if not reach[-1]:  # no subset failed
-            rec = _record(n, k, perm, reach)
-            return SweepReport(n, k, mode_desc, run, rec, tuple(failures), (), None, recover_ok)
-        chain = _failure_chain(n, k, perm, reach)
+            success = _record(perm, reach)
+            break
+        chain = _failure_chain(perm, reach)
         if tuple(recover_permutation(chain, n)) != img:
             recover_ok = False
         failures.append((img, chain))
-
-    endpoint_owner: dict[tuple[SetWord, SetWord], tuple[int, ...]] = {}
-    collisions: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for img, chain in failures:
-        key = (chain[0], chain[len(chain) - 1])
-        if key in endpoint_owner:
-            collisions.append((endpoint_owner[key], img))
-        else:
-            endpoint_owner[key] = img
+        owner = owners.setdefault((chain[0], chain[-1]), img)
+        if owner != img:
+            collisions.append((owner, img))
+    done = success is not None  # then no collisions are reported
     return SweepReport(
         n,
         k,
         mode_desc,
-        run,
-        None,
+        len(failures) + done,
+        success,
         tuple(failures),
-        tuple(collisions),
-        not collisions,
+        () if done else tuple(collisions),
+        None if done else not collisions,
         recover_ok,
     )
 
@@ -434,8 +429,8 @@ LOG2_E = log2(e)
 class BoundReport:
     """Exact comparison of k! against 2^(2(n+k)) for k = floor(c*n/log2 n).
 
-    contradiction is decided exactly (big integers when the log-domain margin
-    is thin).  The report also carries the classical lower estimate
+    contradiction is decided in floats, or with big integers when the
+    log-domain margin is thin.  The report also carries the classical lower estimate
     k*(log2 k - log2 e) on log2 k!, and whether the 0.8797-coefficient
     shortcut relating it to k*log2 k holds at this k; neither is asserted
     anywhere, they are informational.
@@ -460,12 +455,16 @@ def _log2_factorial(k: int) -> float:
 
 
 def _factorial_exceeds_power(k: int, exponent: int) -> tuple[bool, str]:
-    """Exactly decide k! > 2^exponent, with a float fast path."""
+    """Decide k! > 2^exponent in floats, or exactly when the margin is thin."""
     approx = _log2_factorial(k)
     if approx - exponent > 1e-3:
         return True, "log-domain"
     if approx - exponent < -1e-3:
         return False, "log-domain"
+    if k > EXACT_FACTORIAL_MAX:
+        raise ValueError(
+            f"{k}! > 2^{exponent} needs an exact check, capped at k = {EXACT_FACTORIAL_MAX}"
+        )
     return factorial(k) > 1 << exponent, "exact"
 
 
@@ -507,7 +506,7 @@ def counting_bound(n: int, c: float) -> BoundReport:
 
 
 def minimal_k(n: int) -> int:
-    """Least k with k! > 2^(2(n+k)), decided exactly at each probe.
+    """Least k with k! > 2^(2(n+k)), each probe decided by _factorial_exceeds_power.
 
     The predicate is false for k <= 4 (k! <= 24) and, from k = 4 on, its
     log-margin log2 k! - 2(n+k) grows by log2(k+1) - 2 > 0 per step, so it is

@@ -18,7 +18,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import comb
 from typing import Iterable, Iterator, Optional
 
@@ -51,12 +51,7 @@ def elements_of(mask: SetWord) -> list[int]:
 
 
 def element_sum(mask: SetWord) -> int:
-    s = 0
-    while mask:
-        low = mask & -mask
-        s += low.bit_length()
-        mask ^= low
-    return s
+    return sum(elements_of(mask))
 
 
 def full_mask(n: int) -> SetWord:
@@ -254,9 +249,14 @@ class Permutation:
     def identity(cls, n: int, k: int) -> "Permutation":
         return cls(n, k, tuple(range(n + 1, n + k + 1)))
 
+    @cached_property
+    def prefixes(self) -> tuple[SetWord, ...]:
+        """prefixes[i] masks the first i images, 0 <= i <= width: a level-i top part."""
+        return tuple(accumulate((1 << x - 1 for x in self.image), int.__or__, initial=0))
+
     def prefix_mask(self, i: int) -> SetWord:
-        """Bitmask of the first i image values."""
-        return mask_of(self.image[:i])
+        """Bitmask of the first i image values, 0 <= i <= width."""
+        return self.prefixes[i]
 
 
 @dataclass(frozen=True)
@@ -332,10 +332,7 @@ class WeightedFamily:
         if self.members is not None:
             yield from self.members
         else:
-            p, d = self.modp_p, self.modp_d
-            for m in layer(self.ground_n, self.weight):
-                if element_sum(m) % p == d % p:
-                    yield m
+            yield from filter(self.contains, layer(self.ground_n, self.weight))
 
     def enumerated_members(self) -> list[SetWord]:
         """Materialize the family; refuses when the ambient layer holds more

@@ -9,7 +9,7 @@ these results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Optional
@@ -342,17 +342,11 @@ class RamseyScanResult:
     status: str = "complete"  # or "exhausted"
 
     def to_obj(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "kind": self.kind.value,
-            "max_N": self.max_n,
-            "value": self.value,
-            "counterexamples": {str(k): v for k, v in self.counterexamples.items()},
-            "colorings_checked": self.colorings_checked,
-            "layered_lower_bound": self.layered_lower_bound,
-            "status": self.status,
-        }
+        obj = asdict(self)
+        obj["max_N"] = obj.pop("max_n")
+        obj["kind"] = self.kind.value
+        obj["counterexamples"] = {str(k): v for k, v in self.counterexamples.items()}
+        return obj
 
 
 def _scan_ground(

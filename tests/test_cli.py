@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latticeramsey.cli import main
+from latticeramsey.embedder import EXACT_FACTORIAL_MAX
 from latticeramsey.lattice import elements_of, layer
 from latticeramsey.oracle import SearchExhausted
 
@@ -41,6 +42,13 @@ def test_bound_minimal(capsys):
     code, cert = run_cli(capsys, "bound", "--n", "2", "--minimal")
     assert code == 0
     assert cert["result"]["minimal_k"] == 12
+
+
+@pytest.mark.parametrize("n", ["100000000000000000", "1000000000000000000000"])
+def test_bound_minimal_refuses_an_exact_factorial_past_the_cap(capsys, n):
+    # the bisection meets a near tie that floats leave to factorial(k), k > 10^15
+    assert main(["bound", "--n", n, "--minimal"]) == 2
+    assert f"capped at k = {EXACT_FACTORIAL_MAX}" in usage_error_line(capsys)
 
 
 def test_bound_usage_error(capsys):

@@ -190,6 +190,16 @@ def test_family_validation():
         WeightedFamily(5, 2, members=(1,), modp_p=5, modp_d=1)
 
 
+@given(st.data())
+def test_permutation_prefixes_mask_the_image_prefixes(data):
+    n, k = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 5))
+    image = tuple(data.draw(st.permutations(range(n + 1, n + k + 1))))
+    p = Permutation(n, k, image)
+    assert len(p.prefixes) == k + 1
+    for i in range(k + 1):
+        assert p.prefixes[i] == mask_of(image[:i]) == p.prefix_mask(i)
+
+
 def test_permutation_validation_and_roundtrip():
     p = Permutation(2, 2, (4, 3))
     assert p.prefix_mask(1) == mask_of([4])

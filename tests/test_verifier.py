@@ -16,7 +16,7 @@ from latticeramsey.constructions import (
     modp_code,
     probabilistic_coloring,
 )
-from latticeramsey.embedder import embed_with_permutation
+from latticeramsey.embedder import EmbedRecord, embed_with_permutation
 from latticeramsey.lattice import (
     Chain,
     Coloring,
@@ -28,6 +28,7 @@ from latticeramsey.lattice import (
 )
 from latticeramsey.oracle import CopyKind, find_copy
 from latticeramsey.verifier import (
+    CheckResult,
     UnknownShape,
     build_dp_table,
     certify_blue_free,
@@ -467,6 +468,15 @@ def test_verify_embedding_catches_level_tampering():
         rec.n, rec.k, rec.perm, rec.images, tuple(levels), rec.chains
     )
     assert not verify_embedding(forged, coloring).ok
+
+
+def test_verify_embedding_refuses_a_permutation_of_other_dimensions():
+    coloring, rec = _embed_sample()
+    assert verify_embedding(rec, coloring).ok
+    rewrapped = EmbedRecord(2, 2, Permutation(1, 3, (2, 3, 4)), rec.images, rec.levels, rec.chains)
+    assert verify_embedding(rewrapped, coloring) == CheckResult(
+        False, None, "permutation dimensions do not match (n, k)"
+    )
 
 
 def _tampered_records(rec, coloring, rng):
