@@ -21,6 +21,7 @@ import hashlib
 import json
 import sys
 import time
+from functools import cache
 from typing import Optional
 
 from . import __version__
@@ -124,6 +125,7 @@ def _glued(argv: list[str]) -> list[str]:
     return out
 
 
+@cache  # parse_args leaves the parser as it was, so one serves every main call
 def _build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="latticeramsey",

@@ -79,8 +79,8 @@ class EmbedRecord:
         return None if a is None else self.chains[a]
 
     def to_obj(self) -> dict:
-        """The record as JSON-able values for json_pieces: images stay masks,
-        in a SetList that json_pieces writes as element arrays."""
+        """The record as JSON-able values for json_pieces: images and chain
+        sets stay masks, in SetLists that json_pieces writes as element arrays."""
         # Subsets that add no blue set share their donor's Chain object, so
         # each distinct object is converted once and its dict is shared too.
         objs = {key: c.to_obj() for key, c in {id(c): c for c in self.chains}.items()}
@@ -90,7 +90,7 @@ class EmbedRecord:
             "perm": list(self.perm.image),
             "images": SetList(self.images),
             "levels": list(self.levels),
-            "chains": [objs[id(c)] for c in self.chains],
+            "chains": list(map(objs.__getitem__, map(id, self.chains))),
         }
 
     @classmethod

@@ -17,8 +17,8 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate, repeat
+from functools import cached_property, lru_cache
+from itertools import accumulate
 from math import comb
 from typing import Iterable, Iterator, Optional
 
@@ -215,7 +215,7 @@ class Chain:
         return iter(self.sets)
 
     def to_obj(self) -> dict:
-        return {"sets": [elements_of(s) for s in self.sets]}
+        return {"sets": SetList(self.sets)}
 
     @classmethod
     def from_obj(cls, obj: dict) -> "Chain":
@@ -570,12 +570,12 @@ def json_pieces(obj) -> list[str]:
     """The text of json.dumps(obj, sort_keys=True, indent=2), as a list of pieces.
 
     Joined, the pieces are that text exactly, but no string of its whole size
-    is built.  A container met again at the same depth is not rendered again:
-    each repeat is one piece, the join of its first rendering, made once and
-    shared, so a shared sub-object costs a reference per repeat.  Lists of
-    plain ints are rendered in one join.  A SetList is written as its element
-    arrays, one piece per set.  Like json.dumps, this recurses once per
-    nesting level; obj must not contain itself.
+    is built.  Each distinct object in a list is rendered once, to one
+    string that every repeat in that list appends, so a repeated item costs
+    a reference per repeat.  Lists of plain ints are rendered in one join.
+    A SetList is written as its element arrays, one piece per set.  Like
+    json.dumps, this recurses once per nesting level; obj must not contain
+    itself.
     """
     text = _json_text(obj, 0)
     if text is not None:
@@ -588,6 +588,11 @@ def json_pieces(obj) -> list[str]:
 def _json_text(o, depth: int) -> Optional[str]:
     """The JSON text of o at nesting depth `depth`, or None if o is a
     non-empty list, tuple or dict other than a list of plain ints."""
+    kind = type(o)
+    if kind is int:  # by type, not ==: True == 1
+        return int.__repr__(o)
+    if o is None or kind is bool:
+        return "null" if o is None else "true" if o else "false"
     if isinstance(o, (list, tuple)) and o:
         if isinstance(o, SetList) or set(map(type, o)) != {int}:
             return None
@@ -595,7 +600,7 @@ def _json_text(o, depth: int) -> Optional[str]:
         return "[" + pad + ("," + pad).join(map(int.__repr__, o)) + pad[:-2] + "]"
     if isinstance(o, dict) and o:
         return None
-    return json.dumps(o)
+    return json.dumps(o)  # str, float (NaN, Infinity), empty containers
 
 
 def _json_key(key) -> str:
@@ -608,68 +613,70 @@ def _json_key(key) -> str:
     )
 
 
-def _write_json(o, depth: int, out: list[str], memo: dict) -> None:
+def _write_json(o, depth: int, out: list[str], tails: dict) -> None:
     """Append the pieces of o, a container at nesting depth `depth`, to out.
 
-    memo maps (id(container), depth) to that container's first rendering:
-    the slice of out holding it, replaced by the slice's join when the
-    container is met again, so that each repeat appends that one string.
-    Only containers of the caller's tree are keys: that tree stays alive
-    for the whole call, so no key's id is reused while memo exists.  The
-    memo is passed down, not closed over, so it dies with the json_pieces
-    call.
+    A list renders each distinct item (by id) once, behind its separator,
+    then appends those strings in the list's order in one pass.  tails is
+    _set_texts' table of element texts for the whole json_pieces call.
     """
     start = len(out)
     pad = "\n" + "  " * (depth + 1)
-    comma = "," + pad
+    comma, brackets = "," + pad, "[]"
     if isinstance(o, SetList):
-        out.extend(_set_texts(o, depth + 1))  # each behind a comma
-        out[start] = "[" + out[start][1:]
-        out.append(pad[:-2] + "]")
-        memo[id(o), depth] = slice(start, len(out))
-        return
-    if isinstance(o, dict):
-        sep, closer = "{" + pad, pad[:-2] + "}"
-        items = [(_json_key(k) + ": ", v) for k, v in sorted(o.items())]
+        out.extend(_set_texts(o, depth + 1, tails))  # each behind a comma
+    elif isinstance(o, dict):
+        brackets = "{}"
+        for key, value in sorted(o.items()):
+            label = comma + _json_key(key) + ": "
+            if (text := _json_text(value, depth + 1)) is None:
+                out.append(label)
+                _write_json(value, depth + 1, out, tails)
+            else:
+                out.append(label + text)
     else:
-        sep, closer = "[" + pad, pad[:-2] + "]"
-        items = zip(repeat(""), o)
-    for label, value in items:
-        key = id(value), depth + 1
-        first = memo.get(key)  # only containers of the tree are keys
-        if first is not None:
-            if type(first) is slice:
-                first = memo[key] = "".join(out[first])
-            out.append(sep + label)
-            out.append(first)
-        elif (text := _json_text(value, depth + 1)) is None:
-            out.append(sep + label)
-            _write_json(value, depth + 1, out, memo)
-        else:
-            out.append(sep + label + text)
-        sep = comma
-    out.append(closer)
-    memo[id(o), depth] = slice(start, len(out))
+        texts = {}
+        for key, item in dict(zip(map(id, o), o)).items():
+            if (text := _json_text(item, depth + 1)) is None:
+                pieces = [comma]
+                _write_json(item, depth + 1, pieces, tails)
+                text = "".join(pieces)
+            else:
+                text = comma + text
+            texts[key] = text
+        out.extend(map(texts.__getitem__, map(id, o)))
+    out[start] = brackets[0] + out[start][1:]
+    out.append(pad[:-2] + brackets[1])
 
 
-def _set_texts(sets: SetList, depth: int) -> Iterator[str]:
-    """The JSON text of each item of sets, the items sitting at depth
-    `depth`, each behind the "," and newline pad that precede an item there.
-
-    An element e is written ",{pad}e", pad being an element's.  low[v] is
-    the text of the elements of byte value v, elements 1 .. 8, built by
-    doubling; the text of the elements past 8 is built once per distinct
-    s >> 8 and kept, with the closing bracket.  A set's text is then one
-    concatenation of the two, behind the item's opening.
-    """
+@lru_cache(maxsize=8)
+def _opened_sets(depth: int) -> tuple[str, ...]:
+    """The opening of a set item at depth `depth` for each byte value v: the
+    item's "," and newline pad, "[", and the elements of v among 1 .. 8,
+    built by doubling.  An element e is written ",{pad}e", pad being an
+    element's, with the first element's comma dropped."""
     item = ",\n" + "  " * depth
     pad = item[1:] + "  "
     low = [""]
     for e in range(1, 9):
         low += [text + f",{pad}{e}" for text in low]
-    opened = [item + "[" + text[1:] for text in low]
+    return tuple(item + "[" + text[1:] for text in low)
+
+
+def _set_texts(sets: SetList, depth: int, tails: dict) -> Iterator[str]:
+    """The JSON text of each item of sets, the items sitting at depth
+    `depth`, each behind the "," and newline pad that precede an item there.
+
+    A set's text is its low byte's text from _opened_sets, then the text of
+    its elements past 8 with the closing bracket.  That tail is built once
+    per depth and distinct s >> 8 and kept in tails[depth], since the pad
+    differs by depth.
+    """
+    opened = _opened_sets(depth)
+    item = ",\n" + "  " * depth
+    pad = item[1:] + "  "
     null, empty, closer = item + "null", item + "[]", item[1:] + "]"
-    rests: dict[int, str] = {}
+    rests = tails.setdefault(depth, {})
     for s in sets:
         if s is None:
             yield null

@@ -21,7 +21,7 @@ from latticeramsey.embedder import EXACT_FACTORIAL_MAX
 from latticeramsey.lattice import elements_of, layer
 from latticeramsey.oracle import SearchExhausted
 
-from helpers import dumps
+from helpers import dumps, written
 
 
 def run_cli(capsys, *argv):
@@ -122,7 +122,7 @@ def test_embed_empty_permutation_at_width_zero(tmp_path, capsys, blue):
     report = sweep["result"]
     if blue:  # the one permutation fails, with the record's failure chain
         chain = EmbedRecord.from_obj(record["result"]).failure_chain()
-        assert report["failures"] == [{"perm": [], "chain": chain.to_obj()}]
+        assert report["failures"] == [{"perm": [], "chain": written(chain.to_obj())}]
     else:
         assert report["success"] == record["result"]
 
@@ -952,3 +952,36 @@ def test_certificates_are_canonical_and_match_their_output_files(
             assert without_run_fields(text) == without_run_fields(out)
     assert codes[-len(EMBED_EXAMPLES) :] == [1, 0, 1, 0, 1]
     assert digests == CERT_SHA256
+
+
+def test_one_parser_serves_every_main_call(tmp_path, capsys):
+    from latticeramsey import cli
+    from latticeramsey.constructions import low_block_layers
+    from latticeramsey.lattice import Coloring, WeightedFamily
+
+    assert cli._build_parser() is cli._build_parser()
+    path = tmp_path / "low-block.json"
+    fam = WeightedFamily(6, 2, modp_p=7, modp_d=1)
+    path.write_text(dumps(Coloring.structured(6, low_block_layers(2), blue_code=fam)))
+    sizes = ["--coloring", str(path), "--n", "3", "--k", "3"]
+    # each run sets options that the next leaves unset, so kept state would show
+    runs = [
+        ["embed", *sizes, "--sample", "3", "--seed", "5"],
+        ["embed", *sizes, "--all"],
+        ["verify", "--coloring", str(path), "--ramsey", "1,1", "--kind", "weak"],
+        ["verify", "--coloring", str(path), "--blue-free", "2"],
+        ["bound", "--n", "2", "--c", "-inf"],
+    ]
+
+    def outcome(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, _WALL_CLOCK.sub("", captured.out), captured.err
+
+    shared = [outcome(argv) for argv in runs]
+    fresh = []
+    for argv in runs:
+        cli._build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 1, 0, 2]

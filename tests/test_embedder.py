@@ -32,7 +32,7 @@ from latticeramsey.lattice import (
 from latticeramsey.oracle import CopyKind, find_copy
 from latticeramsey.verifier import verify_embedding
 
-from helpers import dumps
+from helpers import dumps, written
 from naive import loop_embed
 
 
@@ -47,11 +47,6 @@ def random_dense(ground, seed, density=0.5):
     return Coloring.dense(
         ground, [s for s in range(1 << ground) if rng.random() < density]
     )
-
-
-def written(obj):
-    """obj as it reads back from the certificate writer's text."""
-    return json.loads("".join(json_pieces(obj)))
 
 
 def test_all_red_embeds_identically():
@@ -336,9 +331,10 @@ def test_malformed_chain_is_value_error(obj):
 
 
 def plain_record(rec: EmbedRecord) -> dict:
-    """rec.to_obj() with its images spelled out as element lists."""
+    """rec.to_obj() with its images and chain sets spelled out as element lists."""
     obj = rec.to_obj()
     obj["images"] = [None if img is None else elements_of(img) for img in rec.images]
+    obj["chains"] = [{"sets": list(map(elements_of, c.sets))} for c in rec.chains]
     return obj
 
 

@@ -23,7 +23,7 @@ from latticeramsey.lattice import (
     mask_of,
 )
 
-from helpers import dumps
+from helpers import dumps, written
 
 masks6 = st.integers(min_value=0, max_value=63)
 
@@ -107,8 +107,8 @@ def test_dense_structured_agreement(n):
 
 def test_chain_roundtrip_and_validation():
     ch = Chain((0, mask_of([3])))
-    assert dumps(ch) == '{"sets": [[], [3]]}'
-    assert Chain.from_obj(json.loads(dumps(ch))) == ch
+    assert written(ch.to_obj()) == {"sets": [[], [3]]}
+    assert Chain.from_obj(written(ch.to_obj())) == ch
     with pytest.raises(ValueError):
         Chain.from_obj(json.loads('{"sets": [[3], []]}'))
     with pytest.raises(ValueError):
@@ -290,17 +290,12 @@ def test_json_pieces_shared_and_subclassed_containers():
 
 def test_json_pieces_share_pieces_and_leave_no_cycle():
     row = {"sets": [[1], [1, 2]]}
-    pieces = json_pieces([row, row])
-    # opener, the row's pieces, then the separator and the row's text as one string
-    assert pieces[-3] == ",\n  " and pieces[-2] == "".join(pieces[1:-3])
-    assert "".join(pieces) == indent2([row, row])
-    # every repeat appends the same separator and text objects: no text per repeat
     pieces = json_pieces([row] * 1000)
-    first = len(pieces) - 2 * 999 - 1
-    repeats = pieces[first:-1]
-    assert {id(p) for p in repeats[0::2]} == {id(repeats[0])}
-    assert {id(p) for p in repeats[1::2]} == {id(repeats[1])}
-    assert repeats[1] == "".join(pieces[1:first])
+    # the row is rendered once, behind its separator, and every repeat appends
+    # that one string; only the first copy is rebuilt behind the opening bracket
+    assert len(pieces) == 1001 and {id(p) for p in pieces[1:-1]} == {id(pieces[1])}
+    assert pieces[0] == "[" + pieces[1][1:]
+    assert "".join(pieces) == indent2([row] * 1000)
     gc.collect()
     gc.disable()
     try:
@@ -351,3 +346,17 @@ def test_json_pieces_write_set_lists_as_element_arrays(sets, depth):
     for _ in range(depth):  # nest, and repeat, so shared renderings are met too
         obj, plain = {"x": [obj, 1, obj]}, {"x": [plain, 1, plain]}
     assert "".join(json_pieces(obj)) == indent2(plain)
+
+
+overlapping_sets = st.lists(st.none() | st.integers(0, 2**10 - 1), max_size=8)
+
+
+@given(xs=overlapping_sets, ys=overlapping_sets)
+def test_json_pieces_keep_set_tails_apart_by_depth(xs, ys):
+    # masks past 2^8 share their text past element 8 across items at depths 2, 3 and 4
+    def plain(sets):
+        return [None if s is None else elements_of(s) for s in sets]
+
+    obj = {"a": [{"sets": SetList(xs)}], "b": SetList(ys), "c": [SetList(xs + ys)]}
+    want = {"a": [{"sets": plain(xs)}], "b": plain(ys), "c": [plain(xs + ys)]}
+    assert "".join(json_pieces(obj)) == indent2(want)
