@@ -484,16 +484,17 @@ def lll_family(cfg: LllConfig) -> WeightedFamily:
     n, m = cfg.n, cfg.m
     ground = n + m
     bits = [1 << i for i in range(ground)]
+    full = full_mask(ground)
     p = cfg.density
     rng = random.Random(cfg.seed)
 
     fam = {f for f in layer(ground, m) if rng.random() < p}
 
-    # Counts are maintained incrementally.  Each violated event sits in its
-    # set and has at least one (lex_key, mask) entry in its class's heap; an
-    # entry whose event has since healed is dropped when it reaches the top.
-    sup_count, sub_count = event_counts(fam, ground)
-    under, over = event_violations(sup_count, sub_count, ground, m)
+    # The masks ups are maintained incrementally.  Each violated event sits in
+    # its set and has at least one (lex_key, mask) entry in its class's heap;
+    # an entry whose event has since healed is dropped when it reaches the top.
+    ups = event_counts(fam, ground)
+    under, over = event_violations(ups, fam, ground, m)
     # in lexicographic order, so each list is already a heap
     heap_a = [(lex_key(s, ground), s) for s, _ in under]
     heap_b = [(lex_key(t, ground), t) for t, _ in over]
@@ -504,30 +505,37 @@ def lll_family(cfg: LllConfig) -> WeightedFamily:
         # An event changes class only when its count crosses the threshold:
         # sup 2 -> 1 or sub m-1 -> m enters violation, the reverse leaves it.
         adding = f not in fam
-        delta = 1 if adding else -1
         if adding:
             fam.add(f)
         else:
             fam.remove(f)
-        for b in bits:
-            if f & b:
-                s = f ^ b
-                cnt = sup_count[s] + delta
-                sup_count[s] = cnt
-                if cnt == 2 and adding:
-                    viol_a.discard(s)
-                elif cnt == 1 and not adding:
-                    viol_a.add(s)
-                    heappush(heap_a, (lex_key(s, ground), s))
+        one = two = rest = f
+        while rest:
+            x = rest & -rest
+            rest ^= x
+            s = f ^ x
+            u = ups[s] ^ x
+            ups[s] = u
+            cnt = u.bit_count()
+            if cnt == 2 and adding:
+                viol_a.discard(s)
+            elif cnt == 1 and not adding:
+                viol_a.add(s)
+                heappush(heap_a, (lex_key(s, ground), s))
+            two |= one & ~u
+            one |= ~u
+        # f | b holds m - 1 members besides f exactly when b is missing from
+        # one of the masks of f's (m-1)-subsets, so its count crosses m.
+        cross = one & ~two & full
+        while cross:
+            b = cross & -cross
+            cross ^= b
+            t = f | b
+            if adding:
+                viol_b.add(t)
+                heappush(heap_b, (lex_key(t, ground), t))
             else:
-                t = f | b
-                cnt = sub_count[t] + delta
-                sub_count[t] = cnt
-                if cnt == m and adding:
-                    viol_b.add(t)
-                    heappush(heap_b, (lex_key(t, ground), t))
-                elif cnt == m - 1 and not adding:
-                    viol_b.discard(t)
+                viol_b.discard(t)
 
     resamples = 0
     while viol_a or viol_b:
@@ -541,16 +549,16 @@ def lll_family(cfg: LllConfig) -> WeightedFamily:
             while heap_a[0][1] not in viol_a:
                 heappop(heap_a)
             s = heap_a[0][1]
-            indicators = [s | b for b in bits if not s & b]
+            u = ups[s]  # toggling S | b flips only bit b of it, so u stays valid
+            indicators = [(s | b, u & b) for b in bits if not s & b]
         else:
             while heap_b[0][1] not in viol_b:
                 heappop(heap_b)
             t = heap_b[0][1]
-            indicators = [t ^ b for b in bits if t & b]
+            indicators = [(t ^ b, t ^ b in fam) for b in bits if t & b]
         resamples += 1
-        for f in indicators:
-            want = rng.random() < p
-            if want != (f in fam):
+        for f, member in indicators:
+            if (rng.random() < p) != bool(member):
                 toggle(f)
 
     out = sorted_family(fam, ground, m)

@@ -109,45 +109,57 @@ def lex_key(mask: SetWord, ground: int) -> int:
     return -int(f"{mask:0{ground}b}"[::-1], 2)
 
 
-def event_counts(
-    members: Iterable[SetWord], ground: int
-) -> tuple[defaultdict[SetWord, int], defaultdict[SetWord, int]]:
-    """Superset and subset counts of a fixed-weight family over [ground].
+def event_counts(members: Iterable[SetWord], ground: int) -> defaultdict[SetWord, int]:
+    """Element masks of a fixed-weight family over [ground], one per (m-1)-set.
 
-    For a family of m-sets, sup_count[S] is the number of members covering the
-    (m-1)-set S and sub_count[T] the number of members inside the (m+1)-set T.
-    Both are returned as defaultdict(int) holding only the nonzero counts.
+    For a family of m-sets, ups[S] holds bit x exactly when S | x is a member,
+    so ups[S].bit_count() members cover the (m-1)-set S.  Only the (m-1)-sets
+    under some member are keys; each member is visited through its m bits.
     """
-    sup_count: defaultdict[SetWord, int] = defaultdict(int)
-    sub_count: defaultdict[SetWord, int] = defaultdict(int)
-    bits = [1 << i for i in range(ground)]
+    ups: defaultdict[SetWord, int] = defaultdict(int)
     for f in members:
-        for b in bits:
-            if f & b:
-                sup_count[f ^ b] += 1
-            else:
-                sub_count[f | b] += 1
-    return sup_count, sub_count
+        rest = f
+        while rest:
+            x = rest & -rest
+            rest ^= x
+            ups[f ^ x] |= x
+    return ups
 
 
 def event_violations(
-    sup_count: dict[SetWord, int], sub_count: dict[SetWord, int], ground: int, weight: int
+    ups: dict[SetWord, int], members: Iterable[SetWord], ground: int, weight: int
 ) -> tuple[Events, Events]:
     """The violated events of the two family conditions, read off event_counts.
 
     For a family of m-sets (m = weight), an (m-1)-set is undersupplied when
     fewer than 2 members cover it, and an (m+1)-set oversubscribed when at
     least m members lie inside it.  Returns (undersupplied, oversubscribed),
-    each a tuple of (set, count) pairs in lexicographic order.  The counts are
-    read with .get, so nothing is inserted into them.
+    each a tuple of (set, count) pairs in lexicographic order.  The (m+1)-set
+    f | b (f a member) holds f and (f ^ x) | b for each x in f whose mask
+    ups[f ^ x] holds b; `one` / `two` gather the b missing from at least one /
+    two of those masks.  Masks are read with .get, so a defaultdict gains none.
     """
 
     def lex(entry: tuple[SetWord, int]) -> int:
         return lex_key(entry[0], ground)
 
-    under = [(s, c) for s in layer(ground, weight - 1) if (c := sup_count.get(s, 0)) < 2]
-    over = [(t, c) for t, c in sub_count.items() if c >= weight]
-    return tuple(sorted(under, key=lex)), tuple(sorted(over, key=lex))
+    full = full_mask(ground)
+    under = [(s, c) for s in layer(ground, weight - 1) if (c := ups.get(s, 0).bit_count()) < 2]
+    over: dict[SetWord, int] = {}
+    for f in members:
+        one = two = rest = f
+        while rest:
+            x = rest & -rest
+            rest ^= x
+            lack = ~ups.get(f ^ x, 0)
+            two |= one & lack
+            one |= lack
+        rest = full & ~two
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            over[f | b] = weight if one & b else weight + 1
+    return tuple(sorted(under, key=lex)), tuple(sorted(over.items(), key=lex))
 
 
 def iter_submasks(mask: SetWord) -> Iterator[SetWord]:
@@ -325,8 +337,9 @@ class WeightedFamily:
             raise ValueError(
                 f"family conditions need a weight >= 1; this family has weight {self.weight}"
             )
-        counts = event_counts(self.enumerated_members(), self.ground_n)
-        return event_violations(*counts, self.ground_n, self.weight)
+        members = self.enumerated_members()
+        ups = event_counts(members, self.ground_n)
+        return event_violations(ups, members, self.ground_n, self.weight)
 
     def iter_members(self) -> Iterator[SetWord]:
         if self.members is not None:

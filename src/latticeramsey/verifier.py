@@ -269,10 +269,10 @@ def certify_red_singleton_bound(coloring: Coloring, n: int, m: int) -> CheckResu
     """Red side of the resampled coloring cannot host Q_n: every candidate
     bottom on layer m-1 has at most n-1 red supersets on layer m.
 
-    Layer m is not a blue layer, so S has (N - m + 1) - sup_count[S] red
-    supersets there, sup_count being the event count of the partial layer's
-    blue family.  At N = n + m that is more than n - 1 exactly when S is
-    undersupplied, so the witness is the colex-first undersupplied set.
+    Layer m is not a blue layer, so S has (N - m + 1) - ups[S].bit_count()
+    red supersets there, ups[S] being S's element mask (event_counts) in the
+    partial layer's blue family.  At N = n + m that is more than n - 1 exactly
+    when S is undersupplied, so the witness is the colex-first undersupplied set.
     """
     shape, _, shape_m, fam = _detect_shape(coloring)
     if shape != "low-block" or shape_m != m:

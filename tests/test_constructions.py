@@ -37,7 +37,12 @@ from latticeramsey.lattice import (
 from latticeramsey.oracle import CopyKind, coloring_is_ramsey, find_chain
 from latticeramsey.verifier import check_conditions, check_min_distance
 
-from naive import naive_greedy_pair_code, naive_lll_family, two_fold_triples_8
+from naive import (
+    naive_check_conditions,
+    naive_greedy_pair_code,
+    naive_lll_family,
+    two_fold_triples_8,
+)
 
 
 def test_layered_defaults_and_oracle():
@@ -337,8 +342,30 @@ def test_lll_family_seeds_the_violations_a_fresh_count_finds(n, m, p, seed):
     fam = lll_family(LllConfig(n, m, p_inclusion=p, seed=seed))
     # seeded by lll_family itself, so reading it counts nothing
     assert "violations" in vars(fam)
-    counts = event_counts(fam.members, fam.ground_n)
-    assert fam.violations == event_violations(*counts, fam.ground_n, m) == ((), ())
+    g = fam.ground_n
+    fresh = event_violations(event_counts(fam.members, g), fam.members, g, m)
+    assert fam.violations == fresh == ((), ())
+
+
+@pytest.mark.parametrize(
+    "n, m, p, seed, budget",
+    [
+        (24, 4, 0.07, derive_seed(6, 0), 40),
+        (40, 3, 0.02, 6, 500),
+        (12, 4, 0.1, 1, 1),
+        (12, 4, 0.1, 1, 4),
+    ],
+)
+def test_cut_resampler_reports_the_violations_a_fresh_count_finds(n, m, p, seed, budget):
+    # the masks the resampler updates in place never drift from a recount
+    cfg = LllConfig(n, m, p_inclusion=p, seed=seed, max_resamples=budget)
+    with pytest.raises(ResampleBudgetExceeded) as info:
+        lll_family(cfg)
+    fam, g = info.value.family, n + m
+    assert "violations" not in vars(fam)
+    fresh = event_violations(event_counts(fam.members, g), fam.members, g, m)
+    assert info.value.violations == sum(map(len, fresh)) > 0
+    assert check_conditions(fam).violations == naive_check_conditions(fam)
 
 
 def test_probabilistic_coloring_toy():

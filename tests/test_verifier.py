@@ -289,6 +289,18 @@ def test_conditions_match_brute_force_scan():
     assert both >= 20
 
 
+def test_conditions_match_brute_force_scan_at_the_edges():
+    # weight 1 has the one (m-1)-set {}, ground m has no (m+1)-set, and the
+    # empty family and the full layer are the extreme densities
+    rng = random.Random(2025)
+    for m in range(1, 6):
+        for ground in range(m, 13):
+            for density in (0.0, 1.0, rng.uniform(0.05, 0.95)):
+                members = [f for f in layer(ground, m) if rng.random() < density]
+                fam = sorted_family(members, ground, m)
+                assert check_conditions(fam).violations == naive_check_conditions(fam)
+
+
 def test_low_block_certifiers_match_color_lookups():
     rng = random.Random(91)
     colorings = []
