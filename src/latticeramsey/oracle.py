@@ -114,16 +114,30 @@ def _order(words) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(up), tuple(down)
 
 
-@lru_cache(maxsize=None)
-def _cube(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Order tables of all of Q_n; cached only for the scan grounds."""
-    return _order(range(1 << n))
+def _closure_bytes(rel) -> list[list[int]]:
+    """Per byte t of positions, table[s] is the OR of rel[i] & ~(1 << i) over
+    the i = 8t + j with bit j set in s."""
+    tables = []
+    for i, r in enumerate(rel):
+        if i % 8 == 0:
+            tables.append([0])
+        tables[-1] += [t | r & ~(1 << i) for t in tables[-1]]
+    return tables
 
 
 @lru_cache(maxsize=None)
-def _pattern_plan(m: int) -> tuple[tuple[int, ...], tuple, tuple]:
-    """Patterns of Q_m rank by rank, with the earlier strict sub-patterns and
-    the earlier incomparable patterns of each position."""
+def _cube(n: int) -> tuple:
+    """Order tables of all of Q_n, and the byte closures of up (the height peel
+    from below) and of down (from above), 1,024 ints each at n = 5; cached
+    only for the scan grounds."""
+    up, down = _order(range(1 << n))
+    return up, down, (_closure_bytes(up), _closure_bytes(down))
+
+
+@lru_cache(maxsize=None)
+def _pattern_plan(m: int) -> tuple[tuple[int, ...], tuple, tuple, tuple]:
+    """Patterns of Q_m rank by rank, their ranks, and the earlier strict
+    sub-patterns and the earlier incomparable patterns of each position."""
     patterns = tuple(subsets_by_rank(m))
     earlier_subs, earlier_incomp = [], []
     for idx, q in enumerate(patterns):
@@ -136,7 +150,8 @@ def _pattern_plan(m: int) -> tuple[tuple[int, ...], tuple, tuple]:
                 ei.append(jdx)
         earlier_subs.append(tuple(es))
         earlier_incomp.append(tuple(ei))
-    return patterns, tuple(earlier_subs), tuple(earlier_incomp)
+    ranks = tuple(q.bit_count() for q in patterns)
+    return patterns, ranks, tuple(earlier_subs), tuple(earlier_incomp)
 
 
 def _heights(fam: int, rel, depth: int) -> list[int]:
@@ -159,19 +174,39 @@ def _heights(fam: int, rel, depth: int) -> list[int]:
     return levels
 
 
-def _search(words, up, down, fam: int, m: int, kind: CopyKind, node_budget: int):
+def _peel(fam: int, tables, depth: int) -> list[int]:
+    """`_heights` from `_closure_bytes` tables: a level keeps the members that
+    the closure of the level before reaches, one lookup per byte."""
+    levels = [fam]
+    cur = fam
+    for _ in range(depth):
+        reach, rest = 0, cur
+        for table in tables:
+            reach |= table[rest & 255]
+            rest >>= 8
+        cur &= reach
+        levels.append(cur)
+    return levels
+
+
+def _search(words, up, down, fam: int, m: int, kind: CopyKind, node_budget: int, peels=None):
     """Search the words at the positions in `fam` for a copy of Q_m.
 
-    up/down are `_order(words)`.  Patterns are assigned rank by rank; a
-    candidate needs enough strict subsets/supersets in fam and room for a
-    chain of m+1 members through it.  Candidates are tried lowest position
-    first, so the witness and the node count depend only on the words in fam.
+    up/down are `_order(words)`; the byte closures `peels` of a cached cube
+    stand in for the member-by-member `_heights`.  Patterns are assigned rank
+    by rank; a candidate needs enough strict subsets/supersets in fam and room
+    for a chain of m+1 members through it.  Candidates are tried lowest
+    position first, so the witness and the node count depend only on the
+    words in fam.  The backtrack is one loop over a mask of untried candidates
+    per pattern, so no recursion limit bounds m.
     """
     size = 1 << m
     if fam.bit_count() < size:
         return None
-    below = _heights(fam, down, m)
-    above = _heights(fam, up, m)
+    if peels is None:
+        below, above = _heights(fam, down, m), _heights(fam, up, m)
+    else:
+        below, above = (_peel(fam, tables, m) for tables in peels)
     rank_candidates = []
     for r in range(m + 1):
         bits = below[r] & above[m - r]
@@ -190,39 +225,39 @@ def _search(words, up, down, fam: int, m: int, kind: CopyKind, node_budget: int)
                     bits ^= low
         rank_candidates.append(bits)
 
-    patterns, earlier_subs, earlier_incomp = _pattern_plan(m)
+    patterns, ranks, earlier_subs, earlier_incomp = _pattern_plan(m)
     induced = kind is CopyKind.INDUCED
     assigned = [0] * size
+    untried = [rank_candidates[0]] + [0] * (size - 1)
     used = 0
     nodes = 0
-
-    def backtrack(idx: int) -> bool:
-        nonlocal used, nodes
+    idx = 0
+    while True:
+        cand = untried[idx]
+        if not cand:
+            if idx == 0:
+                return None
+            idx -= 1
+            used ^= 1 << assigned[idx]
+            continue
+        low = cand & -cand
+        untried[idx] = cand ^ low
+        nodes += 1
+        if nodes > node_budget:
+            raise SearchExhausted(nodes)
+        assigned[idx] = low.bit_length() - 1
+        used |= low
+        idx += 1
         if idx == size:
-            return True
-        cand = rank_candidates[patterns[idx].bit_count()] & ~used
+            break
+        cand = rank_candidates[ranks[idx]] & ~used
         for jdx in earlier_subs[idx]:
             cand &= up[assigned[jdx]]
         if induced:
             for jdx in earlier_incomp[idx]:
                 a = assigned[jdx]
                 cand &= ~(up[a] | down[a])
-        while cand:
-            low = cand & -cand
-            i = low.bit_length() - 1
-            cand ^= low
-            nodes += 1
-            if nodes > node_budget:
-                raise SearchExhausted(nodes)
-            assigned[idx] = i
-            used |= low
-            if backtrack(idx + 1):
-                return True
-            used ^= low
-        return False
-
-    if not backtrack(0):
-        return None
+        untried[idx] = cand
     images = [0] * size
     for idx, q in enumerate(patterns):
         images[q] = words[assigned[idx]]
@@ -306,12 +341,15 @@ def coloring_is_ramsey(
         raise ValueError(f"Ramsey search needs a ground of at most {MAX_LAYERED_GROUND}")
     blue = int.from_bytes(coloring.densify().blue_bits, "little")
     words = range(1 << ground)
-    up, down = _cube(ground) if ground <= MAX_SCAN_GROUND else _order(words)
-    w = _search(words, up, down, blue, m, kind, node_budget)
+    if ground <= MAX_SCAN_GROUND:
+        up, down, peels = _cube(ground)
+    else:
+        (up, down), peels = _order(words), None
+    w = _search(words, up, down, blue, m, kind, node_budget, peels)
     if w is not None:
         return RamseyOutcome(blue_witness=w)
     red = ((1 << len(words)) - 1) ^ blue
-    w = _search(words, up, down, red, n, kind, node_budget)
+    w = _search(words, up, down, red, n, kind, node_budget, peels)
     if w is not None:
         return RamseyOutcome(red_witness=w)
     return RamseyOutcome()
@@ -362,17 +400,17 @@ def _scan_ground(
     in integer order would find.  Recursion depth <= 2^ground.
     """
     words = range(1 << ground)
-    up, down = _cube(ground)
+    up, down, peels = _cube(ground)
 
     def first(s: int, blue: int, red: int) -> Optional[int]:
         if s < 0:
             return blue
         bit = 1 << s
-        if _search(words, up, down, red | bit, n, kind, node_budget) is None:
+        if _search(words, up, down, red | bit, n, kind, node_budget, peels) is None:
             found = first(s - 1, blue, red | bit)
             if found is not None:
                 return found
-        if _search(words, up, down, blue | bit, m, kind, node_budget) is None:
+        if _search(words, up, down, blue | bit, m, kind, node_budget, peels) is None:
             return first(s - 1, blue | bit, red)
         return None
 

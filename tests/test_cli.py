@@ -95,6 +95,26 @@ def test_verify_witness_exit_code(tmp_path, capsys):
     assert cert["result"]["ramsey"]["blue_witness"] is not None
 
 
+def test_verify_ramsey_finds_all_blue_q10_without_recursion(tmp_path, capsys):
+    # the copy search once recursed 2^10 + 1 frames deep here and crashed
+    from latticeramsey.lattice import Coloring, mask_of
+    from latticeramsey.oracle import CopyKind, CopyWitness
+
+    path = tmp_path / "allblue.json"
+    path.write_text(dumps(Coloring.dense(10, range(1 << 10))))
+    code = main(["verify", "--coloring", str(path), "--ramsey", "10,1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    cert = json.loads(captured.out)
+    assert cert["outcome"] == "witness"
+    ramsey = cert["result"]["ramsey"]
+    assert ramsey["red_witness"] is None
+    blue = ramsey["blue_witness"]
+    images = tuple(mask_of(elems) for elems in blue["images"])
+    assert CopyWitness(CopyKind(blue["kind"]), blue["dim"], images).check()
+    assert blue["dim"] == 10
+
+
 def test_embed_single_permutation(tmp_path, capsys):
     from latticeramsey.lattice import Coloring
 

@@ -6,6 +6,7 @@ import pytest
 
 from latticeramsey.lattice import Coloring, mask_of, layer
 from latticeramsey.oracle import (
+    DEFAULT_NODE_BUDGET,
     CopyKind,
     SearchExhausted,
     coloring_is_ramsey,
@@ -13,7 +14,7 @@ from latticeramsey.oracle import (
     find_chain,
     find_copy,
 )
-from latticeramsey import constructions
+from latticeramsey import constructions, oracle
 from latticeramsey.constructions import layered_coloring
 
 from naive import (
@@ -222,8 +223,8 @@ def test_find_chain_matches_pairwise_oracle():
                 assert find_chain(fam, length) == pairwise_find_chain(fam, length)
 
 
-def _ramsey_pair(coloring, m, n, kind):
-    out = coloring_is_ramsey(coloring, m, n, kind)
+def _ramsey_pair(coloring, m, n, kind, node_budget=DEFAULT_NODE_BUDGET):
+    out = coloring_is_ramsey(coloring, m, n, kind, node_budget)
     return out.blue_witness, out.red_witness
 
 
@@ -289,3 +290,91 @@ def test_exhausted_layered_check_is_null(monkeypatch):
     assert r.layered_lower_bound is None
     assert r.to_obj()["layered_lower_bound"] is None
     assert r.status == "exhausted"
+
+
+def _pair_or_budget(search, *args):
+    """(blue, red) witnesses, or the node count the search gave up at."""
+    try:
+        return search(*args)
+    except SearchExhausted as exc:
+        return ("exhausted", exc.nodes)
+
+
+def test_coloring_is_ramsey_budget_points_match_pairwise_oracle():
+    rng = random.Random(41)
+    colorings = [
+        Coloring.dense_from_int(ground, rng.getrandbits(1 << ground))
+        for ground in range(1, 6)
+        for _ in range(12)
+    ]
+    exhausted = 0
+    for c in colorings:
+        for m in (1, 2, 3):
+            for n in (1, 2, 3):
+                for kind in (INDUCED, WEAK):
+                    for budget in (1, 5, 50):
+                        got = _pair_or_budget(_ramsey_pair, c, m, n, kind, budget)
+                        want = _pair_or_budget(
+                            pairwise_coloring_is_ramsey, c, m, n, kind, budget
+                        )
+                        assert got == want, (c, m, n, kind, budget)
+                        exhausted += got[0] == "exhausted"
+    assert exhausted == 830  # the budget points are really reached
+
+
+def _seeded_families(ground, count, rng):
+    for _ in range(count):
+        density = rng.choice((0.2, 0.5, 0.8))
+        yield sum(1 << s for s in range(1 << ground) if rng.random() < density)
+
+
+def test_byte_closure_peel_matches_heights():
+    rng = random.Random(19)
+    for ground in range(6):
+        up, down, (peel_below, peel_above) = oracle._cube(ground)
+        if ground <= 3:
+            families = range(1 << (1 << ground))
+        else:
+            families = list(_seeded_families(ground, 60, rng))
+        for fam in families:
+            for depth in range(5):
+                assert oracle._peel(fam, peel_below, depth) == oracle._heights(
+                    fam, down, depth
+                ), (ground, fam, depth)
+                assert oracle._peel(fam, peel_above, depth) == oracle._heights(
+                    fam, up, depth
+                ), (ground, fam, depth)
+
+
+def test_find_copy_of_q10_in_q10_needs_no_recursion():
+    # the search once recursed once per pattern, 2^10 + 1 frames deep here
+    w = find_copy(range(1 << 10), 10, WEAK)
+    assert w is not None and w.check()
+    assert sorted(w.images) == list(range(1 << 10))
+
+
+def test_neither_is_invariant_under_the_symmetries_of_the_cube():
+    # Relabelling the ground elements, complementing every set, and swapping
+    # the colors together with (m, n) each map copies to copies.
+    rng = random.Random(23)
+    for ground in range(2, 6):
+        top, every = (1 << ground) - 1, (1 << (1 << ground)) - 1
+        for fam in _seeded_families(ground, 30, rng):
+            blue = [s for s in range(top + 1) if fam >> s & 1]
+            perm = rng.sample(range(ground), ground)
+            c = Coloring.dense_from_int(ground, fam)
+            relabelled = Coloring.dense(
+                ground, [sum(1 << perm[e] for e in range(ground) if s >> e & 1) for s in blue]
+            )
+            complemented = Coloring.dense(ground, [top ^ s for s in blue])
+            swapped = Coloring.dense_from_int(ground, every ^ fam)
+            for m in (1, 2, 3):
+                for n in (1, 2, 3):
+                    for kind in (INDUCED, WEAK):
+                        neither = coloring_is_ramsey(c, m, n, kind).neither
+                        for image, mi, ni in (
+                            (relabelled, m, n),
+                            (complemented, m, n),
+                            (swapped, n, m),
+                        ):
+                            assert coloring_is_ramsey(image, mi, ni, kind).neither == neither
