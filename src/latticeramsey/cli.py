@@ -63,14 +63,18 @@ def derive_seed(master: int, counter: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _load_coloring(path: str) -> tuple[Coloring, str]:
+def _load_coloring(path: str, cert: _Certificate) -> Coloring:
+    """The coloring in a JSON file; its sha256 goes into the certificate's inputs."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
         coloring = Coloring.from_obj(json.loads(text))
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc.args[0]}") from None
-    return coloring, hashlib.sha256(text.encode()).hexdigest()
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+    cert.obj["inputs"][path] = hashlib.sha256(text.encode()).hexdigest()
+    return coloring
 
 
 class _Certificate:
@@ -207,9 +211,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_construct(args, cert: _Certificate) -> str:
+    if args.variant != "pairs" and args.m is None:
+        raise ValueError(f"{args.variant} construction needs --m")
     if args.variant == "layered":
-        if args.m is None:
-            raise ValueError("layered construction needs --m")
         blue = _parse_int_list(args.blue_layers) if args.blue_layers else None
         coloring = cons.layered_coloring(args.m, args.n, blue)
         cert.obj["result"] = {"construction": "layered"}
@@ -225,8 +229,6 @@ def _cmd_construct(args, cert: _Certificate) -> str:
             "max_blocked": code.max_blocked,
         }
     elif args.variant == "modp":
-        if args.m is None:
-            raise ValueError("modp construction needs --m")
         params = cons.weak_parameters(args.n, args.m, args.k, args.d, args.p)
         coloring = cons.weak_construction(params)
         cert.obj["result"] = {
@@ -234,8 +236,6 @@ def _cmd_construct(args, cert: _Certificate) -> str:
             "params": params.to_obj(),
         }
     else:  # lll
-        if args.m is None:
-            raise ValueError("lll construction needs --m")
         seed = derive_seed(args.seed, 0)
         cert.obj["seeds"] = {"master": args.seed, "family": seed}
         cfg = cons.LllConfig(
@@ -250,12 +250,7 @@ def _cmd_construct(args, cert: _Certificate) -> str:
             "density": cfg.density,
             "default_density": cons.LllConfig.default_density(args.n, args.m),
         }
-        try:
-            fam = cons.lll_family(cfg)
-        except cons.ResampleBudgetExceeded as exc:
-            # no coloring exists, so nothing is written to -o
-            result.update(resamples=exc.resamples, violations=exc.violations)
-            return "exhausted"
+        fam = cons.lll_family(cfg)  # on exhaustion no coloring exists, so -o stays unwritten
         coloring = cons.probabilistic_coloring(args.n, args.m, fam)
         result["members"] = len(fam.members)
     cert.obj["result"]["coloring"] = obj = coloring.to_obj()
@@ -268,8 +263,7 @@ def _cmd_construct(args, cert: _Certificate) -> str:
 
 
 def _cmd_verify(args, cert: _Certificate) -> str:
-    coloring, digest = _load_coloring(args.coloring)
-    cert.obj["inputs"][args.coloring] = digest
+    coloring = _load_coloring(args.coloring, cert)
     results: dict = {}
     if args.blue_free is not None:
         results["blue_free"] = ver.certify_blue_free(coloring, args.blue_free)
@@ -283,31 +277,17 @@ def _cmd_verify(args, cert: _Certificate) -> str:
     if args.red_bound:
         n, m = _parse_int_list(args.red_bound, 2, "--red-bound needs n,m")
         results["red_bound"] = ver.certify_red_singleton_bound(coloring, n, m)
-    checks = {name: res.to_obj() for name, res in results.items()}
-    witness_found = not all(res.ok for res in results.values())
     if args.ramsey:
         m, n = _parse_int_list(args.ramsey, 2, "--ramsey needs m,n")
-        outcome = coloring_is_ramsey(coloring, m, n, CopyKind(args.kind))
-        checks["ramsey"] = {
-            "neither": outcome.neither,
-            "blue_witness": None
-            if outcome.blue_witness is None
-            else outcome.blue_witness.to_obj(),
-            "red_witness": None
-            if outcome.red_witness is None
-            else outcome.red_witness.to_obj(),
-        }
-        witness_found |= not outcome.neither
-
-    if not checks:
+        results["ramsey"] = coloring_is_ramsey(coloring, m, n, CopyKind(args.kind))
+    if not results:
         raise ValueError("no verification requested")
-    cert.obj["result"] = checks
-    return "witness" if witness_found else "ok"
+    cert.obj["result"] = {name: res.to_obj() for name, res in results.items()}
+    return "ok" if all(res.ok for res in results.values()) else "witness"
 
 
 def _cmd_embed(args, cert: _Certificate) -> str:
-    coloring, digest = _load_coloring(args.coloring)
-    cert.obj["inputs"][args.coloring] = digest
+    coloring = _load_coloring(args.coloring, cert)
     n, k = args.n, args.k
     if args.pi is not None:  # "" is the empty permutation, for k = 0
         perm = Permutation(n, k, tuple(_parse_int_list(args.pi)))
@@ -382,9 +362,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         outcome = _HANDLERS[args.cmd](args, cert)
     except SystemExit:  # --help has been printed
         return EXIT_OK
-    except SearchExhausted as exc:
-        outcome = "exhausted"
-        cert.obj["result"] = {"error": str(exc)}
+    except (SearchExhausted, cons.ResampleBudgetExceeded) as exc:
+        outcome = "exhausted"  # the result so far, plus what the budget got through
+        cert.obj["result"] = (cert.obj["result"] or {}) | exc.fields
     except (ValueError, OverflowError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -29,6 +29,7 @@ from .lattice import (
     Coloring,
     SetWord,
     WeightedFamily,
+    _check_ground,
     elements_of,
     event_counts,
     event_violations,
@@ -123,6 +124,7 @@ def greedy_pair_code(n: int) -> PairCode:
         raise ValueError("n must be >= 2")
     k = n // 2
     ground = n + 2
+    _check_ground(ground)  # the coloring would refuse it only after the scan
     candidates = comb(n, k)
     max_blocked = ((n + 2) * (n + 1) - 1) * (1 + k * (n - k))
 
@@ -459,7 +461,8 @@ class LllConfig:
 
 
 class ResampleBudgetExceeded(Exception):
-    """The resampler hit max_resamples; carries the best-effort family."""
+    """The resampler hit max_resamples; carries the best-effort family.
+    fields is what an exhausted certificate's result gains."""
 
     def __init__(self, family: WeightedFamily, violations: int, resamples: int):
         super().__init__(
@@ -468,6 +471,7 @@ class ResampleBudgetExceeded(Exception):
         self.family = family
         self.violations = violations
         self.resamples = resamples
+        self.fields = {"resamples": resamples, "violations": violations}
 
 
 def lll_family(cfg: LllConfig) -> WeightedFamily:

@@ -77,6 +77,23 @@ def _check_member(mask: SetWord, n: int) -> None:
         raise ValueError(f"mask {mask:#x} has elements outside [1, {n}]")
 
 
+def _dense_size(n: int) -> int:
+    """Bytes of a dense bit vector over the subsets of [n], n <= MAX_DENSE_GROUND."""
+    _check_ground(n)
+    if n > MAX_DENSE_GROUND:
+        raise ValueError(f"dense colorings capped at N <= {MAX_DENSE_GROUND}; use structured")
+    return ((1 << n) + 7) // 8
+
+
+def check_enumerable(n: int, s: int) -> None:
+    """Refuse layer(n, s) when it holds more than ENUMERATION_LIMIT sets; a
+    layer index outside [0, n] is left for layer() to report."""
+    if 0 <= s <= n and comb(n, s) > ENUMERATION_LIMIT:
+        raise ValueError(
+            f"layer C({n},{s}) too large to enumerate (limit {ENUMERATION_LIMIT})"
+        )
+
+
 def layer(n: int, s: int) -> Iterator[SetWord]:
     """All subsets of [n] of size s, in colex (= ascending numeric) order."""
     _check_ground(n)
@@ -352,11 +369,7 @@ class WeightedFamily:
         than ENUMERATION_LIMIT sets."""
         if self.members is not None:
             return list(self.members)
-        if comb(self.ground_n, self.weight) > ENUMERATION_LIMIT:
-            raise ValueError(
-                f"layer C({self.ground_n},{self.weight}) too large to enumerate "
-                f"(limit {ENUMERATION_LIMIT})"
-            )
+        check_enumerable(self.ground_n, self.weight)
         return list(self.iter_members())
 
 
@@ -385,13 +398,9 @@ class Coloring:
         n = self.ground_n
         _check_ground(n)
         if self.blue_bits is not None:
-            if n > MAX_DENSE_GROUND:
-                raise ValueError(
-                    f"dense colorings capped at N <= {MAX_DENSE_GROUND}; use structured"
-                )
+            want = _dense_size(n)
             if self.blue_layers or self.blue_extra or self.blue_code:
                 raise ValueError("coloring must be dense or structured, not both")
-            want = ((1 << n) + 7) // 8
             if len(self.blue_bits) != want:
                 raise ValueError(
                     f"dense bit vector has {len(self.blue_bits)} bytes, expected {want}"
@@ -426,10 +435,7 @@ class Coloring:
     @classmethod
     def dense(cls, n: int, blue: Iterable[SetWord]) -> "Coloring":
         """Dense coloring from the collection of blue SetWords."""
-        _check_ground(n)
-        if n > MAX_DENSE_GROUND:
-            raise ValueError(f"dense colorings capped at N <= {MAX_DENSE_GROUND}")
-        buf = bytearray(((1 << n) + 7) // 8)
+        buf = bytearray(_dense_size(n))
         for s in blue:
             _check_member(s, n)
             buf[s >> 3] |= 1 << (s & 7)
@@ -438,12 +444,10 @@ class Coloring:
     @classmethod
     def dense_from_int(cls, n: int, bits: int) -> "Coloring":
         """Dense coloring from an integer bit vector (bit s = SetWord s blue)."""
-        _check_ground(n)
-        if n > MAX_DENSE_GROUND:
-            raise ValueError(f"dense colorings capped at N <= {MAX_DENSE_GROUND}")
+        size = _dense_size(n)
         if bits < 0 or bits >> (1 << n):
             raise ValueError("bit vector has bits beyond 2^N")
-        return cls(n, blue_bits=bits.to_bytes(((1 << n) + 7) // 8, "little"))
+        return cls(n, blue_bits=bits.to_bytes(size, "little"))
 
     @classmethod
     def structured(
@@ -510,12 +514,6 @@ class Coloring:
             raise ValueError("coloring extras do not form a single-weight family")
         members = tuple(sorted(self.blue_extra))
         return WeightedFamily(self.ground_n, sizes.pop(), members=members)
-
-    def densify(self) -> "Coloring":
-        """Equivalent dense coloring (for small ground sets)."""
-        if self.is_dense:
-            return self
-        return Coloring.dense(self.ground_n, self.blue_family())
 
     def to_obj(self) -> dict:
         if self.blue_bits is not None:

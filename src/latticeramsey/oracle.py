@@ -34,12 +34,14 @@ class SearchExhausted(Exception):
     """The node budget ran out before the search completed.
 
     Distinct from a completed search returning no witness: an exhausted search
-    says nothing about existence.
+    says nothing about existence.  fields is what an exhausted certificate's
+    result gains.
     """
 
     def __init__(self, nodes: int):
         super().__init__(f"search exhausted after {nodes} nodes")
         self.nodes = nodes
+        self.fields = {"error": str(self)}
 
 
 @dataclass(frozen=True)
@@ -325,6 +327,16 @@ class RamseyOutcome:
     def neither(self) -> bool:
         return self.blue_witness is None and self.red_witness is None
 
+    ok = neither  # as for every verify check: True when no witness was found
+
+    def to_obj(self) -> dict:
+        blue, red = self.blue_witness, self.red_witness
+        return {
+            "neither": self.neither,
+            "blue_witness": None if blue is None else blue.to_obj(),
+            "red_witness": None if red is None else red.to_obj(),
+        }
+
 
 def coloring_is_ramsey(
     coloring: Coloring,
@@ -337,10 +349,10 @@ def coloring_is_ramsey(
     if m < 0 or n < 0:
         raise ValueError("pattern dimension must be >= 0")
     ground = coloring.ground_n
-    if ground > MAX_LAYERED_GROUND:  # before densify and the order of Q_N
+    if ground > MAX_LAYERED_GROUND:  # before the colors and the order of Q_N are read
         raise ValueError(f"Ramsey search needs a ground of at most {MAX_LAYERED_GROUND}")
-    blue = int.from_bytes(coloring.densify().blue_bits, "little")
     words = range(1 << ground)
+    blue = int.from_bytes(coloring.blue_range(0, len(words)), "little")
     if ground <= MAX_SCAN_GROUND:
         up, down, peels = _cube(ground)
     else:

@@ -22,6 +22,7 @@ from .lattice import (
     Coloring,
     SetWord,
     WeightedFamily,
+    check_enumerable,
     elements_of,
     full_mask,
     is_subset,
@@ -148,13 +149,15 @@ def check_code_statement(
     tables of those shared top parts are kept on a stack (at most m beyond
     the full one) instead of being divided out again.  The size-window
     hypotheses under which this is guaranteed are evaluated and reported, but
-    parameters outside them are still checked (exploratory use).
+    parameters outside them are still checked (exploratory use).  Refused when
+    there are more than ENUMERATION_LIMIT sets Y.
     """
     k_min, k_max = size_window(ground, m)
     hypotheses_ok = ground > m and k_min <= k <= k_max
     pairs = 0
     tops: list[int] = []  # the previous Y's elements, largest first
     tables = [build_dp_table(full_mask(ground), k, p)]  # tables[j]: tops[:j] out
+    check_enumerable(ground, m)
     for avoid in layer(ground, m):
         down = elements_of(avoid)[::-1]
         shared = 0

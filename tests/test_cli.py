@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from latticeramsey import __version__
 from latticeramsey.cli import main
 from latticeramsey.embedder import EXACT_FACTORIAL_MAX
 from latticeramsey.lattice import elements_of, layer
@@ -93,6 +94,41 @@ def test_verify_witness_exit_code(tmp_path, capsys):
     assert code == 1
     assert cert["outcome"] == "witness"
     assert cert["result"]["ramsey"]["blue_witness"] is not None
+
+
+_Q1_IN_Q1 = {"dim": 1, "images": [[], [1]], "kind": "weak"}
+
+
+@pytest.mark.parametrize(
+    "coloring, digest, blue_witness, red_witness",
+    [
+        ('{"blue_hex": "0f", "n": 2, "repr": "dense"}',
+         "894f2cd692d3272313d180a2c66d49cc515553f1342861b618e2582c0d7291a0", _Q1_IN_Q1, None),
+        ('{"blue_hex": "00", "n": 3, "repr": "dense"}',
+         "fedf41eab955edb343e55a77f2cec8886588421f015ecd0656ef099d9e084873", None, _Q1_IN_Q1),
+    ],
+    ids=["all-blue-q2", "all-red-q3"],
+)
+def test_verify_ramsey_certificate_keeps_its_bytes(
+    tmp_path, monkeypatch, capsys, coloring, digest, blue_witness, red_witness
+):
+    monkeypatch.chdir(tmp_path)
+    Path("c.json").write_text(coloring)
+    argv = ["verify", "--coloring", "c.json", "--ramsey", "1,1"]
+    assert main(argv) == 1
+    want = {
+        "command": argv,
+        "inputs": {"c.json": digest},
+        "outcome": "witness",
+        "result": {
+            "ramsey": {"blue_witness": blue_witness, "neither": False, "red_witness": red_witness}
+        },
+        "seeds": {},
+        "version": __version__,
+        "witness": None,
+    }
+    out = _WALL_CLOCK.sub("", capsys.readouterr().out)
+    assert out == json.dumps(want, sort_keys=True, indent=2) + "\n"
 
 
 def test_verify_ramsey_finds_all_blue_q10_without_recursion(tmp_path, capsys):
@@ -375,7 +411,14 @@ def test_exhausted_budget_exit_code(capsys):
     )
     assert code == 3
     assert cert["outcome"] == "exhausted"
-    assert cert["result"]["violations"] > 0
+    assert cert["seeds"] == {"master": 1, "family": 11990938716539812860}
+    assert cert["result"] == {
+        "construction": "lll",
+        "default_density": 0.10649638629044372,
+        "density": 0.1,
+        "resamples": 2,
+        "violations": 330,
+    }
 
 
 def test_unknown_subcommand_is_usage(capsys):
@@ -402,9 +445,18 @@ def test_layered_witness_over_the_cap_is_usage(capsys, m, n):
     assert f"m + n - 1 <= {MAX_LAYERED_GROUND}" in usage_error_line(capsys)
 
 
+def test_pair_code_over_the_ground_cap_is_usage(capsys):
+    # ground n + 2 = 72; the greedy scan once ran past 20 s before the
+    # coloring refused the ground
+    start = time.monotonic()
+    assert main(["construct", "pairs", "--n", "70"]) == 2
+    assert time.monotonic() - start < 1
+    assert "ground size 72 outside [0, 64]" in usage_error_line(capsys)
+
+
 def test_ramsey_check_on_q16_is_usage(tmp_path, capsys):
     # coloring_is_ramsey searches the whole cube, whose order alone would
-    # take about 1 GiB at N = 16; the file is refused before densify
+    # take about 1 GiB at N = 16; the file is refused before its colors are read
     from latticeramsey.lattice import Coloring
     from latticeramsey.oracle import MAX_LAYERED_GROUND
 
@@ -445,6 +497,8 @@ def usage_error_line(capsys):
         "10,2,-1,11,5",  # k < 0
         "10,2,9,11,5",  # k exceeds the N - m elements left after removing Y
         "10,12,3,11,5",  # m > N
+        "60,30,12,61,1",  # C(60, 30) sets Y, past ENUMERATION_LIMIT
+        "45,5,20,47,1",  # C(45, 5) sets Y, the first N past it at m = 5
     ],
 )
 def test_bad_code_statement_is_usage(tmp_path, capsys, statement):
@@ -598,6 +652,14 @@ def test_malformed_coloring_file_is_usage(tmp_path, capsys, obj):
     path.write_text(json.dumps(obj))
     assert main(["verify", "--coloring", str(path), "--ramsey", "1,1"]) == 2
     usage_error_line(capsys)
+
+
+def test_deeply_nested_coloring_file_is_usage(tmp_path, capsys):
+    # json.loads runs out of stack on this; exit 1 would claim a witness
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert main(["verify", "--coloring", str(path), "--ramsey", "1,1"]) == 2
+    assert usage_error_line(capsys) == f"error: {path}: JSON nested too deeply\n"
 
 
 @pytest.mark.parametrize(

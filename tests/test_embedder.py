@@ -369,7 +369,7 @@ def test_structured_coloring_embeds_like_its_dense_copy(n, k, data):
     coloring = Coloring.structured(ground, layers, extra, code)
     image = tuple(data.draw(st.permutations(range(n + 1, ground + 1))))
     perm = Permutation(n, k, image)
-    dense = coloring.densify()
+    dense = Coloring(ground, blue_bits=coloring.blue_range(0, 1 << ground))
     assert dense.is_dense
     assert embed_with_permutation(coloring, n, k, perm) == embed_with_permutation(dense, n, k, perm)
     # a sweep reads colors through the same blue_range, and stops early on failure

@@ -100,7 +100,7 @@ def test_dense_structured_agreement(n):
         if s.bit_count() not in layers and rng.random() < 0.1
     ]
     structured = Coloring.structured(n, blue_layers=layers, blue_extra=extra)
-    dense = structured.densify()
+    dense = Coloring(n, blue_bits=structured.blue_range(0, 1 << n))
     for s in range(1 << n):
         assert structured.is_blue(s) is dense.is_blue(s)
 
