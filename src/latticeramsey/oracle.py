@@ -87,7 +87,8 @@ class CopyWitness:
 
 
 def _order(words) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Containment order of ascending distinct SetWords, by bit slicing.
+    """Containment order of ascending distinct SetWords, by bit slicing;
+    ValueError on a negative one.
 
     up[i] and down[i] are bitmasks over positions in `words`: the words
     containing words[i] and the words inside it, words[i] itself included.
@@ -96,6 +97,8 @@ def _order(words) -> tuple[tuple[int, ...], tuple[int, ...]]:
     OR over the elements it lacks: O(|words| * N) big-int operations.
     """
     words = list(words)
+    if words and words[0] < 0:
+        raise ValueError(f"family member {words[0]} is negative, not a set bitmask")
     every = (1 << len(words)) - 1
     elements = [1 << e for e in range(max(words, default=0).bit_length())]
     has = dict.fromkeys(elements, 0)
@@ -137,23 +140,20 @@ def _cube(n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _pattern_plan(m: int) -> tuple[tuple[int, ...], tuple, tuple, tuple]:
-    """Patterns of Q_m rank by rank, their ranks, and the earlier strict
-    sub-patterns and the earlier incomparable patterns of each position."""
+def _pattern_plan(m: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple, tuple]:
+    """Patterns of Q_m rank by rank, their ranks last first, and per position
+    the later strict super-patterns and later incomparable patterns, nearest
+    first, as indices into a list of domains that holds the patterns last
+    first (a later pattern never lies below an earlier one)."""
     patterns = tuple(subsets_by_rank(m))
-    earlier_subs, earlier_incomp = [], []
-    for idx, q in enumerate(patterns):
-        es, ei = [], []
-        for jdx in range(idx):
-            p = patterns[jdx]
-            if p & ~q == 0:
-                es.append(jdx)
-            elif q & ~p:  # p not subset of q; q not subset of p is automatic
-                ei.append(jdx)
-        earlier_subs.append(tuple(es))
-        earlier_incomp.append(tuple(ei))
-    ranks = tuple(q.bit_count() for q in patterns)
-    return patterns, ranks, tuple(earlier_subs), tuple(earlier_incomp)
+    size = len(patterns)
+    later_sups, later_incomp = [], []
+    for idx, p in enumerate(patterns):
+        later = range(idx + 1, size)
+        later_sups.append(tuple(size - 1 - j for j in later if p & ~patterns[j] == 0))
+        later_incomp.append(tuple(size - 1 - j for j in later if p & ~patterns[j]))
+    ranks = tuple(q.bit_count() for q in reversed(patterns))
+    return patterns, ranks, tuple(later_sups), tuple(later_incomp)
 
 
 def _heights(fam: int, rel, depth: int) -> list[int]:
@@ -191,16 +191,30 @@ def _peel(fam: int, tables, depth: int) -> list[int]:
     return levels
 
 
+def _narrow(domains: list, targets, keep: int) -> bool:
+    """AND the domains at `targets` with keep; False once one is empty."""
+    for k in targets:
+        d = domains[k] & keep
+        if not d:
+            return False
+        domains[k] = d
+    return True
+
+
 def _search(words, up, down, fam: int, m: int, kind: CopyKind, node_budget: int, peels=None):
     """Search the words at the positions in `fam` for a copy of Q_m.
 
     up/down are `_order(words)`; the byte closures `peels` of a cached cube
     stand in for the member-by-member `_heights`.  Patterns are assigned rank
-    by rank; a candidate needs enough strict subsets/supersets in fam and room
-    for a chain of m+1 members through it.  Candidates are tried lowest
-    position first, so the witness and the node count depend only on the
-    words in fam.  The backtrack is one loop over a mask of untried candidates
-    per pattern, so no recursion limit bounds m.
+    by rank from domains of positions with room for a chain of m+1 members,
+    narrowed by forward checking: a position taken leaves each later
+    super-pattern its untaken strict supersets and, in an induced copy, each
+    later incomparable pattern the untaken positions incomparable to it (a
+    weak copy drops taken positions on arrival, sparing a pass over every
+    later domain per node); an empty domain closes the branch.  Candidates
+    are tried lowest position first, so the witness and the node count
+    depend only on the words in fam.  The backtrack is one loop over a stack
+    of domain lists, so no recursion limit bounds m.
     """
     size = 1 << m
     if fam.bit_count() < size:
@@ -209,57 +223,54 @@ def _search(words, up, down, fam: int, m: int, kind: CopyKind, node_budget: int,
         below, above = _heights(fam, down, m), _heights(fam, up, m)
     else:
         below, above = (_peel(fam, tables, m) for tables in peels)
-    rank_candidates = []
-    for r in range(m + 1):
-        bits = below[r] & above[m - r]
-        # A chain of r+1 members ending at i gives it r strict subsets; count
-        # them only where the pattern needs more (2^r - 1), same above.
-        need_below, need_above = 1 << r, 1 << (m - r)
-        if need_below > r + 1 or need_above > m - r + 1:
-            rest = bits
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                i = low.bit_length() - 1
-                if (down[i] & fam).bit_count() < need_below or (
-                    up[i] & fam
-                ).bit_count() < need_above:
-                    bits ^= low
-        rank_candidates.append(bits)
-
-    patterns, ranks, earlier_subs, earlier_incomp = _pattern_plan(m)
+    patterns, ranks, later_sups, later_incomp = _pattern_plan(m)
+    # level holds the domains of patterns size-1 down to idx, given the
+    # positions of those before idx, and its last entry idx's untried
+    # candidates; stack holds the levels before it.
+    level = [below[r] & above[m - r] for r in ranks]
+    if not all(level):
+        return None
     induced = kind is CopyKind.INDUCED
+    stack = []
     assigned = [0] * size
-    untried = [rank_candidates[0]] + [0] * (size - 1)
-    used = 0
-    nodes = 0
-    idx = 0
+    free = fam  # the untaken positions
+    nodes = idx = 0
     while True:
-        cand = untried[idx]
+        cand = level[-1]
         if not cand:
-            if idx == 0:
+            if not idx:
                 return None
+            level = stack.pop()
             idx -= 1
-            used ^= 1 << assigned[idx]
+            free |= 1 << assigned[idx]
             continue
         low = cand & -cand
-        untried[idx] = cand ^ low
+        level[-1] = cand ^ low
         nodes += 1
         if nodes > node_budget:
             raise SearchExhausted(nodes)
-        assigned[idx] = low.bit_length() - 1
-        used |= low
-        idx += 1
-        if idx == size:
+        a = low.bit_length() - 1
+        assigned[idx] = a
+        if idx == size - 1:
             break
-        cand = rank_candidates[ranks[idx]] & ~used
-        for jdx in earlier_subs[idx]:
-            cand &= up[assigned[jdx]]
-        if induced:
-            for jdx in earlier_incomp[idx]:
-                a = assigned[jdx]
-                cand &= ~(up[a] | down[a])
-        untried[idx] = cand
+        free ^= low
+        nxt = level[:-1]
+        if _narrow(nxt, later_sups[idx], up[a] & free) and (
+            not induced or _narrow(nxt, later_incomp[idx], free & ~(up[a] | down[a]))
+        ):
+            cand = nxt[-1] & free
+            if idx and idx < m:
+                # The singletons (positions 1..m) take rising positions.
+                # Sorting the singletons of a copy is an automorphism of Q_m
+                # and gives a copy no later in the order candidates are tried,
+                # so the first copy keeps its singletons rising.
+                cand &= -(low << 1)
+            nxt[-1] = cand
+            stack.append(level)
+            level = nxt
+            idx += 1
+        else:
+            free |= low
     images = [0] * size
     for idx, q in enumerate(patterns):
         images[q] = words[assigned[idx]]
@@ -275,11 +286,11 @@ def find_copy(
     """Search a family for a weak or induced copy of Q_m.
 
     The search is complete: None means no copy exists.  Patterns are assigned
-    rank by rank, pruning candidates by their subset/superset counts and by
-    their chain height inside the family (when the family height equals the
-    height of Q_m, the level of every image is forced).  Raises
-    SearchExhausted when more than node_budget candidate assignments are
-    tried.
+    rank by rank, from candidates with room for a chain of m+1 members through
+    them (when the family height equals the height of Q_m, the level of every
+    image is forced), narrowed by forward checking as patterns take positions.
+    Raises SearchExhausted when more than node_budget candidate assignments
+    are tried, and ValueError on a negative member.
     """
     if m < 0:
         raise ValueError("pattern dimension must be >= 0")
@@ -297,9 +308,9 @@ def find_chain(family, length: int) -> Optional[Chain]:
     if length < 1:
         raise ValueError("chain length must be >= 1")
     fam = sorted(set(family))
+    _, down = _order(fam)
     if length > len(fam):
         return None
-    _, down = _order(fam)
     levels = _heights((1 << len(fam)) - 1, down, length - 1)
     # levels[h]: positions of height >= h+1.  Subsets come first in position
     # order, so the lowest of height >= length has height exactly length, and

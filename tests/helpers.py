@@ -1,8 +1,10 @@
 """Small helpers shared by the test modules."""
 
 import json
+import random
 
-from latticeramsey.lattice import json_pieces
+from latticeramsey.constructions import low_block_layers
+from latticeramsey.lattice import Coloring, json_pieces
 
 
 def dumps(obj) -> str:
@@ -13,3 +15,12 @@ def dumps(obj) -> str:
 def written(obj):
     """obj as it reads back from the certificate writer's text."""
     return json.loads("".join(json_pieces(obj)))
+
+
+def low_block_q9() -> Coloring:
+    """Q_9 blue on layers 0, 1 and 4 and on the 3-sets s, in ascending
+    order, with random.Random(3).random() < 0.1: a search-bound coloring for
+    `verify --ramsey 3,6`."""
+    rng = random.Random(3)
+    extra = [s for s in range(1 << 9) if s.bit_count() == 3 and rng.random() < 0.1]
+    return Coloring.structured(9, blue_layers=low_block_layers(3), blue_extra=extra)

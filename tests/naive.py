@@ -7,6 +7,8 @@ package's searchers is what the equivalence tests assert.  Two references
 are the package's own former code instead: loop_embed, the embedding loop
 that a faster embedder must match record for record, and the pairwise oracle
 at the end, the searcher that a faster one must match witness for witness.
+forward_checking_find_copy adds the copy search's present pruning to that
+oracle, as the reference for its node counts.
 """
 
 import random
@@ -860,13 +862,104 @@ def pairwise_find_chain(family, length: int) -> Optional[Chain]:
     return None
 
 
-def pairwise_coloring_is_ramsey(coloring, m, n, kind, node_budget=DEFAULT_NODE_BUDGET):
-    """(blue witness, red witness) the pairwise oracle finds; red only without blue."""
-    w = pairwise_find_copy(coloring.blue_family(), m, kind, node_budget)
+def forward_checking_find_copy(
+    family,
+    m: int,
+    kind: CopyKind,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> Optional[CopyWitness]:
+    """The node-count reference for the package's copy search: the pairwise
+    search above without its count prefilter, plus forward checking and
+    rising singletons.  Its witnesses are pairwise_find_copy's.
+
+    Every pattern starts with the members that have room for a chain of m+1
+    members through them at its rank.  When pattern idx takes member i (one
+    node), each later super-pattern keeps the untaken strict supersets of i
+    and, in an induced copy, each later incomparable pattern the untaken
+    members incomparable to i; an empty domain closes the branch.  A weak
+    copy's incomparable domains lose the taken members when their turn comes,
+    and singletons 2..m only take members after the singleton before them.
+    """
+    if m < 0:
+        raise ValueError("pattern dimension must be >= 0")
+    fam = sorted(set(family))
+    nf, size = len(fam), 1 << m
+    if nf < size:
+        return None
+    # sups[i] / subs[i]: members containing / inside member i, i included.
+    sups = [sum(1 << j for j in range(nf) if fam[i] & ~fam[j] == 0) for i in range(nf)]
+    subs = [sum(1 << j for j in range(nf) if fam[j] & ~fam[i] == 0) for i in range(nf)]
+    # Longest chains ending at / starting from each member; subsets sort first.
+    ending, starting = [1] * nf, [1] * nf
+    for i in range(nf):
+        for j in range(i):
+            if subs[i] >> j & 1:
+                ending[i] = max(ending[i], ending[j] + 1)
+    for i in reversed(range(nf)):
+        for j in range(i + 1, nf):
+            if sups[i] >> j & 1:
+                starting[i] = max(starting[i], starting[j] + 1)
+    patterns = list(subsets_by_rank(m))
+    domains = [
+        sum(
+            1 << i
+            for i in range(nf)
+            if ending[i] > q.bit_count() and starting[i] > m - q.bit_count()
+        )
+        for q in patterns
+    ]
+    if not all(domains):
+        return None
+    induced = kind is CopyKind.INDUCED
+    assigned = [0] * size
+    nodes = 0
+
+    def place(idx: int, domains: list, free: int) -> bool:
+        nonlocal nodes
+        cand = domains[idx] & free
+        if 2 <= idx <= m:
+            cand &= ~((2 << assigned[idx - 1]) - 1)
+        for i in range(nf):
+            if not cand >> i & 1:
+                continue
+            nodes += 1
+            if nodes > node_budget:
+                raise SearchExhausted(nodes)
+            assigned[idx] = i
+            if idx == size - 1:
+                return True
+            rest = free & ~(1 << i)
+            narrowed = list(domains)
+            for j in range(idx + 1, size):
+                if patterns[idx] & ~patterns[j] == 0:
+                    narrowed[j] &= sups[i] & rest
+                elif induced:
+                    narrowed[j] &= rest & ~(sups[i] | subs[i])
+                if not narrowed[j]:
+                    break
+            else:
+                if place(idx + 1, narrowed, rest):
+                    return True
+        return False
+
+    if not place(0, domains, (1 << nf) - 1):
+        return None
+    images = [0] * size
+    for idx, q in enumerate(patterns):
+        images[q] = fam[assigned[idx]]
+    return CopyWitness(kind, m, tuple(images))
+
+
+def pairwise_coloring_is_ramsey(
+    coloring, m, n, kind, node_budget=DEFAULT_NODE_BUDGET, search=pairwise_find_copy
+):
+    """(blue witness, red witness) the pairwise oracle, or another family
+    search, finds; red only without blue."""
+    w = search(coloring.blue_family(), m, kind, node_budget)
     if w is not None:
         return w, None
     red = [s for s in range(1 << coloring.ground_n) if not coloring.is_blue(s)]
-    return None, pairwise_find_copy(red, n, kind, node_budget)
+    return None, search(red, n, kind, node_budget)
 
 
 def _listing_scan(m, n, kind, max_n, neither):

@@ -22,7 +22,7 @@ from latticeramsey.embedder import EXACT_FACTORIAL_MAX
 from latticeramsey.lattice import elements_of, layer
 from latticeramsey.oracle import SearchExhausted
 
-from helpers import dumps, written
+from helpers import dumps, low_block_q9, written
 
 
 def run_cli(capsys, *argv):
@@ -149,6 +149,18 @@ def test_verify_ramsey_finds_all_blue_q10_without_recursion(tmp_path, capsys):
     images = tuple(mask_of(elems) for elems in blue["images"])
     assert CopyWitness(CopyKind(blue["kind"]), blue["dim"], images).check()
     assert blue["dim"] == 10
+
+
+def test_verify_ramsey_on_a_low_block_q9_finds_the_red_q6(tmp_path, capsys):
+    # verify --ramsey 3,6 ran past 100 s on this coloring before the copy
+    # search checked forward; now the red Q_6 comes within milliseconds.
+    path = tmp_path / "lowblock9.json"
+    path.write_text(dumps(low_block_q9()))
+    code, cert = run_cli(capsys, "verify", "--coloring", str(path), "--ramsey", "3,6")
+    assert code == 1
+    ramsey = cert["result"]["ramsey"]
+    assert ramsey["blue_witness"] is None
+    assert ramsey["red_witness"]["dim"] == 6 and ramsey["red_witness"]["kind"] == "weak"
 
 
 def test_embed_single_permutation(tmp_path, capsys):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from latticeramsey.lattice import Coloring, mask_of, layer
+from latticeramsey.lattice import Coloring, WeightedFamily, mask_of, layer
 from latticeramsey.oracle import (
     DEFAULT_NODE_BUDGET,
     CopyKind,
@@ -17,7 +17,9 @@ from latticeramsey.oracle import (
 from latticeramsey import constructions, oracle
 from latticeramsey.constructions import layered_coloring
 
+from helpers import low_block_q9
 from naive import (
+    forward_checking_find_copy,
     listing_ramsey_scan,
     naive_find_copy,
     pair_logic_has_copy,
@@ -210,7 +212,7 @@ def test_find_copy_budget_points_match_pairwise_oracle():
             for kind in (INDUCED, WEAK):
                 for budget in (1, 5, 50):
                     assert _both(find_copy, fam, m, kind, budget) == _both(
-                        pairwise_find_copy, fam, m, kind, budget
+                        forward_checking_find_copy, fam, m, kind, budget
                     ), (fam, m, kind, budget)
 
 
@@ -315,17 +317,59 @@ def test_coloring_is_ramsey_budget_points_match_pairwise_oracle():
                     for budget in (1, 5, 50):
                         got = _pair_or_budget(_ramsey_pair, c, m, n, kind, budget)
                         want = _pair_or_budget(
-                            pairwise_coloring_is_ramsey, c, m, n, kind, budget
+                            pairwise_coloring_is_ramsey,
+                            c, m, n, kind, budget, forward_checking_find_copy,
                         )
                         assert got == want, (c, m, n, kind, budget)
                         exhausted += got[0] == "exhausted"
-    assert exhausted == 830  # the budget points are really reached
+    assert exhausted == 877  # the budget points are really reached
+
+
+def test_whole_cube_witnesses_match_pairwise_oracle():
+    # Forward checking and rising singletons cut only branches that hold no
+    # copy or a later one, so the whole-cube search (byte closures up to
+    # N = 5, _heights at N = 6 and 7) finds the pairwise oracle's witness.
+    rng = random.Random(53)
+    for ground in range(3, 8):
+        for fam in _seeded_families(ground, 12, rng):
+            c = Coloring.dense_from_int(ground, fam)
+            for m in range(5):
+                for kind in (INDUCED, WEAK):
+                    assert _ramsey_pair(c, m, m, kind) == pairwise_coloring_is_ramsey(
+                        c, m, m, kind
+                    ), (ground, fam, m, kind)
 
 
 def _seeded_families(ground, count, rng):
     for _ in range(count):
         density = rng.choice((0.2, 0.5, 0.8))
         yield sum(1 << s for s in range(1 << ground) if rng.random() < density)
+
+
+@pytest.mark.parametrize("ground,p,m,n", [(7, 7, 2, 5), (10, 11, 3, 7)])
+@pytest.mark.parametrize("kind", [WEAK, INDUCED])
+def test_modp_colorings_are_refuted_within_budget(ground, p, m, n, kind):
+    # The paper's modp colorings (spread layers around k = 2, the residue
+    # code on layer 3) ran past 10^6 nodes, 1-7 s, before forward checking.
+    c = Coloring.structured(
+        ground,
+        blue_layers=constructions.spread_layers(2, m),
+        blue_code=WeightedFamily(ground, 3, modp_p=p, modp_d=1),
+    )
+    assert coloring_is_ramsey(c, m, n, kind, node_budget=10**6).neither
+
+
+@pytest.mark.parametrize("kind", [WEAK, INDUCED])
+def test_low_block_q9_red_q6_found_within_budget(kind):
+    # The weak search ran past 10^6 nodes here (and verify --ramsey 3,6 past
+    # 100 s at the default budget) before forward checking.
+    c = low_block_q9()
+    out = coloring_is_ramsey(c, 3, 6, kind, node_budget=10**6)
+    assert out.blue_witness is None
+    red = out.red_witness
+    assert red is not None and red.check()
+    assert not any(c.is_blue(s) for s in red.images)
+    assert red.images[:4] == (3, 7, 11, 31 if kind is WEAK else 271)
 
 
 def test_byte_closure_peel_matches_heights():
@@ -344,6 +388,16 @@ def test_byte_closure_peel_matches_heights():
                 assert oracle._peel(fam, peel_above, depth) == oracle._heights(
                     fam, up, depth
                 ), (ground, fam, depth)
+
+
+def test_negative_members_are_refused():
+    # -1 once passed as a superset of every set: find_copy([-1, 2], 1, WEAK)
+    # gave images (2, -1).
+    for family in ([-1, 2], [3, -4, 5]):
+        with pytest.raises(ValueError, match="negative"):
+            find_copy(family, 1, WEAK)
+        with pytest.raises(ValueError, match="negative"):
+            find_chain(family, 2)
 
 
 def test_find_copy_of_q10_in_q10_needs_no_recursion():
