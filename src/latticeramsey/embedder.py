@@ -64,7 +64,7 @@ class EmbedRecord:
 
     @property
     def succeeded(self) -> bool:
-        return all(img is not None for img in self.images)
+        return None not in self.images
 
     def first_failure(self) -> Optional[SetWord]:
         """The failed subset first in cardinality-then-colex order, or None:
@@ -79,18 +79,16 @@ class EmbedRecord:
         return None if a is None else self.chains[a]
 
     def to_obj(self) -> dict:
-        """The record as JSON-able values for json_pieces: images and chain
-        sets stay masks, in SetLists that json_pieces writes as element arrays."""
-        # Subsets that add no blue set share their donor's Chain object, so
-        # each distinct object is converted once and its dict is shared too.
-        objs = {key: c.to_obj() for key, c in {id(c): c for c in self.chains}.items()}
+        """The record as values for json_pieces: images stay masks, in a
+        SetList, and chains stay Chain objects, which json_pieces writes once
+        per distinct object (subsets that add no blue set share their donor's)."""
         return {
             "n": self.n,
             "k": self.k,
             "perm": list(self.perm.image),
             "images": SetList(self.images),
-            "levels": list(self.levels),
-            "chains": list(map(objs.__getitem__, map(id, self.chains))),
+            "levels": self.levels,
+            "chains": self.chains,
         }
 
     @classmethod
@@ -329,7 +327,7 @@ class SweepReport:
             "perms_run": self.perms_run,
             "success": None if self.success is None else self.success.to_obj(),
             "failures": [
-                {"perm": list(p), "chain": c.to_obj()} for p, c in self.failures
+                {"perm": list(p), "chain": c} for p, c in self.failures
             ],
             "collisions": [[list(p), list(q)] for p, q in self.collisions],
             "injective": self.injective,

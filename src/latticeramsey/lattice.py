@@ -584,7 +584,8 @@ def json_pieces(obj) -> list[str]:
     is built.  Each distinct object in a list is rendered once, to one
     string that every repeat in that list appends, so a repeated item costs
     a reference per repeat.  Lists of plain ints are rendered in one join.
-    A SetList is written as its element arrays, one piece per set.  Like
+    A SetList is written as its element arrays, one piece per set, and a
+    Chain as its to_obj(), {"sets": [...]}.  Like
     json.dumps, this recurses once per nesting level; obj must not contain
     itself.
     """
@@ -598,7 +599,7 @@ def json_pieces(obj) -> list[str]:
 
 def _json_text(o, depth: int) -> Optional[str]:
     """The JSON text of o at nesting depth `depth`, or None if o is a
-    non-empty list, tuple or dict other than a list of plain ints."""
+    Chain, or a non-empty list, tuple or dict other than a list of plain ints."""
     kind = type(o)
     if kind is int:  # by type, not ==: True == 1
         return int.__repr__(o)
@@ -609,7 +610,7 @@ def _json_text(o, depth: int) -> Optional[str]:
             return None
         pad = "\n" + "  " * (depth + 1)
         return "[" + pad + ("," + pad).join(map(int.__repr__, o)) + pad[:-2] + "]"
-    if isinstance(o, dict) and o:
+    if isinstance(o, Chain) or isinstance(o, dict) and o:
         return None
     return json.dumps(o)  # str, float (NaN, Infinity), empty containers
 
@@ -636,6 +637,11 @@ def _write_json(o, depth: int, out: list[str], tails: dict) -> None:
     comma, brackets = "," + pad, "[]"
     if isinstance(o, SetList):
         out.extend(_set_texts(o, depth + 1, tails))  # each behind a comma
+    elif isinstance(o, Chain):  # as its to_obj(), {"sets": [...]}
+        brackets = "{}"
+        out.append(comma + ('"sets": ' if o.sets else '"sets": []'))
+        if o.sets:
+            _write_json(SetList(o.sets), depth + 1, out, tails)
     elif isinstance(o, dict):
         brackets = "{}"
         for key, value in sorted(o.items()):

@@ -14,6 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
+from functools import lru_cache
+from itertools import repeat
+from math import comb
+from operator import eq, is_, or_
 from typing import Optional
 
 from .constructions import low_block_layers, size_window, spread_layers
@@ -25,12 +29,12 @@ from .lattice import (
     check_enumerable,
     elements_of,
     full_mask,
-    is_subset,
     iter_submasks,
     layer,
 )
 
 LLL_DIGITS = 60  # decimal precision of the local-lemma report
+CODE_STATEMENT_WORK = 2 * 10**7  # table steps; about 3 s at 150 ns each (2-core x86 VM)
 
 
 @dataclass(frozen=True)
@@ -149,15 +153,17 @@ def check_code_statement(
     tables of those shared top parts are kept on a stack (at most m beyond
     the full one) instead of being divided out again.  The size-window
     hypotheses under which this is guaranteed are evaluated and reported, but
-    parameters outside them are still checked (exploratory use).  Refused when
-    there are more than ENUMERATION_LIMIT sets Y.
+    parameters outside them are still checked (exploratory use).  Refused past
+    ENUMERATION_LIMIT sets Y, or CODE_STATEMENT_WORK table steps C(N, m)(k+1)p.
     """
     k_min, k_max = size_window(ground, m)
     hypotheses_ok = ground > m and k_min <= k <= k_max
+    check_enumerable(ground, m)
+    if 0 <= m <= ground and comb(ground, m) * (k + 1) * p > CODE_STATEMENT_WORK:
+        raise ValueError(f"C({ground},{m})(k+1)p table steps exceed {CODE_STATEMENT_WORK:.0e}")
     pairs = 0
     tops: list[int] = []  # the previous Y's elements, largest first
     tables = [build_dp_table(full_mask(ground), k, p)]  # tables[j]: tops[:j] out
-    check_enumerable(ground, m)
     for avoid in layer(ground, m):
         down = elements_of(avoid)[::-1]
         shared = 0
@@ -350,16 +356,23 @@ def lll_inequality_report(n: int, m: int, p_incl: Optional[float] = None) -> Lll
         return LllReport(n, m, *floats, p_as <= rhs_as, p_bt <= rhs_bt, deps_as, deps_bt)
 
 
+def _bitset(table: bytes, value: int) -> int:
+    """The int whose bit a is set iff table[a] == value."""
+    return int(table.translate(b"0" * value + b"1" + b"0" * (255 - value))[::-1], 2)
+
+
 def verify_embedding(rec: EmbedRecord, coloring: Coloring) -> CheckResult:
     """Re-check an embedding record against its coloring from scratch.
 
     Uses only color lookups and subset tests: image form and level count,
     redness of every assigned image, level monotonicity under inclusion,
     blocking-chain shape and blueness, and chain-below-image.  Returns the
-    first violated property, in O(n * 2^n) work.  Strict containment between
-    patterns and images holds exactly once the image form and monotonicity
-    do (images are A plus a nested prefix of the permuted top block), so it
-    needs no all-pairs loop.
+    first violated property, in O(n * 2^n) work: each is tested on bitsets of
+    the whole cube, and only the least subset that breaks it is checked on its
+    own, for the witness and detail that a scan subset by subset would give.
+    Strict containment between patterns and images holds exactly once the
+    image form and monotonicity do (images are A plus a nested prefix of the
+    permuted top block), so it needs no all-pairs loop.
     """
     n, k = rec.n, rec.k
     if coloring.ground_n != n + k:
@@ -367,51 +380,56 @@ def verify_embedding(rec: EmbedRecord, coloring: Coloring) -> CheckResult:
     if (rec.perm.base, rec.perm.width) != (n, k):
         return CheckResult(False, None, "permutation dimensions do not match (n, k)")
     size = 1 << n
-    full = size - 1
+    full, cube = size - 1, (1 << size) - 1
     if not (len(rec.images) == len(rec.levels) == len(rec.chains) == size):
         return CheckResult(False, None, "table sizes do not match 2^n")
     prefixes = rec.perm.prefixes  # in the top block, so image form keeps img & full == a
     # The sets A | prefix_i of level i are one contiguous range of SetWords,
     # so each level's colors are read once, on first use, as the embedder does.
-    level_blue: list[Optional[bytes]] = [None] * (k + 1)
+    blue_of = lru_cache(maxsize=None)(lambda i: coloring.blue_range(prefixes[i], size))
+    try:  # at[t] holds the subsets at level t; a level outside 0 .. 255 reads as 255
+        raw = bytes(rec.levels)
+    except ValueError:
+        raw = bytes(lvl if 0 <= lvl <= k + 1 else 255 for lvl in rec.levels)
+    at = [_bitset(raw, t) for t in range(k + 2)]
+    placed = sum(at[:-1])  # the subsets at levels 0 .. k; the at[t] are disjoint
 
-    def blue_at(i: int, a: SetWord) -> int:
-        blue = level_blue[i]
-        if blue is None:
-            blue = level_blue[i] = coloring.blue_range(prefixes[i], size)
-        return blue[a >> 3] >> (a & 7) & 1
+    # The image checks: a subset fails them iff it is in one of these bitsets.
+    pads = prefixes + (0,) * (255 - k)  # each byte level's prefix, 0 past k
+    expected = map(or_, range(size), map(pads.__getitem__, raw))
+    same = _bitset(bytes(map(eq, rec.images, expected)), 1)
+    unset = _bitset(bytes(map(is_, rec.images, repeat(None))), 1)
+    bad = cube & ~(placed | at[k + 1]) | at[k + 1] & ~unset | placed & ~same
+    for t in range(k + 1):
+        if at[t]:
+            bad |= at[t] & int.from_bytes(blue_of(t), "little")
+    if bad:
+        a = (bad & -bad).bit_length() - 1
+        lvl, img = rec.levels[a], rec.images[a]
+        return CheckResult(False, (a,), "level out of range" if not 0 <= lvl <= k + 1
+                           else "failed level but image assigned" if lvl == k + 1
+                           else "image missing at non-failure level" if img is None
+                           else "image is not A + permuted prefix" if img != a | prefixes[lvl]
+                           else "image is not red")
 
-    for a in range(size):
+    # Levels are monotone under inclusion iff each U_t, the subsets at level
+    # >= t, is an up-set.  A breaks that iff some A - {x} is in a U_t that A
+    # is not in, so the least such A is the first that a scan of covering
+    # pairs in ascending order meets; only there are its submasks walked for
+    # the least violating B, as a full submask scan would find.
+    lacking: list[int] = []  # bit a of lacking[j] is set iff a lacks element j+1
+    for j in range(n):
+        lacking = [m | m << (1 << j) for m in lacking] + [(1 << (1 << j)) - 1]
+    up = 0
+    for t in range(k + 1, 0, -1):
+        up |= at[t]
+        for j, lack in enumerate(lacking):
+            bad |= (up & lack) << (1 << j) & ~up
+    if bad:
+        a = (bad & -bad).bit_length() - 1
         lvl = rec.levels[a]
-        img = rec.images[a]
-        if not 0 <= lvl <= k + 1:
-            return CheckResult(False, (a,), "level out of range")
-        if lvl == k + 1:
-            if img is not None:
-                return CheckResult(False, (a,), "failed level but image assigned")
-        else:
-            if img is None:
-                return CheckResult(False, (a,), "image missing at non-failure level")
-            if img != a | prefixes[lvl]:
-                return CheckResult(False, (a,), "image is not A + permuted prefix")
-            if blue_at(lvl, a):
-                return CheckResult(False, (a,), "image is not red")
-
-    # Monotonicity is checked on the covering pairs (A - {x}, A) only.  A is
-    # scanned in ascending order, after all its subsets; if they all passed,
-    # each is monotone on its own submasks, so a proper subset B of A with
-    # l_B > l_A lies in some A - {x} with level >= l_B.  The first failing A
-    # is thus the same as for a full submask scan, and only there are its
-    # submasks walked for the least violating B.
-    for a in range(size):
-        lvl = rec.levels[a]
-        rest = a
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if rec.levels[a ^ low] > lvl:
-                b = next(s for s in iter_submasks(a) if rec.levels[s] > lvl)
-                return CheckResult(False, (b, a), "level not monotone under inclusion")
+        b = next(s for s in iter_submasks(a) if rec.levels[s] > lvl)
+        return CheckResult(False, (b, a), "level not monotone under inclusion")
 
     # Strict containment between patterns and images needs no scan: it holds
     # exactly once the checks above pass.  Each image is A | prefix[l_A] with
@@ -420,19 +438,34 @@ def verify_embedding(rec: EmbedRecord, coloring: Coloring) -> CheckResult:
     # from it in [n].  If image_B is a proper subset of image_A, then
     # B = image_B & [n] lies inside A = image_A & [n], and B != A.
 
-    for a in range(size):
+    # Each distinct chain's sets are checked once; it is entered at its length
+    # if they pass, else at 255, which no level is.  A subset fails iff its
+    # chain's entry is not its level, or that chain's top set meets [n] outside A.
+    ids = list(map(id, rec.chains))
+    lengths, lows = {}, {}
+    for key, chain in dict(zip(ids, rec.chains)).items():
+        ok = len(chain) <= k + 1 and all(
+            s & ~full == prefixes[i] and blue_of(i)[(s & full) >> 3] >> (s & full & 7) & 1
+            for i, s in enumerate(chain)
+        )
+        lengths[key] = len(chain) if ok else 255
+        lows[key] = chain[-1] & full if ok and len(chain) else 0
+    wrong = int.from_bytes(bytes(map(lengths.__getitem__, ids)), "little")
+    wrong ^= int.from_bytes(raw, "little")
+    below = map(eq, map(or_, map(lows.__getitem__, ids), range(size)), range(size))
+    bad = placed & ~_bitset(bytes(below), 1)
+    if wrong:  # byte a of wrong is nonzero iff a's chain entry is not its level
+        bad |= 1 << ((wrong & -wrong).bit_length() - 1 >> 3)
+    if bad:
+        a = (bad & -bad).bit_length() - 1
         chain = rec.chains[a]
-        if len(chain) != min(rec.levels[a], k + 1):
+        if len(chain) != rec.levels[a]:
             return CheckResult(False, (a,), "chain length differs from level")
         for i, s in enumerate(chain):
-            # a set off its level's range (wrong top part) is read on its own
-            top = s & ~full
-            if not (blue_at(i, s & full) if top == prefixes[i] else coloring.is_blue(s)):
+            if not coloring.is_blue(s):
                 return CheckResult(False, (a,), "chain contains a red set")
-            if top != prefixes[i]:
+            if s & ~full != prefixes[i]:
                 return CheckResult(False, (a,), "chain step has wrong top part")
-        if 1 <= rec.levels[a] <= k:
-            if not is_subset(chain[rec.levels[a] - 1], rec.images[a]):
-                return CheckResult(False, (a,), "chain top not below the image")
+        return CheckResult(False, (a,), "chain top not below the image")
 
     return CheckResult(True, detail="all embedding properties verified")

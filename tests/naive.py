@@ -5,8 +5,10 @@ enumerating injections (or by direct pair logic for the tiny patterns), and
 counts are taken by materializing subsets.  Agreement between these and the
 package's searchers is what the equivalence tests assert.  Two references
 are the package's own former code instead: loop_embed, the embedding loop
-that a faster embedder must match record for record, and the pairwise oracle
-at the end, the searcher that a faster one must match witness for witness.
+that a faster embedder must match record for record, scan_verify_embedding,
+the subset-by-subset re-check that the whole-cube one must match verdict for
+verdict, and the pairwise oracle at the end, the searcher that a faster one
+must match witness for witness.
 forward_checking_find_copy adds the copy search's present pruning to that
 oracle, as the reference for its node counts.
 """
@@ -528,6 +530,51 @@ def naive_verify_embedding(rec, coloring):
             if not is_subset(chain[rec.levels[a] - 1], rec.images[a]):
                 return CheckResult(False, (a,), "chain top not below the image")
 
+    return CheckResult(True, detail="all embedding properties verified")
+
+
+def scan_verify_embedding(rec, coloring):
+    """verify_embedding as a scan subset by subset, in ascending order: the
+    image checks, then monotonicity on the covering pairs (A - {x}, A), then
+    the chains, each set read with is_blue."""
+    n, k = rec.n, rec.k
+    if coloring.ground_n != n + k:
+        raise ValueError("record and coloring dimensions do not match")
+    if (rec.perm.base, rec.perm.width) != (n, k):
+        return CheckResult(False, None, "permutation dimensions do not match (n, k)")
+    size = 1 << n
+    if not (len(rec.images) == len(rec.levels) == len(rec.chains) == size):
+        return CheckResult(False, None, "table sizes do not match 2^n")
+    prefixes = rec.perm.prefixes
+    for a in range(size):
+        lvl, img = rec.levels[a], rec.images[a]
+        if not 0 <= lvl <= k + 1:
+            return CheckResult(False, (a,), "level out of range")
+        if lvl == k + 1:
+            if img is not None:
+                return CheckResult(False, (a,), "failed level but image assigned")
+        elif img is None:
+            return CheckResult(False, (a,), "image missing at non-failure level")
+        elif img != a | prefixes[lvl]:
+            return CheckResult(False, (a,), "image is not A + permuted prefix")
+        elif coloring.is_blue(img):
+            return CheckResult(False, (a,), "image is not red")
+    for a in range(size):
+        lvl = rec.levels[a]
+        if any(a >> j & 1 and rec.levels[a ^ 1 << j] > lvl for j in range(n)):
+            b = next(s for s in range(a + 1) if is_subset(s, a) and rec.levels[s] > lvl)
+            return CheckResult(False, (b, a), "level not monotone under inclusion")
+    for a in range(size):
+        chain, lvl = rec.chains[a], rec.levels[a]
+        if len(chain) != min(lvl, k + 1):
+            return CheckResult(False, (a,), "chain length differs from level")
+        for i, s in enumerate(chain):
+            if not coloring.is_blue(s):
+                return CheckResult(False, (a,), "chain contains a red set")
+            if s & ~(size - 1) != prefixes[i]:
+                return CheckResult(False, (a,), "chain step has wrong top part")
+        if 1 <= lvl <= k and not is_subset(chain[lvl - 1], rec.images[a]):
+            return CheckResult(False, (a,), "chain top not below the image")
     return CheckResult(True, detail="all embedding properties verified")
 
 

@@ -511,6 +511,7 @@ def usage_error_line(capsys):
         "10,12,3,11,5",  # m > N
         "60,30,12,61,1",  # C(60, 30) sets Y, past ENUMERATION_LIMIT
         "45,5,20,47,1",  # C(45, 5) sets Y, the first N past it at m = 5
+        "40,5,17,41,1",  # C(40, 5)(k+1)p = 4.9e8 table steps, a 76 s run
     ],
 )
 def test_bad_code_statement_is_usage(tmp_path, capsys, statement):

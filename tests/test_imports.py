@@ -67,3 +67,23 @@ def test_no_unused_private_name():
             read |= {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)} - bound
             read |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
     assert [f"{where} {name}" for name, where in defined if name not in read] == []
+
+
+def test_verifier_takes_only_the_record_type_from_the_embedder():
+    # The certifier re-derives what it checks: it must not borrow the
+    # embedder's level machinery (its cube bitsets, reach or byte spreads).
+    tree = ast.parse((SRC / "verifier.py").read_text(encoding="utf-8"))
+    taken = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("embedder")
+        for alias in node.names
+    ]
+    plain = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name.endswith("embedder")
+    ]
+    assert taken == ["EmbedRecord"] and plain == []

@@ -3,6 +3,7 @@
 import gc
 import json
 from collections import defaultdict
+from itertools import accumulate
 from math import comb
 
 import pytest
@@ -359,4 +360,29 @@ def test_json_pieces_keep_set_tails_apart_by_depth(xs, ys):
 
     obj = {"a": [{"sets": SetList(xs)}], "b": SetList(ys), "c": [SetList(xs + ys)]}
     want = {"a": [{"sets": plain(xs)}], "b": plain(ys), "c": [plain(xs + ys)]}
+    assert "".join(json_pieces(obj)) == indent2(want)
+
+
+chain_sets = st.lists(st.integers(0, 2**12 - 1), max_size=4).map(
+    # each set grows by its predecessor's least missing element, so they rise
+    lambda masks: tuple(accumulate(masks, lambda a, b: a | b | (a + 1 & ~a)))
+)
+
+
+@given(
+    chains=st.lists(chain_sets, min_size=1, max_size=4),
+    picks=st.lists(st.integers(0, 4), max_size=10),
+    depth=st.integers(0, 3),
+)
+def test_json_pieces_write_chains_as_their_sets(chains, picks, depth):
+    # shared Chains, equal but distinct ones and the empty one, in lists and
+    # as dict values, are written as {"sets": [element lists]}
+    def plain(chain):
+        return {"sets": list(map(elements_of, chain))}
+
+    objs = [Chain(sets) for sets in chains] + [Chain(())]
+    obj = [objs[i % len(objs)] for i in picks] + [Chain(c.sets) for c in objs]
+    want = list(map(plain, obj))
+    for _ in range(depth):
+        obj, want = {"c": objs[0], "x": [obj, 1, obj]}, {"c": plain(objs[0]), "x": [want, 1, want]}
     assert "".join(json_pieces(obj)) == indent2(want)

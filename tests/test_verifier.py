@@ -28,6 +28,7 @@ from latticeramsey.lattice import (
 )
 from latticeramsey.oracle import CopyKind, find_copy
 from latticeramsey.verifier import (
+    CODE_STATEMENT_WORK,
     CheckResult,
     UnknownShape,
     build_dp_table,
@@ -41,6 +42,7 @@ from latticeramsey.verifier import (
     verify_embedding,
 )
 
+from helpers import written
 from naive import (
     naive_certify_red_singleton_bound,
     naive_check_code_statement,
@@ -50,6 +52,7 @@ from naive import (
     naive_lll_sides,
     naive_low_block_blue_free,
     naive_verify_embedding,
+    scan_verify_embedding,
     two_fold_triples_7,
     two_fold_triples_8,
 )
@@ -125,6 +128,14 @@ def test_dp_table_rejects_bad_parameters():
     for args in ((10, 2, 3, 0, 5), (10, 2, -1, 11, 5), (10, 11, 0, 11, 5), (10, -1, 3, 11, 5)):
         with pytest.raises(ValueError):
             check_code_statement(*args)
+
+
+def test_code_statement_refuses_runs_past_its_table_work():
+    # C(N, m)(k+1)p table steps: p = 29 is the least modulus past the limit
+    # at (34, 4, 14), refused before any table is built
+    assert comb(34, 4) * 15 * 28 <= CODE_STATEMENT_WORK < comb(34, 4) * 15 * 29
+    with pytest.raises(ValueError, match="table steps"):
+        check_code_statement(34, 4, 14, 29, 1)
 
 
 def test_code_statement_matches_per_set_tables():
@@ -576,3 +587,109 @@ def test_verify_embedding_matches_naive_on_tampered_records(n, k, density, seed,
     for forged in records:
         want = _verdict(naive_verify_embedding, forged, coloring)
         assert _verdict(verify_embedding, forged, coloring) == want
+
+
+def _same_verdicts(records, coloring, naive=True):
+    """verify_embedding agrees with the subset-by-subset scan, and with the
+    all-pairs oracle when naive, on every record; returns the details."""
+    details = []
+    for rec in records:
+        got = _verdict(verify_embedding, rec, coloring)
+        assert got == _verdict(scan_verify_embedding, rec, coloring)
+        if naive:
+            assert got == _verdict(naive_verify_embedding, rec, coloring)
+        details.append(got if isinstance(got, str) else got.detail)
+    return details
+
+
+def _seeded_record(rng, n, k, density):
+    coloring = Coloring.dense(n + k, [s for s in range(1 << (n + k)) if rng.random() < density])
+    image = tuple(rng.sample(range(n + 1, n + k + 1), k))
+    return coloring, embed_with_permutation(coloring, n, k, Permutation(n, k, image))
+
+
+def test_verify_embedding_matches_the_scan_on_decoded_records():
+    # a decoded record holds one Chain object per subset, none shared
+    rng = random.Random(29)
+    details = Counter()
+    for trial in range(60):
+        n, k = rng.randint(0, 9), rng.randint(0, 4)
+        coloring, rec = _seeded_record(rng, n, k, rng.choice((0.01, 0.05, 0.3)))
+        decoded = EmbedRecord.from_obj(written(rec.to_obj()))
+        assert len({id(c) for c in decoded.chains}) == 1 << n
+        records = [decoded] + _tampered_records(decoded, coloring, rng)
+        details.update(_same_verdicts(records, coloring, naive=n <= 6))
+    assert details["all embedding properties verified"] and len(details) >= 5
+
+
+def test_verify_embedding_with_a_chain_shared_across_levels():
+    # one Chain object at subsets of different levels: right for some, wrong
+    # for the others, so the least subset it is wrong for must be found
+    rng = random.Random(7)
+    seen = set()
+    for trial in range(80):
+        n, k = rng.randint(2, 7), rng.randint(1, 4)
+        coloring, rec = _seeded_record(rng, n, k, rng.choice((0.05, 0.2)))
+        a, b = rng.sample(range(1 << n), 2)
+        chains = list(rec.chains)
+        chains[b] = chains[a]
+        moved = replace(rec, chains=tuple(chains))
+        # the chain of a, with its last set grown, at every subset holding it
+        old = rec.chains[a]
+        grown = [moved]
+        if len(old):
+            new = Chain(old.sets[:-1] + (old[-1] | 1 << rng.randrange(n + k),))
+            if new != old:
+                grown.append(replace(rec, chains=tuple(new if c is old else c for c in rec.chains)))
+        details = _same_verdicts(grown, coloring)
+        seen.add(details[0])
+    assert {"all embedding properties verified", "chain length differs from level"} <= seen
+
+
+@pytest.mark.parametrize("level", [-1, -256, 5, 6, 255, 256, 10**9])
+def test_verify_embedding_levels_outside_the_byte_range(level):
+    # k = 3, so 5 and up are past the failure level 4, and -1 or 256 and up
+    # fit no byte; an earlier failure still comes first
+    rng = random.Random(level % 1000)
+    for trial in range(20):
+        coloring, rec = _seeded_record(rng, rng.randint(1, 6), 3, 0.1)
+        a = rng.randrange(1 << rec.n)
+        levels = list(rec.levels)
+        levels[a] = level
+        forged = replace(rec, levels=tuple(levels))
+        images = list(rec.images)
+        images[0] = None if images[0] is not None else 0
+        earlier = replace(forged, images=tuple(images))
+        details = _same_verdicts([forged, earlier], coloring)
+        assert details[0] == "level out of range"
+        if a:
+            assert details[1] != "level out of range"
+
+
+def test_verify_embedding_reports_the_least_of_several_faults():
+    # a red-image fault at one subset and an image-form fault at another:
+    # whichever subset is less is reported, whatever its kind
+    rng = random.Random(11)
+    kinds = Counter()
+    for trial in range(200):
+        n, k = rng.randint(2, 7), rng.randint(1, 4)
+        coloring, rec = _seeded_record(rng, n, k, 0.3)
+        prefixes = rec.perm.prefixes
+        cells = [(a, t) for a in range(1 << n) for t in range(k + 1)]
+        blue = [(a, t) for a, t in cells if coloring.is_blue(a | prefixes[t])]
+        if not blue:
+            continue
+        red_at, t = rng.choice(blue)
+        form_at = rng.choice([a for a in range(1 << n) if a != red_at])
+        levels, images = list(rec.levels), list(rec.images)
+        levels[red_at], images[red_at] = t, red_at | prefixes[t]
+        levels[form_at] = lvl = rng.randrange(k + 1)
+        images[form_at] = (form_at | prefixes[lvl]) ^ 1 << rng.randrange(n + k)
+        forged = replace(rec, levels=tuple(levels), images=tuple(images))
+        got = _same_verdicts([forged], coloring)[0]
+        least = min(red_at, form_at)
+        assert verify_embedding(forged, coloring).witness == (least,)
+        want = "image is not red" if least == red_at else "image is not A + permuted prefix"
+        assert got == want
+        kinds[got] += 1
+    assert len(kinds) == 2
