@@ -9,9 +9,10 @@ Each handler fills the certificate's result and returns an outcome; `main`
 alone records it, emits the certificate and maps it to the exit code:
 "ok" 0 (property holds / artifact produced), "witness" 1 (witness or
 counterexample found), "unknown" 0 (threshold above the scanned range),
-"exhausted" 3 (search or resample budget exhausted).  A usage error exits 2
-with one `error:` line on stderr.  `construct -o` names the coloring file;
-every other `-o` names the certificate file.
+"exhausted" 3 (search or resample budget exhausted).  A usage error, an
+unwritable `-o` among them, exits 2 with one `error:` line on stderr.
+`construct -o` names the coloring file; every other `-o` names the
+certificate file.
 """
 
 from __future__ import annotations
@@ -77,6 +78,12 @@ def _load_coloring(path: str, cert: _Certificate) -> Coloring:
     return coloring
 
 
+def _write(path: str, pieces: list[str]) -> None:
+    """Write text pieces to a new or truncated UTF-8 file."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(pieces)
+
+
 class _Certificate:
     def __init__(self, argv: list[str]):
         self.started = time.monotonic()
@@ -96,8 +103,7 @@ class _Certificate:
         pieces = json_pieces(self.obj)
         pieces.append("\n")
         if out_path:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.writelines(pieces)
+            _write(out_path, pieces)
         else:
             sys.stdout.writelines(pieces)
 
@@ -256,8 +262,7 @@ def _cmd_construct(args, cert: _Certificate) -> str:
     cert.obj["result"]["coloring"] = obj = coloring.to_obj()
     if args.output:
         # json.dumps takes the C encoder, which json.dump never does
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+        _write(args.output, [json.dumps(obj, sort_keys=True), "\n"])
         cert.obj["result"]["written"] = args.output
     return "ok"
 
@@ -359,18 +364,19 @@ def main(argv: Optional[list[str]] = None) -> int:
     cert = _Certificate(argv)
     try:
         args = _build_parser().parse_args(_glued(argv))
-        outcome = _HANDLERS[args.cmd](args, cert)
+        try:
+            outcome = _HANDLERS[args.cmd](args, cert)
+        except (SearchExhausted, cons.ResampleBudgetExceeded) as exc:
+            outcome = "exhausted"  # the result so far, plus what the budget got through
+            cert.obj["result"] = (cert.obj["result"] or {}) | exc.fields
+        cert.obj["outcome"] = outcome
+        # construct -o names the coloring file, so its certificate goes to stdout
+        cert.emit(None if args.cmd == "construct" else getattr(args, "output", None))
     except SystemExit:  # --help has been printed
         return EXIT_OK
-    except (SearchExhausted, cons.ResampleBudgetExceeded) as exc:
-        outcome = "exhausted"  # the result so far, plus what the budget got through
-        cert.obj["result"] = (cert.obj["result"] or {}) | exc.fields
     except (ValueError, OverflowError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    cert.obj["outcome"] = outcome
-    # construct -o names the coloring file, so its certificate goes to stdout
-    cert.emit(None if args.cmd == "construct" else getattr(args, "output", None))
     return EXIT_CODES[outcome]
 
 

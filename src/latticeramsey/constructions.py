@@ -495,15 +495,16 @@ def lll_family(cfg: LllConfig) -> WeightedFamily:
     fam = {f for f in layer(ground, m) if rng.random() < p}
 
     # The masks ups are maintained incrementally.  Each violated event sits in
-    # its set and has at least one (lex_key, mask) entry in its class's heap;
-    # an entry whose event has since healed is dropped when it reaches the top.
+    # `violated` and has at least one (class, lex_key, mask) entry in the heap,
+    # class 0 for an undersupplied (m-1)-set and 1 for an oversubscribed
+    # (m+1)-set; the sizes differ, so one set holds both classes.  An entry
+    # whose event has since healed is dropped when it reaches the top.
     ups = event_counts(fam, ground)
     under, over = event_violations(ups, fam, ground, m)
-    # in lexicographic order, so each list is already a heap
-    heap_a = [(lex_key(s, ground), s) for s, _ in under]
-    heap_b = [(lex_key(t, ground), t) for t, _ in over]
-    viol_a = {s for _, s in heap_a}
-    viol_b = {t for _, t in heap_b}
+    # each class in lexicographic order, so the list is already a heap
+    heap = [(0, lex_key(s, ground), s) for s, _ in under]
+    heap += [(1, lex_key(t, ground), t) for t, _ in over]
+    violated = {s for _, _, s in heap}
 
     def toggle(f: SetWord) -> None:
         # An event changes class only when its count crosses the threshold:
@@ -522,10 +523,10 @@ def lll_family(cfg: LllConfig) -> WeightedFamily:
             ups[s] = u
             cnt = u.bit_count()
             if cnt == 2 and adding:
-                viol_a.discard(s)
+                violated.discard(s)
             elif cnt == 1 and not adding:
-                viol_a.add(s)
-                heappush(heap_a, (lex_key(s, ground), s))
+                violated.add(s)
+                heappush(heap, (0, lex_key(s, ground), s))
             two |= one & ~u
             one |= ~u
         # f | b holds m - 1 members besides f exactly when b is missing from
@@ -536,37 +537,30 @@ def lll_family(cfg: LllConfig) -> WeightedFamily:
             cross ^= b
             t = f | b
             if adding:
-                viol_b.add(t)
-                heappush(heap_b, (lex_key(t, ground), t))
+                violated.add(t)
+                heappush(heap, (1, lex_key(t, ground), t))
             else:
-                viol_b.discard(t)
+                violated.discard(t)
 
     resamples = 0
-    while viol_a or viol_b:
+    while violated:
         if resamples >= cfg.max_resamples:
-            raise ResampleBudgetExceeded(
-                sorted_family(fam, ground, m),
-                len(viol_a) + len(viol_b),
-                resamples,
-            )
-        if viol_a:
-            while heap_a[0][1] not in viol_a:
-                heappop(heap_a)
-            s = heap_a[0][1]
-            u = ups[s]  # toggling S | b flips only bit b of it, so u stays valid
-            indicators = [(s | b, u & b) for b in bits if not s & b]
+            raise ResampleBudgetExceeded(sorted_family(fam, ground, m), len(violated), resamples)
+        while heap[0][2] not in violated:
+            heappop(heap)
+        kind, _, e = heap[0]
+        if kind:  # an oversubscribed (m+1)-set
+            indicators = [(e ^ b, e ^ b in fam) for b in bits if e & b]
         else:
-            while heap_b[0][1] not in viol_b:
-                heappop(heap_b)
-            t = heap_b[0][1]
-            indicators = [(t ^ b, t ^ b in fam) for b in bits if t & b]
+            u = ups[e]  # toggling E | b flips only bit b of it, so u stays valid
+            indicators = [(e | b, u & b) for b in bits if not e & b]
         resamples += 1
         for f, member in indicators:
             if (rng.random() < p) != bool(member):
                 toggle(f)
 
     out = sorted_family(fam, ground, m)
-    # The loop ends only with viol_a and viol_b empty, so the conditions hold:
+    # The loop ends only with no event violated, so the conditions hold:
     # seed the cached violations instead of counting the family again.
     out.__dict__["violations"] = ((), ())
     return out

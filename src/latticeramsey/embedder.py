@@ -175,8 +175,7 @@ def _reach(coloring: Coloring, perm: Permutation, reach: list[int]) -> list[int]
     lacking = _cube_bitsets(n)[0]
     reach = reach or [(1 << (1 << n)) - 1]
     while reach[-1] and len(reach) <= k + 1:
-        blue = coloring.blue_range(perm.prefixes[len(reach) - 1], 1 << n)
-        x = reach[-1] & int.from_bytes(blue, "little")
+        x = reach[-1] & coloring.blue_range(perm.prefixes[len(reach) - 1], 1 << n)
         for j, lack in enumerate(lacking):
             x |= (x & lack) << (1 << j)
         reach.append(x)

@@ -473,26 +473,25 @@ class Coloring:
             return True
         return self.blue_code is not None and self.blue_code.contains(s)
 
-    def blue_range(self, start: SetWord, count: int) -> bytes:
-        """is_blue of the SetWords start .. start+count-1 as one bit vector.
+    def blue_range(self, start: SetWord, count: int) -> int:
+        """is_blue of the SetWords start .. start+count-1 as one int bitset:
+        bit i is is_blue(start + i), and no bit lies at or past count.
 
-        Bit i % 8 of byte i // 8 is is_blue(start + i), so the bytes read like
-        blue_bits.  A dense coloring with start and count multiples of 8 gives
-        a slice of blue_bits; any other range is built from is_blue.  A range
-        reaching outside [0, 2^N) is a ValueError, as is_blue is per set.
+        A dense coloring shifts one slice of blue_bits; a structured one is
+        read set by set.  A range reaching outside [0, 2^N) is a ValueError,
+        as is_blue is per set.
         """
         if count < 0:
             raise ValueError(f"negative range length {count}")
-        if count:
-            _check_member(start, self.ground_n)
-            _check_member(start + count - 1, self.ground_n)
-        if self.blue_bits is not None and not (start | count) & 7:
-            return self.blue_bits[start >> 3 : (start + count) >> 3]
-        buf = bytearray((count + 7) >> 3)
-        for i in range(count):
-            if self.is_blue(start + i):
-                buf[i >> 3] |= 1 << (i & 7)
-        return bytes(buf)
+        if not count:
+            return 0
+        end = start + count
+        _check_member(start, self.ground_n)
+        _check_member(end - 1, self.ground_n)
+        if self.blue_bits is not None:
+            window = int.from_bytes(self.blue_bits[start >> 3 : (end + 7) >> 3], "little")
+            return window >> (start & 7) & (1 << count) - 1
+        return int("".join("01"[self.is_blue(s)] for s in range(end - 1, start - 1, -1)), 2)
 
     def blue_family(self) -> list[SetWord]:
         """All blue SetWords; requires an enumerable ground set."""

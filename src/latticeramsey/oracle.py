@@ -132,11 +132,13 @@ def _closure_bytes(rel) -> list[list[int]]:
 
 @lru_cache(maxsize=None)
 def _cube(n: int) -> tuple:
-    """Order tables of all of Q_n, and the byte closures of up (the height peel
-    from below) and of down (from above), 1,024 ints each at n = 5; cached
-    only for the scan grounds."""
-    up, down = _order(range(1 << n))
-    return up, down, (_closure_bytes(up), _closure_bytes(down))
+    """The order of all of Q_n as `_search` takes it: the words, their order
+    tables, and the byte closures of up (the height peel from below) and of
+    down (from above), 1,024 ints each at n = 5; cached only for the scan
+    grounds."""
+    words = range(1 << n)
+    up, down = _order(words)
+    return words, up, down, (_closure_bytes(up), _closure_bytes(down))
 
 
 @lru_cache(maxsize=None)
@@ -201,11 +203,12 @@ def _narrow(domains: list, targets, keep: int) -> bool:
     return True
 
 
-def _search(words, up, down, fam: int, m: int, kind: CopyKind, node_budget: int, peels=None):
+def _search(order: tuple, fam: int, m: int, kind: CopyKind, node_budget: int):
     """Search the words at the positions in `fam` for a copy of Q_m.
 
-    up/down are `_order(words)`; the byte closures `peels` of a cached cube
-    stand in for the member-by-member `_heights`.  Patterns are assigned rank
+    order is (words, up, down, peels): ascending words, their `_order`
+    tables, and either the byte closures of a cached `_cube`, which stand in
+    for the member-by-member `_heights`, or None.  Patterns are assigned rank
     by rank from domains of positions with room for a chain of m+1 members,
     narrowed by forward checking: a position taken leaves each later
     super-pattern its untaken strict supersets and, in an induced copy, each
@@ -216,6 +219,7 @@ def _search(words, up, down, fam: int, m: int, kind: CopyKind, node_budget: int,
     depend only on the words in fam.  The backtrack is one loop over a stack
     of domain lists, so no recursion limit bounds m.
     """
+    words, up, down, peels = order
     size = 1 << m
     if fam.bit_count() < size:
         return None
@@ -295,8 +299,7 @@ def find_copy(
     if m < 0:
         raise ValueError("pattern dimension must be >= 0")
     fam = sorted(set(family))
-    up, down = _order(fam)
-    return _search(fam, up, down, (1 << len(fam)) - 1, m, kind, node_budget)
+    return _search((fam, *_order(fam), None), (1 << len(fam)) - 1, m, kind, node_budget)
 
 
 def find_chain(family, length: int) -> Optional[Chain]:
@@ -363,16 +366,13 @@ def coloring_is_ramsey(
     if ground > MAX_LAYERED_GROUND:  # before the colors and the order of Q_N are read
         raise ValueError(f"Ramsey search needs a ground of at most {MAX_LAYERED_GROUND}")
     words = range(1 << ground)
-    blue = int.from_bytes(coloring.blue_range(0, len(words)), "little")
-    if ground <= MAX_SCAN_GROUND:
-        up, down, peels = _cube(ground)
-    else:
-        (up, down), peels = _order(words), None
-    w = _search(words, up, down, blue, m, kind, node_budget, peels)
+    blue = coloring.blue_range(0, len(words))
+    order = _cube(ground) if ground <= MAX_SCAN_GROUND else (words, *_order(words), None)
+    w = _search(order, blue, m, kind, node_budget)
     if w is not None:
         return RamseyOutcome(blue_witness=w)
     red = ((1 << len(words)) - 1) ^ blue
-    w = _search(words, up, down, red, n, kind, node_budget, peels)
+    w = _search(order, red, n, kind, node_budget)
     if w is not None:
         return RamseyOutcome(red_witness=w)
     return RamseyOutcome()
@@ -422,23 +422,22 @@ def _scan_ground(
     keeps it.  Hence the first leaf reached is the first survivor a listing
     in integer order would find.  Recursion depth <= 2^ground.
     """
-    words = range(1 << ground)
-    up, down, peels = _cube(ground)
+    order = _cube(ground)
 
     def first(s: int, blue: int, red: int) -> Optional[int]:
         if s < 0:
             return blue
         bit = 1 << s
-        if _search(words, up, down, red | bit, n, kind, node_budget, peels) is None:
+        if _search(order, red | bit, n, kind, node_budget) is None:
             found = first(s - 1, blue, red | bit)
             if found is not None:
                 return found
-        if _search(words, up, down, blue | bit, m, kind, node_budget, peels) is None:
+        if _search(order, blue | bit, m, kind, node_budget) is None:
             return first(s - 1, blue | bit, red)
         return None
 
-    idx = first(len(words) - 1, 0, 0)
-    return (None, 1 << len(words)) if idx is None else (idx, idx + 1)
+    idx = first((1 << ground) - 1, 0, 0)
+    return (None, 1 << (1 << ground)) if idx is None else (idx, idx + 1)
 
 
 def exhaustive_ramsey_number(

@@ -402,7 +402,7 @@ def verify_embedding(rec: EmbedRecord, coloring: Coloring) -> CheckResult:
     bad = cube & ~(placed | at[k + 1]) | at[k + 1] & ~unset | placed & ~same
     for t in range(k + 1):
         if at[t]:
-            bad |= at[t] & int.from_bytes(blue_of(t), "little")
+            bad |= at[t] & blue_of(t)
     if bad:
         a = (bad & -bad).bit_length() - 1
         lvl, img = rec.levels[a], rec.images[a]
@@ -445,7 +445,7 @@ def verify_embedding(rec: EmbedRecord, coloring: Coloring) -> CheckResult:
     lengths, lows = {}, {}
     for key, chain in dict(zip(ids, rec.chains)).items():
         ok = len(chain) <= k + 1 and all(
-            s & ~full == prefixes[i] and blue_of(i)[(s & full) >> 3] >> (s & full & 7) & 1
+            s & ~full == prefixes[i] and coloring.is_blue(s)
             for i, s in enumerate(chain)
         )
         lengths[key] = len(chain) if ok else 255

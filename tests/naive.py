@@ -322,7 +322,7 @@ def loop_embed(
     size = 1 << n
     full = size - 1
     prefixes = [perm.prefix_mask(i) for i in range(k + 1)]
-    level_blue: list[Optional[bytes]] = [None] * (k + 1)
+    level_blue: list[Optional[int]] = [None] * (k + 1)
 
     chains: list[Optional[Chain]] = [None] * size
     # best[A] is the max over all submasks s of A, A included, filled from
@@ -357,7 +357,7 @@ def loop_embed(
             blue = level_blue[i]
             if blue is None:
                 blue = level_blue[i] = coloring.blue_range(prefixes[i], size)
-            if not blue[a >> 3] >> (a & 7) & 1:
+            if not blue >> a & 1:
                 level = i
                 break
         # The donor is the colex-first proper subset attaining the maximum

@@ -502,6 +502,27 @@ def usage_error_line(capsys):
     return captured.err
 
 
+@pytest.mark.parametrize("output", ["missing/out.json", "."])
+@pytest.mark.parametrize(
+    "command",
+    [
+        "construct layered --m 1 --n 1",
+        "embed --coloring {coloring} --n 1 --k 1 --pi 2",
+        "ramsey --m 1 --n 1 --kind weak --max-N 2",
+        "bound --n 2 --c 6.14",
+        "code --n 34 --m 2 --avoid 35,36 --y 35",
+    ],
+)
+def test_unwritable_output_is_usage(capsys, tmp_path, command, output):
+    # a file in a missing directory, or a directory: exit 2, not 1 ("witness found")
+    coloring = tmp_path / "q2.json"
+    assert main(["construct", "layered", "--m", "1", "--n", "2", "-o", str(coloring)]) == 0
+    capsys.readouterr()
+    argv = shlex.split(command.format(coloring=coloring)) + ["-o", str(tmp_path / output)]
+    assert main(argv) == 2
+    usage_error_line(capsys)
+
+
 @pytest.mark.parametrize(
     "statement",
     [

@@ -302,12 +302,22 @@ def test_lll_family_matches_min_scan_oracle():
     for n, p in ((8, 0.3), (9, 0.2), (10, 0.3), (11, 0.1), (12, 0.2)):
         configs += [LllConfig(n, 5, p_inclusion=p, seed=seed) for seed in range(3)]
     configs += [LllConfig(12, 4, p_inclusion=0.1, seed=seed) for seed in (1, 2)]
+    # exhausted with both event classes still violated, so one repair queue
+    # orders undersupplied and oversubscribed events together to the end
+    both_live = [
+        LllConfig(10, 3, p_inclusion=0.3, seed=3, max_resamples=50),
+        LllConfig(12, 4, p_inclusion=0.2, seed=5, max_resamples=100),
+    ]
     outcomes = Counter()
-    for cfg in configs:
+    for cfg in configs + both_live:
         got = _resample_outcome(lll_family, cfg)
         assert got == _resample_outcome(naive_lll_family, cfg), cfg
         outcomes[got[0]] += 1
     assert outcomes["ok"] >= 15 and outcomes["exhausted"] >= 200
+    for cfg in both_live:
+        with pytest.raises(ResampleBudgetExceeded) as info:
+            lll_family(cfg)
+        assert all(info.value.family.violations), cfg
 
 
 PINNED_LLL_RUNS = [

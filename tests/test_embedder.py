@@ -347,7 +347,7 @@ def plain_record(rec: EmbedRecord) -> dict:
     data=st.data(),
 )
 def test_record_text_matches_json_dumps_of_element_lists(n, k, density, seed, data):
-    # n < 3 reads unaligned levels through is_blue, n >= 3 slices blue_bits
+    # n < 3 reads levels of less than a byte of blue_bits, n >= 3 whole bytes
     image = tuple(data.draw(st.permutations(range(n + 1, n + k + 1))))
     rec = embed_with_permutation(random_dense(n + k, seed, density), n, k, Permutation(n, k, image))
     text = "".join(json_pieces({"result": rec.to_obj()}))
@@ -369,7 +369,7 @@ def test_structured_coloring_embeds_like_its_dense_copy(n, k, data):
     coloring = Coloring.structured(ground, layers, extra, code)
     image = tuple(data.draw(st.permutations(range(n + 1, ground + 1))))
     perm = Permutation(n, k, image)
-    dense = Coloring(ground, blue_bits=coloring.blue_range(0, 1 << ground))
+    dense = Coloring.dense_from_int(ground, coloring.blue_range(0, 1 << ground))
     assert dense.is_dense
     assert embed_with_permutation(coloring, n, k, perm) == embed_with_permutation(dense, n, k, perm)
     # a sweep reads colors through the same blue_range, and stops early on failure

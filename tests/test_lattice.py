@@ -101,7 +101,7 @@ def test_dense_structured_agreement(n):
         if s.bit_count() not in layers and rng.random() < 0.1
     ]
     structured = Coloring.structured(n, blue_layers=layers, blue_extra=extra)
-    dense = Coloring(n, blue_bits=structured.blue_range(0, 1 << n))
+    dense = Coloring.dense_from_int(n, structured.blue_range(0, 1 << n))
     for s in range(1 << n):
         assert structured.is_blue(s) is dense.is_blue(s)
 
@@ -320,7 +320,7 @@ def small_colorings(draw) -> Coloring:
 @given(coloring=small_colorings(), data=st.data())
 def test_blue_range_agrees_with_is_blue(coloring, data):
     size = 1 << coloring.ground_n
-    # multiples of 8 take the blue_bits slice on a dense coloring
+    # aligned (multiples of 8) and unaligned ranges, on dense and structured colorings
     start = data.draw(st.integers(-9, size + 9) | st.integers(0, size >> 3).map(lambda j: 8 * j))
     count = data.draw(st.integers(-2, size + 9) | st.integers(0, size >> 3).map(lambda j: 8 * j))
     members = range(start, start + count)
@@ -333,9 +333,8 @@ def test_blue_range_agrees_with_is_blue(coloring, data):
                     coloring.is_blue(s)
         return
     bits = coloring.blue_range(start, count)
-    assert len(bits) == (count + 7) // 8
-    read = [bits[i >> 3] >> (i & 7) & 1 == 1 for i in range(8 * len(bits))]
-    assert read == [coloring.is_blue(s) for s in members] + [False] * (8 * len(bits) - count)
+    assert bits >> count == 0
+    assert [bits >> i & 1 == 1 for i in range(count)] == [coloring.is_blue(s) for s in members]
 
 
 set_lists = st.lists(st.none() | st.integers(0, 2**64 - 1) | st.integers(0, 300), max_size=6)

@@ -375,7 +375,7 @@ def test_low_block_q9_red_q6_found_within_budget(kind):
 def test_byte_closure_peel_matches_heights():
     rng = random.Random(19)
     for ground in range(6):
-        up, down, (peel_below, peel_above) = oracle._cube(ground)
+        _, up, down, (peel_below, peel_above) = oracle._cube(ground)
         if ground <= 3:
             families = range(1 << (1 << ground))
         else:
