@@ -10,7 +10,8 @@ alone records it, emits the certificate and maps it to the exit code:
 "ok" 0 (property holds / artifact produced), "witness" 1 (witness or
 counterexample found), "unknown" 0 (threshold above the scanned range),
 "exhausted" 3 (search or resample budget exhausted).  A usage error, an
-unwritable `-o` among them, exits 2 with one `error:` line on stderr.
+unwritable `-o` among them, exits 2 with one `error:` line on stderr; an `-o`
+that is a directory or lies in a missing one is refused before the run.
 `construct -o` names the coloring file; every other `-o` names the
 certificate file.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from functools import cache
@@ -364,6 +366,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     cert = _Certificate(argv)
     try:
         args = _build_parser().parse_args(_glued(argv))
+        out = getattr(args, "output", None)
+        if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+            raise ValueError(f"-o {out} is a directory or lies in a missing one")
         try:
             outcome = _HANDLERS[args.cmd](args, cert)
         except (SearchExhausted, cons.ResampleBudgetExceeded) as exc:
@@ -371,7 +376,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             cert.obj["result"] = (cert.obj["result"] or {}) | exc.fields
         cert.obj["outcome"] = outcome
         # construct -o names the coloring file, so its certificate goes to stdout
-        cert.emit(None if args.cmd == "construct" else getattr(args, "output", None))
+        cert.emit(None if args.cmd == "construct" else out)
     except SystemExit:  # --help has been printed
         return EXIT_OK
     except (ValueError, OverflowError, OSError, KeyError) as exc:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 from math import e, factorial, floor, inf, isfinite, lgamma, log2
 from typing import Callable, Iterator, Optional
 
@@ -28,6 +27,7 @@ from .lattice import (
     SetWord,
     _json_field,
     _json_ints,
+    cube_bitsets,
     elements_of,
     full_mask,
     mask_of,
@@ -144,18 +144,6 @@ def embed_with_permutation(
 _SPREAD = [bytes(bits[::-1]) for bits in itertools.product((0, 1), repeat=8)]
 
 
-@lru_cache(maxsize=None)
-def _cube_bitsets(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Bitsets over the subsets of [n], bit a standing for subset a:
-    lacking[j] holds the subsets without element j+1, layers[c] those of size c."""
-    lacking, layers = [], [1]
-    for j in range(n):  # from [j] to [j+1]: the subsets with j+1 come above
-        h = 1 << j
-        lacking = [m | m << h for m in lacking] + [(1 << h) - 1]
-        layers = [lo | hi << h for lo, hi in zip(layers + [0], [0] + layers)]
-    return tuple(lacking), tuple(layers)
-
-
 def _reach(coloring: Coloring, perm: Permutation, reach: list[int]) -> list[int]:
     """[U_0, U_1, ...] for perm's n, k and prefixes, up to U_{k+1} or the first
     empty U_t, continuing `reach`, which may hold the first few already.
@@ -172,7 +160,7 @@ def _reach(coloring: Coloring, perm: Permutation, reach: list[int]) -> list[int]
     first t images alone, so a sweep passes on those of the permutation before.
     """
     n, k = perm.base, perm.width
-    lacking = _cube_bitsets(n)[0]
+    lacking = cube_bitsets(n)[0]
     reach = reach or [(1 << (1 << n)) - 1]
     while reach[-1] and len(reach) <= k + 1:
         x = reach[-1] & coloring.blue_range(perm.prefixes[len(reach) - 1], 1 << n)
@@ -238,7 +226,7 @@ def _failure_chain(perm: Permutation, reach: list[int]) -> Chain:
         return sum(1 for _ in itertools.takewhile(lambda u: u >> s & 1, reach[1:]))
 
     n, k, prefixes = perm.base, perm.width, perm.prefixes
-    first = next(filter(None, (reach[k + 1] & c for c in _cube_bitsets(n)[1])))
+    first = next(filter(None, (reach[k + 1] & c for c in cube_bitsets(n)[1])))
     a, level, sets = (first & -first).bit_length() - 1, k + 1, ()
     while level:  # each donor adds the blue sets below its adder's
         donor, beta = _adder(a, level_of)

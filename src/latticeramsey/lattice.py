@@ -195,6 +195,18 @@ def subsets_by_rank(n: int) -> Iterator[SetWord]:
         yield from layer(n, s)
 
 
+@lru_cache(maxsize=None)
+def cube_bitsets(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Bitsets over the subsets of [n], bit a standing for subset a:
+    lacking[j] holds the subsets without element j+1, layers[c] those of size c."""
+    lacking, layers = [], [1]
+    for j in range(n):  # from [j] to [j+1]: the subsets with j+1 come above
+        h = 1 << j
+        lacking = [m | m << h for m in lacking] + [(1 << h) - 1]
+        layers = [lo | hi << h for lo, hi in zip(layers + [0], [0] + layers)]
+    return tuple(lacking), tuple(layers)
+
+
 _JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer"}
 
 

@@ -15,14 +15,15 @@ from functools import lru_cache
 from typing import Optional
 
 from . import constructions
-from .lattice import Chain, Coloring, SetWord, elements_of, is_subset, subsets_by_rank
+from .lattice import Chain, Coloring, SetWord, cube_bitsets, elements_of, is_subset, subsets_by_rank
 
 DEFAULT_NODE_BUDGET = 10**8
 MAX_SCAN_GROUND = 5
-# coloring_is_ramsey searches the whole of Q_N, whose order takes about
-# 2^(2N)/4 bytes: the layered witness (N = m+n-1) at m = n = 8 (N = 15) took
-# 2.4 s and 293 MiB, at m = n = 9 (N = 17) 31.6 s and 4.4 GiB.
+# coloring_is_ramsey reads the order of Q_N as masks of 2^N bits, each built
+# when the search first takes its position and kept for the call: a search
+# that takes every position holds 2^(2N)/4 bytes of them, 268 MB at N = 15.
 MAX_LAYERED_GROUND = 15
+MAX_PATTERN_DIM = 13  # _pattern_plan(m) holds O(4^m) ints, about 1.2 GiB at m = 13
 
 
 class CopyKind(Enum):
@@ -119,26 +120,31 @@ def _order(words) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(up), tuple(down)
 
 
-def _closure_bytes(rel) -> list[list[int]]:
-    """Per byte t of positions, table[s] is the OR of rel[i] & ~(1 << i) over
-    the i = 8t + j with bit j set in s."""
-    tables = []
-    for i, r in enumerate(rel):
-        if i % 8 == 0:
-            tables.append([0])
-        tables[-1] += [t | r & ~(1 << i) for t in tables[-1]]
-    return tables
+class _Masks(dict):
+    """Containment masks of Q_n, built on first read: up[a], the sets holding a,
+    is 1 << a shifted left by 2^j per j outside a; down[a] right per j in a."""
+
+    def __init__(self, n: int, up: bool):
+        self.n, self.up = n, up
+
+    def __missing__(self, a: int) -> int:
+        x = 1 << a
+        for j in range(self.n):
+            if a >> j & 1 ^ self.up:  # j lies outside a for up, inside for down
+                x |= x << (1 << j) if self.up else x >> (1 << j)
+        return self.setdefault(a, x)
+
+
+def _whole_cube(n: int) -> tuple:
+    """The order of all of Q_n as `_search` takes it, with the lacking masks."""
+    return range(1 << n), _Masks(n, True), _Masks(n, False), cube_bitsets(n)[0]
 
 
 @lru_cache(maxsize=None)
 def _cube(n: int) -> tuple:
-    """The order of all of Q_n as `_search` takes it: the words, their order
-    tables, and the byte closures of up (the height peel from below) and of
-    down (from above), 1,024 ints each at n = 5; cached only for the scan
-    grounds."""
-    words = range(1 << n)
-    up, down = _order(words)
-    return words, up, down, (_closure_bytes(up), _closure_bytes(down))
+    """`_whole_cube` with its masks built into tuples, cached for the scan grounds."""
+    words, up, down, lacking = _whole_cube(n)
+    return words, tuple(up[a] for a in words), tuple(down[a] for a in words), lacking
 
 
 @lru_cache(maxsize=None)
@@ -178,19 +184,29 @@ def _heights(fam: int, rel, depth: int) -> list[int]:
     return levels
 
 
-def _peel(fam: int, tables, depth: int) -> list[int]:
-    """`_heights` from `_closure_bytes` tables: a level keeps the members that
-    the closure of the level before reaches, one lookup per byte."""
-    levels = [fam]
-    cur = fam
+def _shift_peel(fam: int, lacking, depth: int) -> Optional[tuple[list, list]]:
+    """`_heights` of a nonempty family of a whole cube from below and from
+    above, by shifts of its lacking masks; None at the first empty level.  A
+    sweep over the masks gathers in s the strict supersets of the level's
+    members: before element j's mask, s holds those that add only elements
+    below j, so the level and s are closed under adding those elements, and
+    one shift by 2^j adds the supersets whose highest added element is j.
+    The members in s are the next level; from above, the same by right shifts."""
+    below, above = [fam], [fam]
+    lo = hi = fam
     for _ in range(depth):
-        reach, rest = 0, cur
-        for table in tables:
-            reach |= table[rest & 255]
-            rest >>= 8
-        cur &= reach
-        levels.append(cur)
-    return levels
+        s = t = 0
+        h = 1  # 2^j for the mask of element j
+        for lack in lacking:
+            s |= ((lo | s) & lack) << h
+            t |= (hi | t) >> h & lack
+            h += h
+        lo, hi = lo & s, hi & t
+        if not (lo and hi):
+            return None
+        below.append(lo)
+        above.append(hi)
+    return below, above
 
 
 def _narrow(domains: list, targets, keep: int) -> bool:
@@ -206,27 +222,34 @@ def _narrow(domains: list, targets, keep: int) -> bool:
 def _search(order: tuple, fam: int, m: int, kind: CopyKind, node_budget: int):
     """Search the words at the positions in `fam` for a copy of Q_m.
 
-    order is (words, up, down, peels): ascending words, their `_order`
-    tables, and either the byte closures of a cached `_cube`, which stand in
-    for the member-by-member `_heights`, or None.  Patterns are assigned rank
-    by rank from domains of positions with room for a chain of m+1 members,
-    narrowed by forward checking: a position taken leaves each later
-    super-pattern its untaken strict supersets and, in an induced copy, each
-    later incomparable pattern the untaken positions incomparable to it (a
-    weak copy drops taken positions on arrival, sparing a pass over every
-    later domain per node); an empty domain closes the branch.  Candidates
-    are tried lowest position first, so the witness and the node count
-    depend only on the words in fam.  The backtrack is one loop over a stack
-    of domain lists, so no recursion limit bounds m.
+    order is (words, up, down, lacking): ascending words, their up and down
+    masks, and the lacking masks of a whole cube (`_whole_cube`) for
+    `_shift_peel`, or None for `_heights`.  Before the patterns are planned,
+    a class with no chain of m+1 members is refused, and a taller one past
+    MAX_PATTERN_DIM is a ValueError.  Patterns are assigned rank by rank from
+    domains of positions with room for a chain of m+1 members, narrowed by
+    forward checking: a position taken leaves each later super-pattern its
+    untaken strict supersets and, in an induced copy, each later incomparable
+    pattern the untaken positions incomparable to it (a weak copy drops taken
+    positions on arrival, sparing a pass over every later domain per node);
+    an empty domain closes the branch.  Candidates are tried lowest position
+    first, so the witness and the node count depend only on the words in
+    fam.  The backtrack is one loop over a stack of domain lists, so no
+    recursion limit bounds m.
     """
-    words, up, down, peels = order
+    words, up, down, lacking = order
     size = 1 << m
     if fam.bit_count() < size:
         return None
-    if peels is None:
-        below, above = _heights(fam, down, m), _heights(fam, up, m)
+    if lacking is None:
+        peeled = _heights(fam, down, m), _heights(fam, up, m)
     else:
-        below, above = (_peel(fam, tables, m) for tables in peels)
+        peeled = _shift_peel(fam, lacking, m)
+    if peeled is None:
+        return None
+    if m > MAX_PATTERN_DIM:
+        raise ValueError(f"copy search needs a pattern dimension of at most {MAX_PATTERN_DIM}")
+    below, above = peeled
     patterns, ranks, later_sups, later_incomp = _pattern_plan(m)
     # level holds the domains of patterns size-1 down to idx, given the
     # positions of those before idx, and its last entry idx's untried
@@ -294,7 +317,7 @@ def find_copy(
     them (when the family height equals the height of Q_m, the level of every
     image is forced), narrowed by forward checking as patterns take positions.
     Raises SearchExhausted when more than node_budget candidate assignments
-    are tried, and ValueError on a negative member.
+    are tried, and ValueError on a negative member or past MAX_PATTERN_DIM.
     """
     if m < 0:
         raise ValueError("pattern dimension must be >= 0")
@@ -363,15 +386,14 @@ def coloring_is_ramsey(
     if m < 0 or n < 0:
         raise ValueError("pattern dimension must be >= 0")
     ground = coloring.ground_n
-    if ground > MAX_LAYERED_GROUND:  # before the colors and the order of Q_N are read
+    if ground > MAX_LAYERED_GROUND:  # before the colors are read
         raise ValueError(f"Ramsey search needs a ground of at most {MAX_LAYERED_GROUND}")
-    words = range(1 << ground)
-    blue = coloring.blue_range(0, len(words))
-    order = _cube(ground) if ground <= MAX_SCAN_GROUND else (words, *_order(words), None)
+    order = _cube(ground) if ground <= MAX_SCAN_GROUND else _whole_cube(ground)
+    blue = coloring.blue_range(0, 1 << ground)
     w = _search(order, blue, m, kind, node_budget)
     if w is not None:
         return RamseyOutcome(blue_witness=w)
-    red = ((1 << len(words)) - 1) ^ blue
+    red = ((1 << (1 << ground)) - 1) ^ blue
     w = _search(order, red, n, kind, node_budget)
     if w is not None:
         return RamseyOutcome(red_witness=w)

@@ -457,6 +457,32 @@ def test_layered_witness_over_the_cap_is_usage(capsys, m, n):
     assert f"m + n - 1 <= {MAX_LAYERED_GROUND}" in usage_error_line(capsys)
 
 
+def test_layered_witness_at_the_cap_is_refuted_by_the_height_peel(capsys):
+    # The witness is Q_15; its red side is 13 sets tall where Q_14 needs 15.
+    # With the whole order of Q_15 built first, this run ended in a
+    # MemoryError traceback and exit 1 under a 2.5 GB address-space limit.
+    start = time.monotonic()
+    argv = ["ramsey", "--m", "2", "--n", "14", "--kind", "weak", "--max-N", "1"]
+    code, cert = run_cli(capsys, *argv)
+    assert time.monotonic() - start < 1
+    assert code == 0
+    assert cert["result"]["layered_lower_bound"] == 16
+
+
+def test_pattern_past_the_plan_cap_is_usage(tmp_path, capsys):
+    # All of Q_15 is red, so Q_14 passes the height peel; its pattern plan
+    # would hold O(4^14) ints, and the run ended in a MemoryError traceback
+    from latticeramsey.lattice import Coloring
+    from latticeramsey.oracle import MAX_PATTERN_DIM
+
+    path = tmp_path / "red15.json"
+    path.write_text(dumps(Coloring.structured(15, blue_layers=set())))
+    start = time.monotonic()
+    assert main(["verify", "--coloring", str(path), "--ramsey", "1,14"]) == 2
+    assert time.monotonic() - start < 1
+    assert f"at most {MAX_PATTERN_DIM}" in usage_error_line(capsys)
+
+
 def test_pair_code_over_the_ground_cap_is_usage(capsys):
     # ground n + 2 = 72; the greedy scan once ran past 20 s before the
     # coloring refused the ground
@@ -467,8 +493,9 @@ def test_pair_code_over_the_ground_cap_is_usage(capsys):
 
 
 def test_ramsey_check_on_q16_is_usage(tmp_path, capsys):
-    # coloring_is_ramsey searches the whole cube, whose order alone would
-    # take about 1 GiB at N = 16; the file is refused before its colors are read
+    # coloring_is_ramsey searches the whole cube, whose containment masks
+    # take up to 2^(2N)/4 bytes, 1 GiB at N = 16, when a search takes every
+    # position; the file is refused before its colors are read
     from latticeramsey.lattice import Coloring
     from latticeramsey.oracle import MAX_LAYERED_GROUND
 
@@ -513,12 +540,20 @@ def usage_error_line(capsys):
         "code --n 34 --m 2 --avoid 35,36 --y 35",
     ],
 )
-def test_unwritable_output_is_usage(capsys, tmp_path, command, output):
-    # a file in a missing directory, or a directory: exit 2, not 1 ("witness found")
+def test_unwritable_output_is_usage(capsys, monkeypatch, tmp_path, command, output):
+    # a file in a missing directory, or a directory: exit 2, not 1 ("witness
+    # found"), and before the run, which may take minutes
+    from latticeramsey import cli
+
     coloring = tmp_path / "q2.json"
     assert main(["construct", "layered", "--m", "1", "--n", "2", "-o", str(coloring)]) == 0
     capsys.readouterr()
     argv = shlex.split(command.format(coloring=coloring)) + ["-o", str(tmp_path / output)]
+
+    def run_anyway(args, cert):
+        raise AssertionError(f"{args.cmd} ran before its -o was refused")
+
+    monkeypatch.setitem(cli._HANDLERS, argv[0], run_anyway)
     assert main(argv) == 2
     usage_error_line(capsys)
 

@@ -71,7 +71,9 @@ def test_no_unused_private_name():
 
 def test_verifier_takes_only_the_record_type_from_the_embedder():
     # The certifier re-derives what it checks: it must not borrow the
-    # embedder's level machinery (its cube bitsets, reach or byte spreads).
+    # embedder's level machinery (its reach or byte spreads), nor the cube
+    # bitsets that the embedder shares with the oracle; it builds its own
+    # lacking masks.
     tree = ast.parse((SRC / "verifier.py").read_text(encoding="utf-8"))
     taken = [
         alias.name
@@ -87,3 +89,11 @@ def test_verifier_takes_only_the_record_type_from_the_embedder():
         if alias.name.endswith("embedder")
     ]
     assert taken == ["EmbedRecord"] and plain == []
+    names = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "cube_bitsets" not in names

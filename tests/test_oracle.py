@@ -327,8 +327,9 @@ def test_coloring_is_ramsey_budget_points_match_pairwise_oracle():
 
 def test_whole_cube_witnesses_match_pairwise_oracle():
     # Forward checking and rising singletons cut only branches that hold no
-    # copy or a later one, so the whole-cube search (byte closures up to
-    # N = 5, _heights at N = 6 and 7) finds the pairwise oracle's witness.
+    # copy or a later one, so the whole-cube search (shift peels, with masks
+    # cached up to N = 5 and built per call at N = 6 and 7) finds the
+    # pairwise oracle's witness.
     rng = random.Random(53)
     for ground in range(3, 8):
         for fam in _seeded_families(ground, 12, rng):
@@ -372,22 +373,33 @@ def test_low_block_q9_red_q6_found_within_budget(kind):
     assert red.images[:4] == (3, 7, 11, 31 if kind is WEAK else 271)
 
 
-def test_byte_closure_peel_matches_heights():
+def test_shift_peel_matches_heights():
+    # _search reaches the peel only with a nonempty class
     rng = random.Random(19)
-    for ground in range(6):
-        _, up, down, (peel_below, peel_above) = oracle._cube(ground)
-        if ground <= 3:
-            families = range(1 << (1 << ground))
-        else:
-            families = list(_seeded_families(ground, 60, rng))
-        for fam in families:
-            for depth in range(5):
-                assert oracle._peel(fam, peel_below, depth) == oracle._heights(
-                    fam, down, depth
-                ), (ground, fam, depth)
-                assert oracle._peel(fam, peel_above, depth) == oracle._heights(
-                    fam, up, depth
-                ), (ground, fam, depth)
+    for ground in range(11):
+        up, down = oracle._order(range(1 << ground))
+        lacking = oracle._whole_cube(ground)[3]
+        for density in (0.1, 0.5, 0.9):
+            for _ in range(30 if ground <= 8 else 3):
+                fam = sum(1 << s for s in range(1 << ground) if rng.random() < density)
+                if not fam:
+                    continue
+                for depth in range(5):
+                    below = oracle._heights(fam, down, depth)
+                    above = oracle._heights(fam, up, depth)
+                    want = (below, above) if all(below + above) else None
+                    assert oracle._shift_peel(fam, lacking, depth) == want, (ground, fam, depth)
+
+
+def test_whole_cube_masks_match_order_tables():
+    for ground in range(9):
+        words = range(1 << ground)
+        want = oracle._order(words)
+        _, up, down, _ = oracle._whole_cube(ground)
+        assert [up[a] for a in words] == list(want[0]), ground
+        assert [down[a] for a in words] == list(want[1]), ground
+        if ground <= oracle.MAX_SCAN_GROUND:
+            assert oracle._cube(ground)[1:3] == want, ground
 
 
 def test_negative_members_are_refused():
