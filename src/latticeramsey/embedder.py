@@ -140,10 +140,6 @@ def embed_with_permutation(
     return _record(perm, _reach(coloring, perm, []))
 
 
-# _SPREAD[v] holds bit i of v as byte i
-_SPREAD = [bytes(bits[::-1]) for bits in itertools.product((0, 1), repeat=8)]
-
-
 def _reach(coloring: Coloring, perm: Permutation, reach: list[int]) -> list[int]:
     """[U_0, U_1, ...] for perm's n, k and prefixes, up to U_{k+1} or the first
     empty U_t, continuing `reach`, which may hold the first few already.
@@ -184,12 +180,12 @@ def _record(perm: Permutation, reach: list[int]) -> EmbedRecord:
     (_adder) unless L = 0, where its chain is EMPTY_CHAIN.
     """
     n, k, prefixes = perm.base, perm.width, perm.prefixes
-    width = ((1 << n) + 7) >> 3
-    # levels[a] counts the U_t, t >= 1, holding a: each U_t is spread to one
-    # byte per subset, and the spreads are summed as ints with no carry
-    rows = (u.to_bytes(width, "little") for u in reach[1:])
-    spreads = (int.from_bytes(b"".join(map(_SPREAD.__getitem__, r)), "little") for r in rows)
-    levels = sum(spreads).to_bytes(8 * width, "little")[: 1 << n]
+    # levels[a] counts the U_t, t >= 1, holding a: the binary digits of each
+    # U_t, bit 0 first, become one byte per subset, and these are summed as
+    # ints with no carry
+    digits = bytes.maketrans(b"01", b"\0\1")
+    spreads = (bin(u)[:1:-1].encode().translate(digits) for u in reach[1:])
+    levels = sum(int.from_bytes(b, "little") for b in spreads).to_bytes(1 << n, "little")
     chains = [Chain(tuple(prefixes[: levels[0]])) if levels[0] else EMPTY_CHAIN]
     for j in range(n):
         h = 1 << j

@@ -87,57 +87,56 @@ class CopyWitness:
         }
 
 
-def _order(words) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Containment order of ascending distinct SetWords, by bit slicing;
-    ValueError on a negative one.
+def _containment(w: int, has, every: int) -> tuple[int, int]:
+    """(up, down) of the word w, as bitmasks over the positions in `every`:
+    the words containing w and the words inside it, w included.  With has[e]
+    the positions whose word holds element e+1, up is the AND of has[e] over
+    the elements of w and down the complement of the OR over those it lacks."""
+    up, outside = every, 0
+    for e, h in enumerate(has):
+        if w >> e & 1:
+            up &= h
+        else:
+            outside |= h
+    return up, every ^ outside
 
-    up[i] and down[i] are bitmasks over positions in `words`: the words
-    containing words[i] and the words inside it, words[i] itself included.
-    With has[e] the positions of the words holding element e, up[i] is the AND
-    of has[e] over the elements of words[i] and down[i] the complement of the
-    OR over the elements it lacks: O(|words| * N) big-int operations.
-    """
-    words = list(words)
+
+def _order(family) -> tuple:
+    """The order of a family as `_search` takes it: its distinct members
+    ascending, their up and down masks (`_containment`) and no lacking masks;
+    ValueError on a negative member.  has is built by bit slicing, so the
+    order costs O(|words| * N) big-int operations."""
+    words = sorted(set(family))
     if words and words[0] < 0:
         raise ValueError(f"family member {words[0]} is negative, not a set bitmask")
-    every = (1 << len(words)) - 1
-    elements = [1 << e for e in range(max(words, default=0).bit_length())]
-    has = dict.fromkeys(elements, 0)
+    has = [0] * max(words, default=0).bit_length()
     for i, w in enumerate(words):
-        for b in elements:
-            if w & b:
-                has[b] |= 1 << i
-    up, down = [], []
-    for w in words:
-        above, outside = every, 0
-        for b in elements:
-            if w & b:
-                above &= has[b]
-            else:
-                outside |= has[b]
-        up.append(above)
-        down.append(every & ~outside)
-    return tuple(up), tuple(down)
+        bit = 1 << i
+        for e in range(w.bit_length()):
+            if w >> e & 1:
+                has[e] |= bit
+    every = (1 << len(words)) - 1
+    masks = [_containment(w, has, every) for w in words]
+    return words, tuple(u for u, _ in masks), tuple(d for _, d in masks), None
 
 
 class _Masks(dict):
-    """Containment masks of Q_n, built on first read: up[a], the sets holding a,
-    is 1 << a shifted left by 2^j per j outside a; down[a] right per j in a."""
+    """up[a] (side 0) or down[a] (side 1) of Q_n, built on first read by
+    `_containment` from has[e], the subsets holding element e+1."""
 
-    def __init__(self, n: int, up: bool):
-        self.n, self.up = n, up
+    def __init__(self, has, every: int, side: int):
+        self.has, self.every, self.side = has, every, side
 
     def __missing__(self, a: int) -> int:
-        x = 1 << a
-        for j in range(self.n):
-            if a >> j & 1 ^ self.up:  # j lies outside a for up, inside for down
-                x |= x << (1 << j) if self.up else x >> (1 << j)
-        return self.setdefault(a, x)
+        return self.setdefault(a, _containment(a, self.has, self.every)[self.side])
 
 
 def _whole_cube(n: int) -> tuple:
     """The order of all of Q_n as `_search` takes it, with the lacking masks."""
-    return range(1 << n), _Masks(n, True), _Masks(n, False), cube_bitsets(n)[0]
+    lacking = cube_bitsets(n)[0]
+    every = (1 << (1 << n)) - 1
+    has = [every ^ lack for lack in lacking]
+    return range(1 << n), _Masks(has, every, 0), _Masks(has, every, 1), lacking
 
 
 @lru_cache(maxsize=None)
@@ -321,8 +320,8 @@ def find_copy(
     """
     if m < 0:
         raise ValueError("pattern dimension must be >= 0")
-    fam = sorted(set(family))
-    return _search((fam, *_order(fam), None), (1 << len(fam)) - 1, m, kind, node_budget)
+    order = _order(family)
+    return _search(order, (1 << len(order[0])) - 1, m, kind, node_budget)
 
 
 def find_chain(family, length: int) -> Optional[Chain]:
@@ -333,8 +332,7 @@ def find_chain(family, length: int) -> Optional[Chain]:
     """
     if length < 1:
         raise ValueError("chain length must be >= 1")
-    fam = sorted(set(family))
-    _, down = _order(fam)
+    fam, _, down, _ = _order(family)
     if length > len(fam):
         return None
     levels = _heights((1 << len(fam)) - 1, down, length - 1)

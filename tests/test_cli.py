@@ -52,6 +52,15 @@ def test_bound_minimal_refuses_an_exact_factorial_past_the_cap(capsys, n):
     assert f"capped at k = {EXACT_FACTORIAL_MAX}" in usage_error_line(capsys)
 
 
+def test_bound_reports_an_exact_decision(capsys):
+    # log2 959! exceeds 8122 by 1.6e-4, too thin a margin for floats
+    code, cert = run_cli(capsys, "bound", "--n", "3102", "--c", "3.586")
+    assert code == 0
+    rep = cert["result"]["report"]
+    assert (rep["k"], rep["exponent"]) == (959, 8122)
+    assert rep["method"] == "exact" and rep["contradiction"] is True
+
+
 def test_bound_usage_error(capsys):
     code = main(["bound", "--n", "2"])
     assert code == 2
@@ -713,6 +722,7 @@ def test_cli_imports_neither_numpy_nor_mpmath():
     [
         {"n": 3, "repr": "structured", "blue_layers": "ab"},
         {"n": 3, "repr": "dense", "blue_hex": 5},
+        {"n": 5, "repr": "structured", "blue_layers": [6]},
         [1, 2],
     ],
 )

@@ -529,6 +529,16 @@ def test_minimal_k_crosses_exactly_at_large_n(n):
     assert not _factorial_exceeds_power(k - 1, 2 * (n + k - 1))[0]
 
 
+def test_factorial_exceeds_power_decides_thin_margins_exactly():
+    # log2 959! exceeds 8122 by 1.6e-4 and log2 548! falls 3.2e-4 short of
+    # 4201, inside the float tolerance, so factorial() decides both
+    from latticeramsey.embedder import _factorial_exceeds_power
+
+    assert _factorial_exceeds_power(959, 8122) == (True, "exact")
+    assert _factorial_exceeds_power(548, 4201) == (False, "exact")
+    assert factorial(959) > 2**8122 and factorial(548) < 2**4201
+
+
 def test_stirling_remark_fields_reported_not_asserted():
     r = counting_bound(2, 6.14)
     # the 0.8797-coefficient shortcut genuinely fails at k = 12

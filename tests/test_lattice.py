@@ -244,6 +244,63 @@ def test_malformed_family_and_permutation_objects_raise_value_error(decode, obj)
         decode(obj)
 
 
+_MODP = {"weight": 2, "p": 5, "d": 3}
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"n": 3, "repr": "dense", "blue_hex": "ff00"}, "dense bit vector has 2 bytes, expected 1"),
+        ({"n": 2, "repr": "dense", "blue_hex": "1f"}, "dense bit vector has bits beyond 2^N"),
+        (_structured(blue_layers=[6]), "blue layer 6 outside [0, 5]"),
+        (_structured(blue_layers=[-1]), "blue layer -1 outside [0, 5]"),
+        (_structured(blue_modp={**_MODP, "p": 1, "d": 1}), "modulus 1 < 2"),
+        (_structured(blue_modp={**_MODP, "d": 0}), "residue 0 outside [1, 5]"),
+        (_structured(blue_modp={**_MODP, "d": 6}), "residue 6 outside [1, 5]"),
+        (_structured(blue_layers=[2], blue_extra=[[1, 2]]), "extra blue set [1, 2] lies on a blue layer"),
+        (_structured(blue_layers=[2], blue_modp=_MODP), "blue_code weight lies on a blue layer"),
+        (_structured(blue_extra=[[1, 2]], blue_modp=_MODP), "blue_extra overlaps the blue_code layer"),
+    ],
+)
+def test_malformed_coloring_objects_are_refused(obj, message):
+    with pytest.raises(ValueError) as caught:
+        Coloring.from_obj(obj)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: Coloring(3, blue_bits=b"\x01", blue_layers=frozenset({1})),
+            "coloring must be dense or structured, not both",
+        ),
+        (
+            lambda: Coloring.structured(3, blue_code=WeightedFamily(4, 2, modp_p=5, modp_d=3)),
+            "blue_code ground size mismatch",
+        ),
+        (lambda: WeightedFamily(3, 1, members=(2, 1)), "members must be strictly ascending"),
+        (lambda: WeightedFamily(3, 1, members=(1, 1)), "members must be strictly ascending"),
+        (lambda: WeightedFamily(3, 1, modp_p=5), "mod-p family needs both p and d"),
+        (lambda: Coloring.dense_from_int(2, 1 << 4), "bit vector has bits beyond 2^N"),
+        (lambda: Coloring.dense_from_int(2, -1), "bit vector has bits beyond 2^N"),
+    ],
+    ids=[
+        "dense-and-structured",
+        "code-over-another-ground",
+        "members-descending",
+        "members-repeated",
+        "modp-without-d",
+        "bits-past-2^N",
+        "negative-bits",
+    ],
+)
+def test_malformed_colorings_and_families_are_refused(build, message):
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert str(caught.value) == message
+
+
 def indent2(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 

@@ -1,5 +1,6 @@
 """Tests for the complete copy/chain searchers and the exhaustive tiny scan."""
 
+import dataclasses
 import random
 
 import pytest
@@ -49,6 +50,24 @@ def test_asymmetric_family_witness_top():
     assert w.images[3] == mask_of([1, 2, 3])
     # cross-checked against the exhaustive injection enumerator
     assert naive_find_copy(fam, 2, induced=True) is not None
+
+
+def test_check_rejects_tampered_witnesses():
+    # check is the trusted re-validator of every witness the search returns
+    w = find_copy(range(1 << 3), 2, INDUCED)
+    assert w is not None and w.check()
+    images = w.images
+    tampered = [
+        images[:3],  # an image dropped
+        (images[0], images[1], images[1], images[3]),  # an image repeated
+        (images[3], images[1], images[2], images[0]),  # bottom and top swapped
+    ]
+    for bad in tampered:
+        assert not dataclasses.replace(w, images=bad).check(), bad
+    # a chain keeps every containment of Q_2 but adds {1} < {1, 2}
+    chain = (0, mask_of([1]), mask_of([1, 2]), mask_of([1, 2, 3]))
+    assert oracle.CopyWitness(WEAK, 2, chain).check()
+    assert not oracle.CopyWitness(INDUCED, 2, chain).check()
 
 
 def test_witness_soundness_random_families():
@@ -377,7 +396,7 @@ def test_shift_peel_matches_heights():
     # _search reaches the peel only with a nonempty class
     rng = random.Random(19)
     for ground in range(11):
-        up, down = oracle._order(range(1 << ground))
+        _, up, down, _ = oracle._order(range(1 << ground))
         lacking = oracle._whole_cube(ground)[3]
         for density in (0.1, 0.5, 0.9):
             for _ in range(30 if ground <= 8 else 3):
@@ -394,7 +413,7 @@ def test_shift_peel_matches_heights():
 def test_whole_cube_masks_match_order_tables():
     for ground in range(9):
         words = range(1 << ground)
-        want = oracle._order(words)
+        want = oracle._order(words)[1:3]
         _, up, down, _ = oracle._whole_cube(ground)
         assert [up[a] for a in words] == list(want[0]), ground
         assert [down[a] for a in words] == list(want[1]), ground
