@@ -26,10 +26,12 @@ from math import comb, e, isqrt
 from typing import Iterable, Optional
 
 from .lattice import (
+    SCAN_LIMIT,
     Coloring,
     SetWord,
     WeightedFamily,
     _check_ground,
+    check_enumerable,
     elements_of,
     event_counts,
     event_violations,
@@ -71,9 +73,6 @@ def layered_coloring(
         blue = set(blue_layer_indices)
         if len(blue) != m:
             raise ValueError(f"expected exactly {m} blue layer indices, got {len(blue)}")
-        for s in blue:
-            if not 0 <= s <= ground:
-                raise ValueError(f"blue layer {s} outside [0, {ground}]")
     return Coloring.structured(ground, blue_layers=blue)
 
 
@@ -190,18 +189,7 @@ def induced_q2_coloring(n: int) -> Coloring:
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+    return p > 1 and all(p % f for f in range(2, isqrt(p) + 1))
 
 
 def prime_window(ground: int) -> range:
@@ -211,10 +199,10 @@ def prime_window(ground: int) -> range:
 
 def _check_prime(p: int, ground: int) -> None:
     window = prime_window(ground)
+    if p not in window:  # before trial division, which a huge p would not finish
+        raise ValueError(f"modulus {p} outside [{window.start}, {window.stop})")
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p not in window:
-        raise ValueError(f"prime {p} outside [{window.start}, {window.stop})")
 
 
 def find_prime(ground: int) -> int:
@@ -236,8 +224,6 @@ def modp_code(ground: int, k: int, d: int, p: int) -> WeightedFamily:
     symmetric differences are at least 4.
     """
     _check_prime(p, ground)
-    if not 1 <= d <= p:
-        raise ValueError(f"residue {d} outside [1, {p}]")
     if k + 1 > ground:
         raise ValueError(f"weight {k + 1} exceeds ground size {ground}")
     return WeightedFamily(ground, k + 1, modp_p=p, modp_d=d)
@@ -483,10 +469,12 @@ def lll_family(cfg: LllConfig) -> WeightedFamily:
     class in lexicographic order) and redraw exactly the membership indicators
     it depends on.  Deterministic given the seed.  On success the family
     satisfies both conditions by construction; on budget exhaustion
-    ResampleBudgetExceeded carries the partial family.
+    ResampleBudgetExceeded carries the partial family.  A layer of m-sets past
+    SCAN_LIMIT is refused before the sample.
     """
     n, m = cfg.n, cfg.m
     ground = n + m
+    check_enumerable(ground, m, SCAN_LIMIT)
     bits = [1 << i for i in range(ground)]
     full = full_mask(ground)
     p = cfg.density

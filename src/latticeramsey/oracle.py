@@ -408,8 +408,7 @@ class RamseyScanResult:
     dense coloring index (in integer order) avoiding both copies.
     colorings_checked counts the colorings decided: for each N scanned, the
     colorings up to and including that index, or all 2^(2^N).  The layered
-    lower bound m+n is verified separately and recorded (None when that check
-    ran out of node budget).
+    lower bound m+n is verified separately and recorded.
     """
 
     m: int
@@ -419,7 +418,7 @@ class RamseyScanResult:
     value: Optional[int]
     counterexamples: dict
     colorings_checked: int
-    layered_lower_bound: Optional[int]
+    layered_lower_bound: int
     status: str = "complete"  # or "exhausted"
 
     def to_obj(self) -> dict:
@@ -483,13 +482,10 @@ def exhaustive_ramsey_number(
         raise ValueError(f"layered witness needs m + n - 1 <= {MAX_LAYERED_GROUND}")
 
     # Layered witness: top m layers of Q_{m+n-1} blue; certifies value >= m+n.
+    # Its blue side has no chain of m+1 sets and its red side none of n+1, so
+    # both searches end at the height peel, before their first node.
     witness = constructions.layered_coloring(m, n)
-    lower: Optional[int] = 0
-    try:
-        if coloring_is_ramsey(witness, m, n, kind, node_budget).neither:
-            lower = m + n
-    except SearchExhausted:
-        lower = None
+    lower = m + n if coloring_is_ramsey(witness, m, n, kind, node_budget).neither else 0
 
     checked = 0
     counterexamples: dict = {}

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from latticeramsey import __version__
 from latticeramsey.cli import main
 from latticeramsey.embedder import EXACT_FACTORIAL_MAX
-from latticeramsey.lattice import elements_of, layer
+from latticeramsey.lattice import Coloring, elements_of, layer
 from latticeramsey.oracle import SearchExhausted
 
 from helpers import dumps, low_block_q9, written
@@ -652,6 +652,60 @@ def test_weight_zero_partial_layer_conditions_are_usage(tmp_path, capsys, partia
     path.write_text(json.dumps({"n": 4, "repr": "structured", "blue_layers": [2], **partial}))
     assert main(["verify", "--coloring", str(path), "--conditions"]) == 2
     assert "weight 0" in usage_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (["--red-bound", "1,2,3"], "error: --red-bound needs n,m\n"),
+        ([], "error: no verification requested\n"),
+    ],
+)
+def test_verify_without_a_well_formed_check_is_usage(tmp_path, capsys, check, message):
+    path = tmp_path / "q2.json"
+    path.write_text(dumps(Coloring.structured(2, blue_layers={1})))
+    assert main(["verify", "--coloring", str(path), *check]) == 2
+    assert usage_error_line(capsys) == message
+
+
+def test_exhausted_scan_exits_three(capsys, monkeypatch):
+    from latticeramsey import oracle
+
+    monkeypatch.setattr(oracle, "_scan_ground", _search_exhausted)
+    code, cert = run_cli(capsys, "ramsey", "--m", "1", "--n", "1", "--kind", "weak")
+    assert (code, cert["outcome"]) == (3, "exhausted")
+    assert cert["result"]["status"] == "exhausted"
+    assert cert["result"]["value"] is None and cert["result"]["layered_lower_bound"] == 2
+
+
+_LOW_BLOCK_64 = {"n": 64, "repr": "structured", "blue_layers": [*range(31), 33]}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # the (m-1)-sets of a 32-set family over [64]: C(64, 31), about 1.8e18
+        (["verify", "--coloring", "{one_set}", "--conditions"], "layer C(64,31) too large"),
+        (["verify", "--coloring", "{low_block}", "--blue-free", "32"], "layer C(64,31) too large"),
+        (["verify", "--coloring", "{low_block}", "--red-bound", "32,32"], "layer C(64,31) too large"),
+        # the resampler's first sample: C(60, 30), about 1.2e17 m-sets
+        (["construct", "lll", "--n", "30", "--m", "30", "--max-resamples", "1"], "layer C(60,30) too large"),
+        # a modulus outside [36, 70) is refused before trial division
+        (
+            ["construct", "modp", "--n", "34", "--m", "2", "--p", "1000000000000000003"],
+            "modulus 1000000000000000003 outside [36, 70)",
+        ),
+    ],
+)
+def test_runs_that_would_not_finish_are_usage(tmp_path, capsys, argv, message):
+    extra = {"blue_extra": [list(range(1, 33))]}
+    paths = {"one_set": tmp_path / "one_set.json", "low_block": tmp_path / "low_block.json"}
+    paths["one_set"].write_text(json.dumps({"n": 64, "repr": "structured", **extra}))
+    paths["low_block"].write_text(json.dumps({**_LOW_BLOCK_64, **extra}))
+    start = time.monotonic()
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert time.monotonic() - start < 2
+    assert message in usage_error_line(capsys)
 
 
 def _search_exhausted(*args):

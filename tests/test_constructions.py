@@ -13,6 +13,7 @@ from latticeramsey.constructions import (
     NoSolutionError,
     PreconditionFailed,
     ResampleBudgetExceeded,
+    _is_prime,
     code_witness,
     find_prime,
     greedy_pair_code,
@@ -27,6 +28,8 @@ from latticeramsey.constructions import (
     weak_parameters,
 )
 from latticeramsey.lattice import (
+    SCAN_LIMIT,
+    WeightedFamily,
     elements_of,
     event_counts,
     event_violations,
@@ -141,6 +144,23 @@ def test_modp_code_validation():
         modp_code(5, 1, 3, 11)  # outside the window
     with pytest.raises(ValueError):
         modp_code(5, 5, 3, 5)  # weight too large
+
+
+def test_is_prime_is_trial_division():
+    for p in range(-3, 300):
+        assert _is_prime(p) == (p > 1 and all(p % f for f in range(2, p)))
+
+
+def test_modulus_outside_the_window_is_refused_before_trial_division():
+    # 10^18 + 3 is prime, and trial division up to its root would not finish
+    huge = 10**18 + 3
+    for call in (lambda: modp_code(36, 17, 1, huge), lambda: weak_parameters(34, 2, p=huge)):
+        with pytest.raises(ValueError) as caught:
+            call()
+        assert str(caught.value) == f"modulus {huge} outside [36, 70)"
+    with pytest.raises(ValueError) as caught:
+        modp_code(36, 17, 1, 39)
+    assert str(caught.value) == "39 is not prime"
 
 
 def test_modp_distance_small_sweep():
@@ -261,6 +281,18 @@ def test_lll_config_defaults():
     assert 0 < cfg.density < 1
     with pytest.raises(ValueError):
         LllConfig(40, 2)
+
+
+def test_lll_family_refuses_a_first_sample_past_the_scan_limit():
+    # lll_family(LllConfig(40, 5, 0.05, seed=1)) and (30, 6, 0.08, seed=1)
+    # return a family in 2.6 and 5.0 s at max_resamples=10^5 (2-core x86 VM)
+    assert comb(45, 5) <= comb(36, 6) <= SCAN_LIMIT < comb(37, 6)
+    for n, m in ((31, 6), (30, 30)):
+        with pytest.raises(ValueError) as caught:
+            lll_family(LllConfig(n, m, max_resamples=1))
+        assert str(caught.value) == (
+            f"layer C({n + m},{m}) too large to enumerate (limit {SCAN_LIMIT})"
+        )
 
 
 def test_lll_family_small_run_reproducible():
@@ -425,3 +457,52 @@ def test_refute_m2_always_finds_triple():
         # witness re-verified directly against the family
         direct = sum(1 for f in fam.members if f & ~ref.triple == 0)
         assert direct == ref.subsets_in_family
+
+
+_CODE = modp_code(36, 17, 37, 37)
+_AVOID = mask_of([35, 36])
+_WEIGHT3 = sorted_family([mask_of([1, 2, 3])], 7, 3)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: layered_coloring(1, 1, blue_layer_indices=[5]), "blue layer 5 outside [0, 1]"),
+        (lambda: modp_code(5, 1, 0, 5), "residue 0 outside [1, 5]"),
+        (lambda: modp_code(5, 5, 0, 5), "weight 6 exceeds ground size 5"),
+        (lambda: olson_subset_sum([1, 1], 7, 2), "values must be distinct"),
+        (lambda: olson_subset_sum([0, 3], 7, 2), "value 0 outside [1, 7]"),
+        (lambda: olson_subset_sum([3, 8], 7, 2), "value 8 outside [1, 7]"),
+        (
+            lambda: code_witness(36, 2, 17, WeightedFamily(36, 18, members=()), _AVOID, 35),
+            "code must be a mod-p family",
+        ),
+        (
+            lambda: code_witness(36, 2, 16, _CODE, _AVOID, 35),
+            "code parameters do not match (ground, k)",
+        ),
+        (lambda: code_witness(36, 2, 17, _CODE, mask_of([35]), 35), "avoid must be an m-set over [36]"),
+        (lambda: code_witness(36, 2, 17, _CODE, _AVOID, 37), "y = 37 outside [1, 36]"),
+        (lambda: code_witness(36, 2, 17, _CODE, _AVOID, 1), "element 1 is not in the avoided set"),
+        (
+            lambda: code_witness(36, 2, 16, modp_code(36, 16, 37, 37), _AVOID, 35),
+            "k = 16 outside the size window [17, 17]",
+        ),
+        (lambda: LllConfig(40, 2), "need m >= 3 (weight 2 is refutable, see refute_m2)"),
+        (lambda: LllConfig(3, 4), "need n >= m"),
+        (lambda: LllConfig(40, 3, p_inclusion=1.0), "p_inclusion must lie in (0, 1)"),
+        (lambda: LllConfig(40, 3, max_resamples=0), "max_resamples must be >= 1"),
+        (lambda: probabilistic_coloring(6, 1, _WEIGHT3), "m must be >= 2"),
+        (lambda: probabilistic_coloring(5, 3, _WEIGHT3), "family must have weight 3 over [8]"),
+        (
+            lambda: probabilistic_coloring(4, 3, WeightedFamily(7, 3, modp_p=7, modp_d=1)),
+            "family must be explicit",
+        ),
+        (lambda: refute_m2(_WEIGHT3), "refutation applies to weight-2 families"),
+        (lambda: refute_m2(WeightedFamily(7, 2, modp_p=7, modp_d=1)), "family must be explicit"),
+    ],
+)
+def test_construction_arguments_are_refused(build, message):
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert str(caught.value) == message

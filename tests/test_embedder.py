@@ -126,6 +126,41 @@ def test_recover_rejects_bad_shape():
         recover_permutation(Chain((mask_of([3]), mask_of([3, 4]))), 2)
 
 
+def test_recover_rejects_a_step_of_two_top_elements():
+    # Unreachable from a Chain: its sets grow strictly, so once set i holds i
+    # top elements each step adds exactly one.  A plain sequence of sets can.
+    with pytest.raises(ValueError) as caught:
+        recover_permutation((0, mask_of([3]), mask_of([4, 5])), 2)
+    assert str(caught.value) == "chain step 2 adds 2 top elements, expected 1"
+
+
+_Q21, _Q4 = Coloring.structured(21), Coloring.structured(4)
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (
+            lambda: embed_with_permutation(_Q21, 21, 0, Permutation.identity(21, 0)),
+            "base dimension capped at 20",
+        ),
+        (
+            lambda: embed_with_permutation(_Q21, 0, 21, Permutation.identity(0, 21)),
+            "width capped at 20",
+        ),
+        (
+            lambda: embed_with_permutation(_Q4, 2, 2, Permutation.identity(1, 3)),
+            "permutation dimensions do not match (n, k)",
+        ),
+        (lambda: sweep_permutations(_Q4, 2, 2, mode="every"), "unknown sweep mode 'every'"),
+    ],
+)
+def test_embedder_arguments_are_refused(run, message):
+    with pytest.raises(ValueError) as caught:
+        run()
+    assert str(caught.value) == message
+
+
 def test_failure_chain_recovers_its_permutation():
     rng = random.Random(3)
     checked = 0

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from latticeramsey.embedder import EmbedRecord, embed_with_permutation
 from latticeramsey.lattice import (
+    SCAN_LIMIT,
     Chain,
     Coloring,
     Permutation,
@@ -284,6 +285,10 @@ def test_malformed_coloring_objects_are_refused(obj, message):
         (lambda: WeightedFamily(3, 1, modp_p=5), "mod-p family needs both p and d"),
         (lambda: Coloring.dense_from_int(2, 1 << 4), "bit vector has bits beyond 2^N"),
         (lambda: Coloring.dense_from_int(2, -1), "bit vector has bits beyond 2^N"),
+        (lambda: mask_of([3, 0]), "element 0 outside [1, 64]"),
+        (lambda: mask_of([65]), "element 65 outside [1, 64]"),
+        (lambda: WeightedFamily(3, 4, members=()), "weight 4 outside [0, 3]"),
+        (lambda: WeightedFamily(3, -1, modp_p=5, modp_d=1), "weight -1 outside [0, 3]"),
     ],
     ids=[
         "dense-and-structured",
@@ -293,12 +298,29 @@ def test_malformed_coloring_objects_are_refused(obj, message):
         "modp-without-d",
         "bits-past-2^N",
         "negative-bits",
+        "element-0",
+        "element-65",
+        "weight-past-ground",
+        "negative-weight",
     ],
 )
 def test_malformed_colorings_and_families_are_refused(build, message):
     with pytest.raises(ValueError) as caught:
         build()
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("ground, weight", [(64, 32), (38, 7)])
+def test_family_conditions_refuse_a_layer_past_the_scan_limit(ground, weight):
+    # one member, so only the walk over the C(ground, weight - 1) smaller sets
+    # is large: C(64, 31) is about 1.8e18, C(38, 6) is 2,760,681
+    fam = WeightedFamily(ground, weight, members=((1 << weight) - 1,))
+    assert comb(ground, weight - 1) > SCAN_LIMIT
+    with pytest.raises(ValueError) as caught:
+        fam.violations
+    assert str(caught.value) == (
+        f"layer C({ground},{weight - 1}) too large to enumerate (limit {SCAN_LIMIT})"
+    )
 
 
 def indent2(obj) -> str:

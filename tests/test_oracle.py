@@ -301,16 +301,15 @@ def test_scan_budget_counts_per_partial_search():
     assert r.to_obj() == exhaustive_ramsey_number(3, 2, WEAK, 4).to_obj()
 
 
-def test_exhausted_layered_check_is_null(monkeypatch):
-    # The chain-height prefilter settles the real layered witness in 0 nodes,
-    # so an all-blue Q_3, which needs a search, stands in for it.
-    monkeypatch.setattr(
-        constructions, "layered_coloring", lambda m, n: Coloring.dense(3, range(8))
-    )
-    r = exhaustive_ramsey_number(2, 2, WEAK, 2, node_budget=1)
-    assert r.layered_lower_bound is None
-    assert r.to_obj()["layered_lower_bound"] is None
-    assert r.status == "exhausted"
+def test_layered_check_needs_no_search_node():
+    # The layered witness has no blue chain of m+1 sets and no red chain of
+    # n+1 sets, so the height peel settles both of its searches before their
+    # first node: a budget of 0 still certifies m + n at every admitted ground.
+    for ground in range(1, oracle.MAX_LAYERED_GROUND + 1):
+        for m in range(1, ground + 1):
+            for kind in (WEAK, INDUCED):
+                r = exhaustive_ramsey_number(m, ground + 1 - m, kind, 1, node_budget=0)
+                assert r.layered_lower_bound == ground + 1
 
 
 def _pair_or_budget(search, *args):
@@ -429,6 +428,21 @@ def test_negative_members_are_refused():
             find_copy(family, 1, WEAK)
         with pytest.raises(ValueError, match="negative"):
             find_chain(family, 2)
+
+
+@pytest.mark.parametrize(
+    "search, message",
+    [
+        (lambda: find_copy([0, 1], -1, WEAK), "pattern dimension must be >= 0"),
+        (lambda: find_chain([0, 1], 0), "chain length must be >= 1"),
+        (lambda: coloring_is_ramsey(Coloring.dense(2, []), -1, 1, WEAK), "pattern dimension must be >= 0"),
+        (lambda: coloring_is_ramsey(Coloring.dense(2, []), 1, -1, INDUCED), "pattern dimension must be >= 0"),
+    ],
+)
+def test_negative_sizes_are_refused(search, message):
+    with pytest.raises(ValueError) as caught:
+        search()
+    assert str(caught.value) == message
 
 
 def test_find_copy_of_q10_in_q10_needs_no_recursion():

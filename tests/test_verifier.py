@@ -42,7 +42,7 @@ from latticeramsey.verifier import (
     verify_embedding,
 )
 
-from helpers import written
+from helpers import low_block_q9, written
 from naive import (
     naive_certify_red_singleton_bound,
     naive_check_code_statement,
@@ -115,6 +115,41 @@ def test_dp_table_without_matches_fresh_build():
         assert table == build_dp_table(mask_of(rest), k, p)
         r = rng.randrange(p)
         assert table.count(k, r) == naive_dp_count(rest, k, p, r)
+
+
+def _honest_record():
+    coloring = Coloring.structured(4, blue_layers={1})
+    return embed_with_permutation(coloring, 2, 2, Permutation.identity(2, 2)), coloring
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (lambda: build_dp_table(mask_of([1, 2]), 3, 5), "size cap exceeds the number of allowed elements"),
+        (
+            lambda: certify_red_singleton_bound(low_block_q9(), 5, 3),
+            "coloring ground 9 != n + m = 8",
+        ),
+        (
+            lambda: verify_embedding(_honest_record()[0], Coloring.structured(5)),
+            "record and coloring dimensions do not match",
+        ),
+    ],
+)
+def test_verifier_arguments_are_refused(check, message):
+    with pytest.raises(ValueError) as caught:
+        check()
+    assert str(caught.value) == message
+
+
+def test_embedding_tables_of_another_size_are_rejected():
+    rec, coloring = _honest_record()
+    assert verify_embedding(rec, coloring).ok
+    for field in ("images", "levels", "chains"):
+        short = replace(rec, **{field: getattr(rec, field)[:-1]})
+        assert verify_embedding(short, coloring) == CheckResult(
+            False, None, "table sizes do not match 2^n"
+        )
 
 
 def test_dp_table_rejects_bad_parameters():
