@@ -68,10 +68,12 @@ def derive_seed(master: int, counter: int) -> int:
 
 def _load_coloring(path: str, cert: _Certificate) -> Coloring:
     """The coloring in a JSON file; its sha256 goes into the certificate's inputs."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
         coloring = Coloring.from_obj(json.loads(text))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc.args[0]}") from None
     except RecursionError:

@@ -3,12 +3,14 @@
 These deliberately share no machinery with the package: copies are found by
 enumerating injections (or by direct pair logic for the tiny patterns), and
 counts are taken by materializing subsets.  Agreement between these and the
-package's searchers is what the equivalence tests assert.  Two references
+package's searchers is what the equivalence tests assert.  Four references
 are the package's own former code instead: loop_embed, the embedding loop
 that a faster embedder must match record for record, scan_verify_embedding,
 the subset-by-subset re-check that the whole-cube one must match verdict for
-verdict, and the pairwise oracle at the end, the searcher that a faster one
-must match witness for witness.
+verdict, naive_check_code_statement_stacked, the code-statement loop that
+divides every element of Y out of a stack of whole tables, and the pairwise
+oracle at the end, the searcher that a faster one must match witness for
+witness.
 forward_checking_find_copy adds the copy search's present pruning to that
 oracle, as the reference for its node counts.
 """
@@ -24,6 +26,7 @@ from latticeramsey.constructions import (
     PairCode,
     ResampleBudgetExceeded,
     layered_coloring,
+    size_window,
 )
 from latticeramsey.embedder import EMPTY_CHAIN, EmbedRecord
 from latticeramsey.lattice import (
@@ -31,6 +34,7 @@ from latticeramsey.lattice import (
     Coloring,
     Permutation,
     SetWord,
+    check_enumerable,
     elements_of,
     full_mask,
     is_proper_subset,
@@ -46,7 +50,12 @@ from latticeramsey.oracle import (
     SearchExhausted,
     coloring_is_ramsey,
 )
-from latticeramsey.verifier import CheckResult, CodeStatementResult, build_dp_table
+from latticeramsey.verifier import (
+    CODE_STATEMENT_WORK,
+    CheckResult,
+    CodeStatementResult,
+    build_dp_table,
+)
 
 
 def _pattern_pairs(m):
@@ -169,6 +178,39 @@ def naive_check_code_statement_divided(ground, m, k, p, d):
         for y in elements_of(avoid):
             table = table.without(y)
         for y in elements_of(avoid):
+            pairs += 1
+            if table.count(k, (d - y) % p) < 1:
+                return CodeStatementResult(False, (avoid, y), pairs, hypotheses_ok)
+    return CodeStatementResult(True, None, pairs, hypotheses_ok)
+
+
+def naive_check_code_statement_stacked(
+    ground: int, m: int, k: int, p: int, d: int
+) -> CodeStatementResult:
+    """check_code_statement keeping a whole table per element of Y.
+
+    The package's loop before the least element of Y was divided out cell by
+    cell: every element of each Y, largest first, is divided out of a stack of
+    shared top-part tables with DpTable.without, one new table per avoided set.
+    """
+    k_min, k_max = size_window(ground, m)
+    hypotheses_ok = ground > m and k_min <= k <= k_max
+    check_enumerable(ground, m)
+    if 0 <= m <= ground and comb(ground, m) * (k + 1) * p > CODE_STATEMENT_WORK:
+        raise ValueError(f"C({ground},{m})(k+1)p table steps exceed {CODE_STATEMENT_WORK:.0e}")
+    pairs = 0
+    tops: list[int] = []  # the previous Y's elements, largest first
+    tables = [build_dp_table(full_mask(ground), k, p)]  # tables[j]: tops[:j] out
+    for avoid in layer(ground, m):
+        down = elements_of(avoid)[::-1]
+        shared = 0
+        while shared < len(tops) and tops[shared] == down[shared]:
+            shared += 1
+        del tables[shared + 1:]
+        for y in down[shared:]:
+            tables.append(tables[-1].without(y))
+        tops, table = down, tables[-1]
+        for y in reversed(down):
             pairs += 1
             if table.count(k, (d - y) % p) < 1:
                 return CodeStatementResult(False, (avoid, y), pairs, hypotheses_ok)

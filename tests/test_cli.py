@@ -796,6 +796,20 @@ def test_deeply_nested_coloring_file_is_usage(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "data, message",
+    [
+        (b'{"n": 5, ', "Expecting property name enclosed in double quotes"),
+        (b'{"n": 5}\xff', "'utf-8' codec can't decode byte 0xff"),
+    ],
+)
+def test_undecodable_coloring_file_names_the_file(tmp_path, capsys, data, message):
+    path = tmp_path / "broken.json"
+    path.write_bytes(data)
+    assert main(["verify", "--coloring", str(path), "--ramsey", "1,1"]) == 2
+    assert usage_error_line(capsys).startswith(f"error: {path}: {message}")
+
+
+@pytest.mark.parametrize(
     "obj, field",
     [
         ({"n": 5}, "repr"),

@@ -30,6 +30,7 @@ from latticeramsey.oracle import CopyKind, find_copy
 from latticeramsey.verifier import (
     CODE_STATEMENT_WORK,
     CheckResult,
+    DpTable,
     UnknownShape,
     build_dp_table,
     certify_blue_free,
@@ -47,6 +48,7 @@ from naive import (
     naive_certify_red_singleton_bound,
     naive_check_code_statement,
     naive_check_code_statement_divided,
+    naive_check_code_statement_stacked,
     naive_check_conditions,
     naive_dp_count,
     naive_lll_sides,
@@ -115,6 +117,37 @@ def test_dp_table_without_matches_fresh_build():
         assert table == build_dp_table(mask_of(rest), k, p)
         r = rng.randrange(p)
         assert table.count(k, r) == naive_dp_count(rest, k, p, r)
+
+
+def test_dp_table_cell_without_matches_the_divided_table():
+    rng = random.Random(34)
+    seen = Counter()
+    for _ in range(300):
+        elems = rng.sample(range(1, 40), rng.randint(1, 14))
+        el = rng.choice(elems)
+        k = rng.randint(0, len(elems) - 1)
+        p = rng.choice([1, 2, 3, 4, 6, 7, 9, 10, 13, 31])
+        table = build_dp_table(mask_of(elems), k, p)
+        divided = table.without(el)
+        for size in range(k + 1):
+            for r in range(-p, 2 * p):
+                assert table.count_without(el, size, r) == divided.count(size, r)
+        seen["p=1"] += p == 1
+        seen["el>=p"] += el >= p
+    assert seen["p=1"] and seen["el>=p"]
+    table = build_dp_table(mask_of([2, 5, 6]), 2, 5)
+    assert table.count_without(5, 0, 0) == 1 and table.count_without(5, 0, 3) == 0
+    assert table.count_without(6, 2, 7) == 1 and table.count_without(6, 2, 3) == 0  # {2, 5}
+
+
+@pytest.mark.parametrize("ground, k, el", [([1, 2, 3], 3, 2), ([1, 2, 3], 1, 4), ([1, 2], 1, 0)])
+def test_dp_table_cell_without_refuses_what_without_refuses(ground, k, el):
+    table = build_dp_table(mask_of(ground), k, 5)
+    with pytest.raises(ValueError) as divided:
+        table.without(el)
+    with pytest.raises(ValueError) as cell:
+        table.count_without(el, 0, 0)
+    assert str(cell.value) == str(divided.value)
 
 
 def _honest_record():
@@ -201,6 +234,45 @@ def test_code_statement_matches_per_set_division():
         assert res == naive_check_code_statement_divided(ground, m, k, p, d)
         verdicts[res.ok] += 1
     assert verdicts[True] and verdicts[False]
+
+
+def test_code_statement_matches_the_stacked_tables():
+    # the least element divided out cell by cell against a table per element
+    rng = random.Random(34)
+    seen = Counter()
+    for _ in range(2000):
+        m = rng.randint(0, 4)
+        ground = rng.randint(max(m, 1), 14)
+        k = rng.randint(0, ground - m)
+        p = rng.randint(1, 30)
+        d = rng.randint(-10, 40)
+        res = check_code_statement(ground, m, k, p, d)
+        assert res == naive_check_code_statement_stacked(ground, m, k, p, d)
+        seen[res.ok] += 1
+        seen[f"m={m}"] += 1
+        seen["p=1"] += p == 1
+        seen["composite p"] += any(p % q == 0 for q in range(2, p))
+        seen["d outside [0, p)"] += not 0 <= d < p
+    assert seen[True] and seen[False]
+    assert all(seen[f"m={m}"] for m in range(5))
+    assert seen["p=1"] and seen["composite p"] and seen["d outside [0, p)"]
+    headline = (36, 2, 17, 37, 37)
+    assert check_code_statement(*headline) == naive_check_code_statement_stacked(*headline)
+
+
+def test_code_statement_divides_one_table_per_top_element(monkeypatch):
+    # C(36, 2) = 630 sets Y share 35 top parts {2}, ..., {36}; a table per
+    # element of each Y took 665 divisions
+    calls = Counter()
+    without = DpTable.without
+
+    def counted(table, el):
+        calls[el] += 1
+        return without(table, el)
+
+    monkeypatch.setattr(DpTable, "without", counted)
+    assert check_code_statement(36, 2, 17, 37, 37).ok
+    assert calls == Counter(range(2, 37))
 
 
 def test_code_statement_tiny_pair():
