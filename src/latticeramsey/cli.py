@@ -72,7 +72,7 @@ def _load_coloring(path: str, cert: _Certificate) -> Coloring:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
         coloring = Coloring.from_obj(json.loads(text))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or not a coloring
         raise ValueError(f"{path}: {exc}") from None
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc.args[0]}") from None

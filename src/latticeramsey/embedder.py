@@ -27,10 +27,10 @@ from .lattice import (
     SetWord,
     _json_field,
     _json_ints,
+    _json_set,
     cube_bitsets,
     elements_of,
     full_mask,
-    mask_of,
     subsets_by_rank,
 )
 
@@ -98,7 +98,7 @@ class EmbedRecord:
             k,
             Permutation(n, k, tuple(_json_ints(obj["perm"], "perm"))),
             tuple(
-                None if img is None else mask_of(_json_ints(img, "image"))
+                None if img is None else _json_set(_json_ints(img, "image"), "image")
                 for img in images
             ),
             tuple(_json_ints(obj["levels"], "levels")),

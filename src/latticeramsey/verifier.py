@@ -34,7 +34,11 @@ from .lattice import (
 )
 
 LLL_DIGITS = 60  # decimal precision of the local-lemma report
-CODE_STATEMENT_WORK = 2 * 10**7  # C(N,m)(k+1)p steps; 0.6 s at (34,4,14,28,1) (2-core x86 VM)
+# check_code_statement's steps: C(N,m)·m(k+1) lookups plus (k+1)p per table,
+# at most C(N,m-1) tables.  On a 2-core x86 VM the largest admitted runs at
+# m <= 4 take 0.7-0.8 s ((34,4,14,46,1), (36,4,13,37,1)); at m = 5 the
+# per-set loop costs about twice as much a step ((29,5,10,1,0) 1.4 s).
+CODE_STATEMENT_WORK = 7 * 10**6
 
 
 @dataclass(frozen=True)
@@ -170,15 +174,21 @@ def check_code_statement(
     beyond the full one): DpTable.without runs once per distinct top part.
     The size-window hypotheses under which this is guaranteed are evaluated
     and reported, but parameters outside them are still checked (exploratory
-    use).  Refused past ENUMERATION_LIMIT sets Y, or CODE_STATEMENT_WORK
-    steps C(N, m)(k+1)p, the cost of one table per Y; the run itself costs
-    about C(N, m) m (k+1) lookups plus (k+1)p steps per top part.
+    use).  Refused past ENUMERATION_LIMIT sets Y, or past CODE_STATEMENT_WORK
+    steps: C(N, m) m (k+1) lookups plus (k+1)p steps for each table, the
+    whole ground's and one per distinct top part, at most C(N, m-1) in all.
     """
     k_min, k_max = size_window(ground, m)
     hypotheses_ok = ground > m and k_min <= k <= k_max
     check_enumerable(ground, m)
-    if 0 <= m <= ground and comb(ground, m) * (k + 1) * p > CODE_STATEMENT_WORK:
-        raise ValueError(f"C({ground},{m})(k+1)p table steps exceed {CODE_STATEMENT_WORK:.0e}")
+    if 0 <= m <= ground:
+        top = max(m - 1, 0)
+        work = (comb(ground, m) * m + comb(ground, top) * p) * (k + 1)
+        if work > CODE_STATEMENT_WORK:
+            raise ValueError(
+                f"{work} table steps, C({ground},{m})m(k+1) + C({ground},{top})(k+1)p,"
+                f" exceed {CODE_STATEMENT_WORK:.0e}"
+            )
     tables = [build_dp_table(full_mask(ground), k, p)]  # tables[j]: tops[:j] out
     if m == 0:  # the one empty Y has no pairs
         return CodeStatementResult(True, None, 0, hypotheses_ok)

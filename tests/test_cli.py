@@ -576,7 +576,8 @@ def test_unwritable_output_is_usage(capsys, monkeypatch, tmp_path, command, outp
         "10,12,3,11,5",  # m > N
         "60,30,12,61,1",  # C(60, 30) sets Y, past ENUMERATION_LIMIT
         "45,5,20,47,1",  # C(45, 5) sets Y, the first N past it at m = 5
-        "40,5,17,41,1",  # C(40, 5)(k+1)p = 4.9e8 table steps, a 76 s run
+        "40,5,17,41,1",  # 1.3e8 table steps, C(40,5)m(k+1) + C(40,4)(k+1)p
+        "34,4,14,47,1",  # 7,001,280 table steps, the least past the limit
     ],
 )
 def test_bad_code_statement_is_usage(tmp_path, capsys, statement):
@@ -587,6 +588,17 @@ def test_bad_code_statement_is_usage(tmp_path, capsys, statement):
     argv = ["verify", "--coloring", str(path), "--code-statement", statement]
     assert main(argv) == 2
     usage_error_line(capsys)
+
+
+def test_code_statement_priced_by_its_lookups_runs(tmp_path, capsys):
+    # 5.4e6 steps of lookups and top-part tables; one table per avoided set
+    # would be 2.0e7, which was refused
+    path = tmp_path / "any.json"
+    path.write_text(dumps(Coloring.structured(5, blue_layers={1})))
+    argv = ["verify", "--coloring", str(path), "--code-statement", "34,4,14,29,1"]
+    assert main(argv) == 0
+    result = json.loads(capsys.readouterr().out)["result"]["code_statement"]
+    assert result["ok"] and result["pairs_checked"] == 185504  # C(34, 4) sets Y, 4 pairs each
 
 
 @pytest.mark.parametrize(
@@ -778,13 +790,19 @@ def test_cli_imports_neither_numpy_nor_mpmath():
         {"n": 3, "repr": "dense", "blue_hex": 5},
         {"n": 5, "repr": "structured", "blue_layers": [6]},
         [1, 2],
+        {"n": 2, "repr": "dense", "blue_hex": "zz"},
+        {"n": 2, "repr": "dense", "blue_hex": "ff00"},
+        {"n": 6, "repr": "structured", "blue_extra": [[0]]},
+        {"n": 2, "repr": "structured", "blue_extra": [[1, 1]]},
+        {"n": 2, "repr": "structured", "blue_extra": [[2, 1]]},
     ],
 )
 def test_malformed_coloring_file_is_usage(tmp_path, capsys, obj):
+    # every refusal of the file's contents names the file
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
     assert main(["verify", "--coloring", str(path), "--ramsey", "1,1"]) == 2
-    usage_error_line(capsys)
+    assert usage_error_line(capsys).startswith(f"error: {path}: ")
 
 
 def test_deeply_nested_coloring_file_is_usage(tmp_path, capsys):

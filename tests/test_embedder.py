@@ -359,6 +359,23 @@ def test_malformed_record_is_value_error(field, value):
         EmbedRecord.from_obj(obj)
 
 
+@pytest.mark.parametrize(
+    "field, position, array, message",
+    [
+        ("images", 3, [1, 1, 4], "image array not strictly increasing: 1 after 1"),
+        ("images", 3, [4, 1, 2], "image array not strictly increasing: 1 after 4"),
+        ("chains", 3, {"sets": [[2, 1]]}, "chain sets array not strictly increasing: 1 after 2"),
+    ],
+)
+def test_record_set_arrays_that_do_not_strictly_increase_are_refused(field, position, array, message):
+    rec = embed_with_permutation(random_dense(4, seed=5), 2, 2, Permutation(2, 2, (4, 3)))
+    obj = written(rec.to_obj())
+    obj[field][position] = array
+    with pytest.raises(ValueError) as caught:
+        EmbedRecord.from_obj(obj)
+    assert str(caught.value) == message
+
+
 @pytest.mark.parametrize("obj", [{"sets": "ab"}, {"sets": [1, 2]}, [[1]], "sets"])
 def test_malformed_chain_is_value_error(obj):
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import gc
 import json
 from collections import defaultdict
+from enum import IntEnum
 from itertools import accumulate
 from math import comb
 
@@ -245,6 +246,22 @@ def test_malformed_family_and_permutation_objects_raise_value_error(decode, obj)
         decode(obj)
 
 
+@pytest.mark.parametrize(
+    "decode, obj, message",
+    [
+        (Coloring.from_obj, _structured(blue_extra=[[1, 1]]), "blue_extra array not strictly increasing: 1 after 1"),
+        (Coloring.from_obj, _structured(blue_extra=[[1], [3, 2]]), "blue_extra array not strictly increasing: 2 after 3"),
+        (Chain.from_obj, {"sets": [[], [2, 2]]}, "chain sets array not strictly increasing: 2 after 2"),
+        (Chain.from_obj, {"sets": [[2], [3, 1, 2]]}, "chain sets array not strictly increasing: 1 after 3"),
+    ],
+)
+def test_set_arrays_that_do_not_strictly_increase_are_refused(decode, obj, message):
+    # [1, 1] would OR to {1}: two files, two digests, one set
+    with pytest.raises(ValueError) as caught:
+        decode(obj)
+    assert str(caught.value) == message
+
+
 _MODP = {"weight": 2, "p": 5, "d": 3}
 
 
@@ -344,6 +361,10 @@ json_trees = st.recursive(
         st.lists(children, max_size=5).map(tuple),
         st.dictionaries(st.text(max_size=4), children, max_size=5),
         st.dictionaries(st.integers(), children, max_size=5),
+        # one key type per dict, since json.dumps sorts keys by value
+        st.dictionaries(st.booleans(), children, max_size=2),
+        st.dictionaries(st.floats(allow_nan=True, allow_infinity=True), children, max_size=5),
+        st.dictionaries(st.none(), children, max_size=1),
     ),
     max_leaves=40,
 )
@@ -363,8 +384,24 @@ def test_json_pieces_shared_and_subclassed_containers():
         [[1, 2], [1, 2], {"x": [1]}, {"x": [1]}],  # equal but distinct
         defaultdict(list, {"b": [True, 1, 0.5], "a": defaultdict(int)}),
         [{True: 1, False: 2}, {None: []}, {2.5: {}, -3: (), 0: [-1]}],
+        # equal keys of other types, or other signs, keep their own key texts
+        [{True: 1}, {1.0: 2}],
+        [{False: 0}, {0: 1}, {0.0: 2}],
+        [{0.0: 1}, {-0.0: 2}, {0.0: 3}],
+        [{True: 1}, {IntEnum("Bit", "ONE").ONE: 2}],  # equal to True, hashed alike
     ]
     for obj in cases:
+        assert "".join(json_pieces(obj)) == indent2(obj)
+
+
+@pytest.mark.parametrize(
+    "ints",
+    [[0, 255], [255, 256], [-1, 3], [True, 1, 0], [256, 0], (7,), tuple(i % 5 for i in range(1 << 16))],
+    ids=["0,255", "255,256", "-1,3", "True,1,0", "256,0", "7", "levels-65536"],
+)
+def test_json_pieces_write_int_lists_at_the_byte_table_edges(ints):
+    # byte-sized ints come from a text table; the others, and bools, must not
+    for obj in (ints, {"levels": ints}, [[ints, 1], ints]):
         assert "".join(json_pieces(obj)) == indent2(obj)
 
 
@@ -376,6 +413,11 @@ def test_json_pieces_share_pieces_and_leave_no_cycle():
     assert len(pieces) == 1001 and {id(p) for p in pieces[1:-1]} == {id(pieces[1])}
     assert pieces[0] == "[" + pieces[1][1:]
     assert "".join(pieces) == indent2([row] * 1000)
+    chain = Chain((1, 3))
+    pieces = json_pieces({"chains": [chain] * 1000})
+    assert len(pieces) == 1003 and {id(p) for p in pieces[2:-2]} == {id(pieces[2])}
+    assert pieces[1] == "[" + pieces[2][1:]
+    assert "".join(pieces) == indent2({"chains": [{"sets": [[1], [1, 2]]}] * 1000})
     gc.collect()
     gc.disable()
     try:
@@ -464,3 +506,9 @@ def test_json_pieces_write_chains_as_their_sets(chains, picks, depth):
     for _ in range(depth):
         obj, want = {"c": objs[0], "x": [obj, 1, obj]}, {"c": plain(objs[0]), "x": [want, 1, want]}
     assert "".join(json_pieces(obj)) == indent2(want)
+    # a Chain as the whole object, and as a dict value at this depth
+    for chain in (objs[0], objs[-1]):
+        wrapped, plain_wrapped = chain, plain(chain)
+        for _ in range(depth):
+            wrapped, plain_wrapped = {"c": wrapped, "e": objs[-1]}, {"c": plain_wrapped, "e": plain(objs[-1])}
+        assert "".join(json_pieces(wrapped)) == indent2(plain_wrapped)

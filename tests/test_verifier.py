@@ -199,11 +199,18 @@ def test_dp_table_rejects_bad_parameters():
 
 
 def test_code_statement_refuses_runs_past_its_table_work():
-    # C(N, m)(k+1)p table steps: p = 29 is the least modulus past the limit
-    # at (34, 4, 14), refused before any table is built
-    assert comb(34, 4) * 15 * 28 <= CODE_STATEMENT_WORK < comb(34, 4) * 15 * 29
-    with pytest.raises(ValueError, match="table steps"):
-        check_code_statement(34, 4, 14, 29, 1)
+    # C(N, m)m(k+1) lookups plus (k+1)p steps for each of at most C(N, m-1)
+    # tables: p = 47 is the least modulus past the limit at (34, 4, 14),
+    # refused before any table is built
+    def work(p):
+        return comb(34, 4) * 4 * 15 + comb(34, 3) * 15 * p
+
+    assert work(46) <= CODE_STATEMENT_WORK < work(47)
+    with pytest.raises(ValueError, match=f"^{work(47)} table steps"):
+        check_code_statement(34, 4, 14, 47, 1)
+    # with m = 0 there are no lookups, but the whole ground's table is priced
+    with pytest.raises(ValueError, match=f"^{4 * 10**9} table steps"):
+        check_code_statement(10, 0, 3, 10**9, 5)
 
 
 def test_code_statement_matches_per_set_tables():
