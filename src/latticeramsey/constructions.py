@@ -537,14 +537,16 @@ def lll_family(cfg: LllConfig) -> WeightedFamily:
         while heap[0][2] not in violated:
             heappop(heap)
         kind, _, e = heap[0]
+        # each indicator is (f, f absent from the family): a draw in the
+        # family toggles f exactly when f is absent, and one out when present
         if kind:  # an oversubscribed (m+1)-set
-            indicators = [(e ^ b, e ^ b in fam) for b in bits if e & b]
+            indicators = [(e ^ b, e ^ b not in fam) for b in bits if e & b]
         else:
             u = ups[e]  # toggling E | b flips only bit b of it, so u stays valid
-            indicators = [(e | b, u & b) for b in bits if not e & b]
+            indicators = [(e | b, not u & b) for b in bits if not e & b]
         resamples += 1
-        for f, member in indicators:
-            if (rng.random() < p) != bool(member):
+        for f, absent in indicators:
+            if (rng.random() < p) is absent:
                 toggle(f)
 
     out = sorted_family(fam, ground, m)

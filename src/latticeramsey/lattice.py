@@ -18,7 +18,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain as chained, islice
 from math import comb
 from typing import Iterable, Iterator, Optional
 
@@ -120,8 +120,17 @@ def lex_key(mask: SetWord, ground: int) -> int:
     both sorted lists agree below x, and at the first position they differ A
     holds x while B holds something larger.  In the reversal x is the highest
     differing bit, so rev(A) > rev(B), and -rev(A) is the smaller key.
+
+    Requires 0 <= mask < 2^ground and ground <= MAX_GROUND.  The reversal
+    runs over whole bytes: the little-endian bytes, each bit-reversed by a
+    table and read big-endian, reverse the mask over 8 * ceil(ground / 8)
+    bits, and the shift drops the padding bits, which the reversal put low.
     """
-    return -int(f"{mask:0{ground}b}"[::-1], 2)
+    raw = mask.to_bytes((ground + 7) >> 3, "little").translate(_REVERSED_BYTES)
+    return -(int.from_bytes(raw, "big") >> (-ground & 7))
+
+
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def event_counts(members: Iterable[SetWord], ground: int) -> defaultdict[SetWord, int]:
@@ -615,7 +624,8 @@ def json_pieces(obj) -> list[str]:
     is built.  Each distinct object in a list is rendered once, to one
     string that every repeat in that list appends, so a repeated item costs
     a reference per repeat.  Lists of plain ints are rendered in one join,
-    from a table of texts when every int fits in a byte.  A SetList is
+    from a table of texts when every int fits in a byte, and a list of such
+    byte arrays (a coloring's element arrays) in one pass.  A SetList is
     written as its element arrays, one piece per set, and a Chain as its
     to_obj(), {"sets": [...]}, in one string built from its sets.  Like
     json.dumps, this recurses once per nesting level; obj must not contain
@@ -692,7 +702,8 @@ def _write_json(o, depth: int, out: list[str], tails: dict) -> None:
     """Append the pieces of o, a container at nesting depth `depth`, to out.
 
     A list renders each distinct item (by id) once, behind its separator,
-    then appends those strings in the list's order in one pass.  tails is
+    then appends those strings in the list's order in one pass; a list whose
+    first item is a list may have them all from _byte_array_texts.  tails is
     _set_texts' table of element texts for the whole json_pieces call.
     """
     start = len(out)
@@ -711,18 +722,48 @@ def _write_json(o, depth: int, out: list[str], tails: dict) -> None:
                 out.append(label + text)
     else:
         ids = list(map(id, o))
-        texts = {}
-        for key, item in dict(zip(ids, o)).items():
-            if (text := _json_text(item, depth + 1, tails)) is None:
-                pieces = [comma]
-                _write_json(item, depth + 1, pieces, tails)
-                text = "".join(pieces)
-            else:
-                text = comma + text
-            texts[key] = text
+        items = dict(zip(ids, o))
+        texts = _byte_array_texts(items, comma) if type(o[0]) is list else None
+        if texts is None:
+            texts = {}
+            for key, item in items.items():
+                if (text := _json_text(item, depth + 1, tails)) is None:
+                    pieces = [comma]
+                    _write_json(item, depth + 1, pieces, tails)
+                    text = "".join(pieces)
+                else:
+                    text = comma + text
+                texts[key] = text
         out.extend(map(texts.__getitem__, ids))
     out[start] = brackets[0] + out[start][1:]
     out.append(pad[:-2] + brackets[1])
+
+
+def _byte_array_texts(items: dict, comma: str) -> Optional[dict]:
+    """{key: comma + the JSON text of item} for the distinct items of a list,
+    comma being the "," and newline pad before an item, or None unless every
+    item is a non-empty list of plain ints in [0, 256).
+
+    All items are rendered in one pass: their elements, flattened into one
+    bytes object, are looked up in _BYTE_TEXTS, and each item joins the next
+    len(item) of those texts.
+    """
+    arrays = items.values()
+    if set(map(type, arrays)) != {list} or not all(arrays):
+        return None
+    flat = list(chained.from_iterable(arrays))
+    if set(map(type, flat)) != {int}:  # by type: no bool or IntEnum passes
+        return None
+    try:
+        elements = map(_BYTE_TEXTS.__getitem__, bytes(flat))
+    except ValueError:  # an int outside [0, 256)
+        return None
+    pad = comma[1:] + "  "
+    opener, sep, closer = comma + "[" + pad, "," + pad, comma[1:] + "]"
+    return {
+        key: opener + sep.join(islice(elements, len(array))) + closer
+        for key, array in items.items()
+    }
 
 
 @lru_cache(maxsize=8)

@@ -1,6 +1,7 @@
 """Small helpers shared by the test modules."""
 
 import json
+import os
 import random
 
 from latticeramsey.constructions import low_block_layers
@@ -10,6 +11,22 @@ from latticeramsey.lattice import Coloring, json_pieces
 def dumps(obj) -> str:
     """Compact, key-sorted JSON text of a package object's to_obj()."""
     return json.dumps(obj.to_obj(), sort_keys=True)
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """Assert got == want, reporting a mismatch by the two lengths and about
+    40 characters of each text around the first index where they differ.
+
+    pytest's assertion message for two multi-kB strings is a full diff, which
+    can take minutes to build; this one takes a prefix scan.
+    """
+    if got != want:
+        i = len(os.path.commonprefix((got, want)))
+        start = max(i - 20, 0)
+        raise AssertionError(
+            f"texts of lengths {len(got)} and {len(want)} differ from index {i}: "
+            f"{got[start:i + 20]!r} != {want[start:i + 20]!r}"
+        )
 
 
 def written(obj):

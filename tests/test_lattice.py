@@ -2,6 +2,7 @@
 
 import gc
 import json
+import random
 from collections import defaultdict
 from enum import IntEnum
 from itertools import accumulate
@@ -23,10 +24,11 @@ from latticeramsey.lattice import (
     iter_submasks,
     json_pieces,
     layer,
+    lex_key,
     mask_of,
 )
 
-from helpers import dumps, written
+from helpers import assert_same_text, dumps, written
 
 masks6 = st.integers(min_value=0, max_value=63)
 
@@ -372,7 +374,7 @@ json_trees = st.recursive(
 
 @given(json_trees)
 def test_json_pieces_match_json_dumps(obj):
-    assert "".join(json_pieces(obj)) == indent2(obj)
+    assert_same_text("".join(json_pieces(obj)), indent2(obj))
 
 
 def test_json_pieces_shared_and_subclassed_containers():
@@ -391,7 +393,7 @@ def test_json_pieces_shared_and_subclassed_containers():
         [{True: 1}, {IntEnum("Bit", "ONE").ONE: 2}],  # equal to True, hashed alike
     ]
     for obj in cases:
-        assert "".join(json_pieces(obj)) == indent2(obj)
+        assert_same_text("".join(json_pieces(obj)), indent2(obj))
 
 
 @pytest.mark.parametrize(
@@ -402,22 +404,23 @@ def test_json_pieces_shared_and_subclassed_containers():
 def test_json_pieces_write_int_lists_at_the_byte_table_edges(ints):
     # byte-sized ints come from a text table; the others, and bools, must not
     for obj in (ints, {"levels": ints}, [[ints, 1], ints]):
-        assert "".join(json_pieces(obj)) == indent2(obj)
+        assert_same_text("".join(json_pieces(obj)), indent2(obj))
 
 
 def test_json_pieces_share_pieces_and_leave_no_cycle():
-    row = {"sets": [[1], [1, 2]]}
-    pieces = json_pieces([row] * 1000)
-    # the row is rendered once, behind its separator, and every repeat appends
+    # a row is rendered once, behind its separator, and every repeat appends
     # that one string; only the first copy is rebuilt behind the opening bracket
-    assert len(pieces) == 1001 and {id(p) for p in pieces[1:-1]} == {id(pieces[1])}
-    assert pieces[0] == "[" + pieces[1][1:]
-    assert "".join(pieces) == indent2([row] * 1000)
+    for row in ({"sets": [[1], [1, 2]]}, [1, 2]):  # the second takes the byte-array pass
+        pieces = json_pieces([row] * 1000)
+        assert len(pieces) == 1001 and {id(p) for p in pieces[1:-1]} == {id(pieces[1])}
+        assert pieces[0] == "[" + pieces[1][1:]
+        assert_same_text("".join(pieces), indent2([row] * 1000))
+    row = {"sets": [[1], [1, 2]]}
     chain = Chain((1, 3))
     pieces = json_pieces({"chains": [chain] * 1000})
     assert len(pieces) == 1003 and {id(p) for p in pieces[2:-2]} == {id(pieces[2])}
     assert pieces[1] == "[" + pieces[2][1:]
-    assert "".join(pieces) == indent2({"chains": [{"sets": [[1], [1, 2]]}] * 1000})
+    assert_same_text("".join(pieces), indent2({"chains": [{"sets": [[1], [1, 2]]}] * 1000}))
     gc.collect()
     gc.disable()
     try:
@@ -425,6 +428,50 @@ def test_json_pieces_share_pieces_and_leave_no_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+byte_arrays = st.lists(st.integers(0, 255), min_size=1, max_size=6)
+
+
+@given(
+    arrays=st.lists(byte_arrays, min_size=1, max_size=6),
+    picks=st.lists(st.integers(0, 5), max_size=8),
+    depth=st.integers(0, 3),
+)
+def test_json_pieces_write_lists_of_byte_arrays(arrays, picks, depth):
+    # distinct, repeated and equal-but-distinct element arrays, the list of
+    # them nested as a list item and as a dict value
+    obj = arrays + [arrays[i % len(arrays)] for i in picks] + [list(a) for a in arrays]
+    for _ in range(depth):
+        obj = {"a": obj, "x": [obj, 1, obj]}
+    assert_same_text("".join(json_pieces(obj)), indent2(obj))
+
+
+@pytest.mark.parametrize(
+    "item",
+    [[], [True], [IntEnum("Bit", "ONE").ONE], [256], [-1], (1, 2), 1],
+    ids=["empty", "bool", "IntEnum", "256", "-1", "tuple", "int"],
+)
+def test_json_pieces_write_other_items_beside_byte_arrays(item):
+    # one item that no byte-array pass may render sends the whole list back
+    # to the item-by-item path, wherever it sits, at depths 0 to 3
+    for obj in ([[1], item, [2, 3]], [item, [1]], [[1, 2], [1, 2], item]):
+        for _ in range(4):
+            assert_same_text("".join(json_pieces(obj)), indent2(obj))
+            obj = {"a": obj, "x": [obj, 1, obj]}
+
+
+def test_lex_key_is_the_negated_bit_reversal():
+    def reference(mask, ground):
+        return -int(f"{mask:0{ground}b}"[::-1], 2)
+
+    for ground in range(13):
+        for mask in range(1 << ground):
+            assert lex_key(mask, ground) == reference(mask, ground)
+    rng = random.Random(36)
+    for ground in range(13, 65):
+        masks = [0, (1 << ground) - 1] + [rng.getrandbits(ground) for _ in range(3000)]
+        assert [lex_key(m, ground) for m in masks] == [reference(m, ground) for m in masks]
 
 
 @st.composite
@@ -466,7 +513,7 @@ def test_json_pieces_write_set_lists_as_element_arrays(sets, depth):
     obj, plain = SetList(sets), [None if s is None else elements_of(s) for s in sets]
     for _ in range(depth):  # nest, and repeat, so shared renderings are met too
         obj, plain = {"x": [obj, 1, obj]}, {"x": [plain, 1, plain]}
-    assert "".join(json_pieces(obj)) == indent2(plain)
+    assert_same_text("".join(json_pieces(obj)), indent2(plain))
 
 
 overlapping_sets = st.lists(st.none() | st.integers(0, 2**10 - 1), max_size=8)
@@ -480,7 +527,7 @@ def test_json_pieces_keep_set_tails_apart_by_depth(xs, ys):
 
     obj = {"a": [{"sets": SetList(xs)}], "b": SetList(ys), "c": [SetList(xs + ys)]}
     want = {"a": [{"sets": plain(xs)}], "b": plain(ys), "c": [plain(xs + ys)]}
-    assert "".join(json_pieces(obj)) == indent2(want)
+    assert_same_text("".join(json_pieces(obj)), indent2(want))
 
 
 chain_sets = st.lists(st.integers(0, 2**12 - 1), max_size=4).map(
@@ -505,10 +552,10 @@ def test_json_pieces_write_chains_as_their_sets(chains, picks, depth):
     want = list(map(plain, obj))
     for _ in range(depth):
         obj, want = {"c": objs[0], "x": [obj, 1, obj]}, {"c": plain(objs[0]), "x": [want, 1, want]}
-    assert "".join(json_pieces(obj)) == indent2(want)
+    assert_same_text("".join(json_pieces(obj)), indent2(want))
     # a Chain as the whole object, and as a dict value at this depth
     for chain in (objs[0], objs[-1]):
         wrapped, plain_wrapped = chain, plain(chain)
         for _ in range(depth):
             wrapped, plain_wrapped = {"c": wrapped, "e": objs[-1]}, {"c": plain_wrapped, "e": plain(objs[-1])}
-        assert "".join(json_pieces(wrapped)) == indent2(plain_wrapped)
+        assert_same_text("".join(json_pieces(wrapped)), indent2(plain_wrapped))
