@@ -127,12 +127,22 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+# Options whose value is a string that may start with "-": a comma list, or
+# bound's float, such as -1,2 or -inf.
+_GLUED = frozenset(
+    {"--c", "--ramsey", "--red-bound", "--code-statement", "--pi", "--avoid", "--blue-layers"}
+)
+
+
 def _glued(argv: list[str]) -> list[str]:
-    """argv with each `--c VALUE` written `--c=VALUE`, since argparse takes a
-    separate value such as -inf or -1e5 for an option, not for bound's float."""
+    """argv with each `OPTION VALUE` of an option in _GLUED written
+    `OPTION=VALUE`, since argparse takes a separate value that starts with
+    "-" for an option, not for the value of the option before it.  A next
+    argument that starts with "--" is an option, left for argparse to report
+    the missing value."""
     out: list[str] = []
     for arg in argv:
-        if out[-1:] == ["--c"]:
+        if out and out[-1] in _GLUED and not arg.startswith("--"):
             out[-1] += "=" + arg
         else:
             out.append(arg)

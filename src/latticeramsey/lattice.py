@@ -424,6 +424,10 @@ class Coloring:
     capped at ground_n <= 28.  Structured form: blue iff the size is a blue
     layer, or the set is listed in blue_extra, or it belongs to the mod-p
     family blue_code; everything else is red.
+
+    `oracle.coloring_is_ramsey` keeps the answers of the searches asked of a
+    coloring in its instance __dict__ under "searches", made on first use, so
+    they are dropped with the coloring and never reach ==, hash, repr or to_obj.
     """
 
     ground_n: int
@@ -524,8 +528,9 @@ class Coloring:
         if not count:
             return 0
         end = start + count
-        _check_member(start, self.ground_n)
-        _check_member(end - 1, self.ground_n)
+        if start < 0 or end > 1 << self.ground_n:
+            _check_member(start, self.ground_n)
+            _check_member(end - 1, self.ground_n)
         if self.blue_bits is not None:
             window = int.from_bytes(self.blue_bits[start >> 3 : (end + 7) >> 3], "little")
             return window >> (start & 7) & (1 << count) - 1

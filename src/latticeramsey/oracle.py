@@ -373,6 +373,10 @@ class RamseyOutcome:
         }
 
 
+_INDUCED = CopyKind.INDUCED  # a module name reads faster than the enum's class attribute
+_NEITHER = RamseyOutcome()  # frozen, so every neither answer can be this one
+
+
 def coloring_is_ramsey(
     coloring: Coloring,
     m: int,
@@ -380,22 +384,46 @@ def coloring_is_ramsey(
     kind: CopyKind,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> RamseyOutcome:
-    """Search the blue side for Q_m, then the red side for Q_n."""
+    """Search the blue side for Q_m, then the red side for Q_n.
+
+    The coloring keeps the answer of each side's completed search, keyed by
+    the side, the dimension, the kind and the node budget, and a later call
+    with the same key reads it instead of searching again; a search that
+    exhausts its budget keeps nothing.  This is exact: a coloring is frozen,
+    and `_search`'s answer depends only on the class, dimension, kind and
+    budget.  The answers live in the coloring's instance __dict__, so they
+    are dropped with it.
+    """
     if m < 0 or n < 0:
         raise ValueError("pattern dimension must be >= 0")
     ground = coloring.ground_n
     if ground > MAX_LAYERED_GROUND:  # before the colors are read
         raise ValueError(f"Ramsey search needs a ground of at most {MAX_LAYERED_GROUND}")
-    order = _cube(ground) if ground <= MAX_SCAN_GROUND else _whole_cube(ground)
-    blue = coloring.blue_range(0, 1 << ground)
-    w = _search(order, blue, m, kind, node_budget)
-    if w is not None:
-        return RamseyOutcome(blue_witness=w)
-    red = ((1 << (1 << ground)) - 1) ^ blue
-    w = _search(order, red, n, kind, node_budget)
-    if w is not None:
-        return RamseyOutcome(red_witness=w)
-    return RamseyOutcome()
+    # In the instance __dict__, as a cached_property would store it, but without
+    # the descriptor's first read, which costs more than the rest of the store.
+    searches = vars(coloring).setdefault("searches", {})
+    induced = kind is _INDUCED
+    # A blue answer is its outcome, or False when the class holds no Q_m.
+    key = ("blue", m, induced, node_budget)
+    out = searches.get(key)
+    blue = None
+    if out is None:
+        order = _cube(ground) if ground <= MAX_SCAN_GROUND else _whole_cube(ground)
+        blue = coloring.blue_range(0, 1 << ground)
+        w = _search(order, blue, m, kind, node_budget)
+        out = searches[key] = w is not None and RamseyOutcome(blue_witness=w)
+    if out:
+        return out
+    key = ("red", n, induced, node_budget)
+    out = searches.get(key)
+    if out is None:
+        if blue is None:
+            order = _cube(ground) if ground <= MAX_SCAN_GROUND else _whole_cube(ground)
+            blue = coloring.blue_range(0, 1 << ground)
+        red = ((1 << (1 << ground)) - 1) ^ blue
+        w = _search(order, red, n, kind, node_budget)
+        out = searches[key] = _NEITHER if w is None else RamseyOutcome(red_witness=w)
+    return out
 
 
 @dataclass(frozen=True)

@@ -178,6 +178,8 @@ def check_code_statement(
     steps: C(N, m) m (k+1) lookups plus (k+1)p steps for each table, the
     whole ground's and one per distinct top part, at most C(N, m-1) in all.
     """
+    if ground < 0:  # full_mask would fail on a negative shift count
+        raise ValueError(f"ground size {ground} is negative")
     k_min, k_max = size_window(ground, m)
     hypotheses_ok = ground > m and k_min <= k <= k_max
     check_enumerable(ground, m)

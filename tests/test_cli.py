@@ -680,6 +680,45 @@ def test_verify_without_a_well_formed_check_is_usage(tmp_path, capsys, check, me
     assert usage_error_line(capsys) == message
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--coloring", "{q2}", "--ramsey", "-1,2"], "pattern dimension must be >= 0"),
+        (["verify", "--coloring", "{q9}", "--red-bound", "-2,2"], "applies to the resampled shape"),
+        (
+            ["verify", "--coloring", "{q2}", "--code-statement", "-36,2,17,37,37"],
+            "ground size -36 is negative",
+        ),
+        (["embed", "--coloring", "{q2}", "--n", "1", "--k", "1", "--pi", "-1,2"], "not a bijection"),
+        (["code", "--n", "34", "--m", "2", "--y", "2", "--avoid", "-1,2"], "element -1 outside [1, 64]"),
+        (
+            ["construct", "layered", "--m", "2", "--n", "3", "--blue-layers", "-1,2"],
+            "blue layer -1 outside [0, 4]",
+        ),
+    ],
+)
+def test_list_value_starting_with_a_minus_reaches_its_check(tmp_path, capsys, argv, message):
+    # argparse takes a separate "-1,2" for an option, not for the value of the
+    # one before it; written apart or with "=", the value must reach its check.
+    paths = {"q2": tmp_path / "q2.json", "q9": tmp_path / "q9.json"}
+    paths["q2"].write_text(dumps(Coloring.structured(2, blue_layers={1})))
+    paths["q9"].write_text(dumps(low_block_q9()))
+    argv = [arg.format(**paths) for arg in argv]
+    lines = []
+    for form in (argv, [*argv[:-2], f"{argv[-2]}={argv[-1]}"]):
+        assert main(form) == 2
+        lines.append(usage_error_line(capsys))
+    assert lines[0] == lines[1] and message in lines[0]
+    assert "expected one argument" not in lines[0]
+
+
+def test_list_option_missing_its_value_is_named(tmp_path, capsys):
+    path = tmp_path / "q2.json"
+    path.write_text(dumps(Coloring.structured(2, blue_layers={1})))
+    assert main(["verify", "--ramsey", "--coloring", str(path)]) == 2
+    assert "argument --ramsey: expected one argument" in usage_error_line(capsys)
+
+
 def test_exhausted_scan_exits_three(capsys, monkeypatch):
     from latticeramsey import oracle
 

@@ -477,3 +477,110 @@ def test_neither_is_invariant_under_the_symmetries_of_the_cube():
                             (swapped, n, m),
                         ):
                             assert coloring_is_ramsey(image, mi, ni, kind).neither == neither
+
+
+def _orders(rng):
+    """Every (m, n, kind, budget) of the order test, shuffled, and the same
+    sorted by descending budget (the budget-point test above only ascends)."""
+    calls = [
+        (m, n, kind, budget)
+        for m in range(4)
+        for n in range(4)
+        for kind in (INDUCED, WEAK)
+        for budget in (50, 5, 1, DEFAULT_NODE_BUDGET)
+    ]
+    shuffled = rng.sample(calls, len(calls))
+    return shuffled, sorted(calls, key=lambda call: -call[3])
+
+
+def test_call_order_cannot_change_an_answer():
+    rng = random.Random(53)
+    colorings = [
+        Coloring.dense_from_int(ground, rng.getrandbits(1 << ground))
+        for ground in range(1, 7)
+        for _ in range(2)
+    ]
+    colorings += [layered_coloring(2, 3), Coloring.structured(4, blue_layers={1, 3})]
+    exhausted = 0
+    for c in colorings:
+        for order in _orders(rng):
+            shared = dataclasses.replace(c)  # asked every call of the order in turn
+            for m, n, kind, budget in order:
+                got = _pair_or_budget(_ramsey_pair, shared, m, n, kind, budget)
+                fresh = _pair_or_budget(_ramsey_pair, dataclasses.replace(c), m, n, kind, budget)
+                assert got == fresh, (c, m, n, kind, budget)
+                exhausted += got[0] == "exhausted"
+    assert exhausted  # exhausted calls, and their node counts, are compared too
+
+
+def test_a_coloring_searches_each_side_once(monkeypatch):
+    searched = []
+    search = oracle._search
+
+    def counted(order, fam, dim, *rest):
+        searched.append((fam, dim))
+        return search(order, fam, dim, *rest)
+
+    monkeypatch.setattr(oracle, "_search", counted)
+    c = Coloring.dense_from_int(5, random.Random(8).getrandbits(32))
+    pairs = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]
+    first = [coloring_is_ramsey(c, m, n, WEAK) for m, n in pairs]
+    assert searched and len(searched) == len(set(searched))
+    searched.clear()
+    assert [coloring_is_ramsey(c, m, n, WEAK) for m, n in pairs] == first
+    assert searched == []
+    # an exhausted search keeps nothing, so the same call searches again
+    full = Coloring.dense_from_int(4, (1 << 16) - 1)
+    for _ in range(2):
+        searched.clear()
+        with pytest.raises(SearchExhausted):
+            coloring_is_ramsey(full, 2, 2, WEAK, 1)
+        assert len(searched) == 1
+
+
+def test_answers_stay_with_their_coloring():
+    import weakref
+
+    from latticeramsey.lattice import json_pieces
+
+    def seen(col):
+        return col, repr(col), hash(col), "".join(json_pieces(col.to_obj())).encode()
+
+    dense = Coloring.dense_from_int(5, random.Random(9).getrandbits(32))
+    for c in (dense, layered_coloring(2, 3)):
+        before = seen(dataclasses.replace(c))
+        for m in range(4):
+            for n in range(4):
+                for kind in (INDUCED, WEAK):
+                    coloring_is_ramsey(c, m, n, kind)
+        assert seen(c) == before
+    ref = weakref.ref(dense)
+    del dense, c
+    assert ref() is None
+
+
+def _module_sizes(module):
+    """The size of every container and lru_cache a module holds, and its name count."""
+    sizes = {"names": len(vars(module))}
+    for name, value in vars(module).items():
+        if hasattr(value, "cache_info"):
+            sizes[name] = value.cache_info().currsize
+        elif isinstance(value, (dict, list, set, tuple, frozenset)):
+            sizes[name] = len(value)
+    return sizes
+
+
+def test_the_oracle_module_keeps_no_answers():
+    def ask(colorings):
+        for c in colorings:
+            for m in (1, 2, 3):
+                for n in (1, 2, 3):
+                    for kind in (INDUCED, WEAK):
+                        coloring_is_ramsey(c, m, n, kind)
+
+    # all-blue and all-red cubes build every per-ground and per-dimension table
+    ask(Coloring.dense_from_int(g, bits) for g in range(1, 7) for bits in (0, (1 << (1 << g)) - 1))
+    before = _module_sizes(oracle)
+    rng = random.Random(10)
+    ask(Coloring.dense_from_int(g, rng.getrandbits(1 << g)) for g in range(1, 7) for _ in range(20))
+    assert _module_sizes(oracle) == before
