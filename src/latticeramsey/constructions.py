@@ -129,7 +129,7 @@ def greedy_pair_code(n: int) -> PairCode:
 
     blocked: set[SetWord] = set()
     assignments: list[tuple[int, int, SetWord]] = []
-    ground_bits = full_mask(ground)
+    bits = [1 << i for i in range(ground)]
     top = 1 << (ground - 1)
 
     for y in range(1, ground + 1):
@@ -163,11 +163,10 @@ def greedy_pair_code(n: int) -> PairCode:
             chosen = cand
             assignments.append((y, z, chosen))
             blocked.add(chosen)
-            inside = elements_of(chosen)
-            outside = elements_of(ground_bits & ~chosen)
-            for x in inside:
-                for w in outside:
-                    blocked.add((chosen & ~(1 << (x - 1))) | (1 << (w - 1)))
+            # the distance-2 neighbours: swap one element x out for one w in
+            inside = [b for b in bits if chosen & b]
+            outside = [b for b in bits if not chosen & b]
+            blocked.update([chosen ^ x ^ w for x in inside for w in outside])
 
     return PairCode(n, k, tuple(assignments), candidates, max_blocked)
 
@@ -460,6 +459,13 @@ class ResampleBudgetExceeded(Exception):
         self.fields = {"resamples": resamples, "violations": violations}
 
 
+def expected_oversubscribed(cfg: LllConfig) -> float:
+    """Expected number of (m+1)-sets with at least m of their m+1 subsets in
+    the first sample: C(n+m, m+1)·P[Bin(m+1, p) >= m]."""
+    m, p = cfg.m, cfg.density
+    return comb(cfg.n + m, m + 1) * p**m * (m + 1 - m * p)
+
+
 def lll_family(cfg: LllConfig) -> WeightedFamily:
     """Sample and repair a family of m-sets over [n+m] by event resampling.
 
@@ -470,17 +476,24 @@ def lll_family(cfg: LllConfig) -> WeightedFamily:
     it depends on.  Deterministic given the seed.  On success the family
     satisfies both conditions by construction; on budget exhaustion
     ResampleBudgetExceeded carries the partial family.  A layer of m-sets past
-    SCAN_LIMIT is refused before the sample.
+    SCAN_LIMIT is refused before the sample, and so is a density whose first
+    sample is expected to oversubscribe more than SCAN_LIMIT (m+1)-sets.
     """
     n, m = cfg.n, cfg.m
     ground = n + m
     check_enumerable(ground, m, SCAN_LIMIT)
+    p = cfg.density
+    over = expected_oversubscribed(cfg)
+    if over > SCAN_LIMIT:
+        raise ValueError(
+            f"density {p} leaves about {over:.3g} oversubscribed {m + 1}-sets "
+            f"in the first sample (limit {SCAN_LIMIT})"
+        )
     bits = [1 << i for i in range(ground)]
     full = full_mask(ground)
-    p = cfg.density
-    rng = random.Random(cfg.seed)
+    draw = random.Random(cfg.seed).random
 
-    fam = {f for f in layer(ground, m) if rng.random() < p}
+    fam = {f for f in layer(ground, m) if draw() < p}
 
     # The masks ups are maintained incrementally.  Each violated event sits in
     # `violated` and has at least one (class, lex_key, mask) entry in the heap,
@@ -537,17 +550,20 @@ def lll_family(cfg: LllConfig) -> WeightedFamily:
         while heap[0][2] not in violated:
             heappop(heap)
         kind, _, e = heap[0]
-        # each indicator is (f, f absent from the family): a draw in the
-        # family toggles f exactly when f is absent, and one out when present
-        if kind:  # an oversubscribed (m+1)-set
-            indicators = [(e ^ b, e ^ b not in fam) for b in bits if e & b]
-        else:
-            u = ups[e]  # toggling E | b flips only bit b of it, so u stays valid
-            indicators = [(e | b, not u & b) for b in bits if not e & b]
         resamples += 1
-        for f, absent in indicators:
-            if (rng.random() < p) is absent:
-                toggle(f)
+        # Redraw e's indicators in bit order: a draw in the family toggles a
+        # set exactly when it is absent, and one out when it is present.
+        # Toggling one of them never changes the membership of another, so
+        # each is read at its own draw.
+        if kind:  # an oversubscribed (m+1)-set
+            for b in bits:
+                if e & b and (draw() < p) is (e ^ b not in fam):
+                    toggle(e ^ b)
+        else:
+            u = ups[e]  # toggling e | b flips only bit b of it, so u stays valid
+            for b in bits:
+                if not e & b and (draw() < p) is not (u & b != 0):
+                    toggle(e | b)
 
     out = sorted_family(fam, ground, m)
     # The loop ends only with no event violated, so the conditions hold:

@@ -30,7 +30,8 @@ MAX_DENSE_GROUND = 28
 ENUMERATION_LIMIT = 10**6  # most sets any family or check materializes
 # most sets of one layer that event_violations walks or the resampler's first
 # sample draws from: the C(45, 5) and C(36, 6) m-sets of LllConfig(40, 5, 0.05)
-# and (30, 6, 0.08) pass, runs that finish in 2.6 and 5.0 s (2-core x86 VM)
+# and (30, 6, 0.08) pass, runs that finish in 2.6 and 5.0 s (2-core x86 VM);
+# also the most (m+1)-sets a first sample is expected to oversubscribe
 SCAN_LIMIT = 2 * 10**6
 
 
@@ -46,6 +47,8 @@ def mask_of(elements: Iterable[int]) -> SetWord:
 
 def elements_of(mask: SetWord) -> list[int]:
     """Sorted 1-based elements of a bitmask."""
+    if mask < 0:  # its low bits would never run out
+        raise ValueError(f"mask {mask:#x} is negative")
     out = []
     while mask:
         low = mask & -mask

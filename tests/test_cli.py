@@ -501,6 +501,15 @@ def test_pair_code_over_the_ground_cap_is_usage(capsys):
     assert "ground size 72 outside [0, 64]" in usage_error_line(capsys)
 
 
+def test_dense_lll_first_sample_is_usage(capsys):
+    # about 7.1M oversubscribed 7-sets expected; the run once took 75 s and
+    # 2.0 GiB to hold them before its first resample
+    start = time.monotonic()
+    assert main(["construct", "lll", "--n", "30", "--m", "6", "--p-incl", "0.9"]) == 2
+    assert time.monotonic() - start < 1
+    assert "oversubscribed 7-sets in the first sample" in usage_error_line(capsys)
+
+
 def test_ramsey_check_on_q16_is_usage(tmp_path, capsys):
     # coloring_is_ramsey searches the whole cube, whose containment masks
     # take up to 2^(2N)/4 bytes, 1 GiB at N = 16, when a search takes every

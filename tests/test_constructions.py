@@ -6,6 +6,8 @@ from math import comb, isqrt
 
 import pytest
 
+import naive
+from latticeramsey import constructions
 from latticeramsey.cli import derive_seed
 from latticeramsey.constructions import (
     GreedyStuck,
@@ -15,6 +17,7 @@ from latticeramsey.constructions import (
     ResampleBudgetExceeded,
     _is_prime,
     code_witness,
+    expected_oversubscribed,
     find_prime,
     greedy_pair_code,
     induced_q2_coloring,
@@ -295,6 +298,31 @@ def test_lll_family_refuses_a_first_sample_past_the_scan_limit():
         )
 
 
+def test_lll_family_refuses_a_dense_first_sample():
+    # At p = 0.9 the first sample oversubscribes about 7.1M of the C(36, 7)
+    # 7-sets; that run held them all as violated events, 75 s and 2.0 GiB.
+    cfg = LllConfig(30, 6, p_inclusion=0.9, seed=1, max_resamples=1)
+    assert expected_oversubscribed(cfg) == pytest.approx(7.098e6, rel=1e-3)
+    with pytest.raises(ValueError) as caught:
+        lll_family(cfg)
+    assert str(caught.value) == (
+        "density 0.9 leaves about 7.1e+06 oversubscribed 7-sets in the first "
+        f"sample (limit {SCAN_LIMIT})"
+    )
+
+
+def test_admitted_lll_runs_expect_few_oversubscribed_sets():
+    # read off the configs, without running their resampler
+    admitted = [(40, 5, 0.05, 14.64), (30, 6, 0.08, 14.27), (30, 6, 0.3, 31644.4)]
+    for n, m, p, want in admitted:
+        got = expected_oversubscribed(LllConfig(n, m, p_inclusion=p))
+        assert got == pytest.approx(want, rel=1e-3) and got <= SCAN_LIMIT
+    # the README example, the default density and the pinned runs
+    runs = [(40, 4, 0.06), (40, 3, None)] + [run[:3] for run in PINNED_LLL_RUNS]
+    for n, m, p in runs:
+        assert expected_oversubscribed(LllConfig(n, m, p_inclusion=p)) <= SCAN_LIMIT
+
+
 def test_lll_family_small_run_reproducible():
     cfg = LllConfig(12, 4, p_inclusion=0.1, seed=1, max_resamples=10**6)
     fam1 = lll_family(cfg)
@@ -318,6 +346,14 @@ def _resample_outcome(sampler, cfg):
         return ("exhausted", exc.family.members, exc.violations, exc.resamples)
 
 
+# exhausted with both event classes still violated, so one repair queue
+# orders undersupplied and oversubscribed events together to the end
+BOTH_LIVE_LLL_RUNS = [
+    LllConfig(10, 3, p_inclusion=0.3, seed=3, max_resamples=50),
+    LllConfig(12, 4, p_inclusion=0.2, seed=5, max_resamples=100),
+]
+
+
 def test_lll_family_matches_min_scan_oracle():
     # Small cubes rarely admit a family meeting both conditions, so random
     # configs mostly exhaust their budget; equal partial families, violation
@@ -334,19 +370,13 @@ def test_lll_family_matches_min_scan_oracle():
     for n, p in ((8, 0.3), (9, 0.2), (10, 0.3), (11, 0.1), (12, 0.2)):
         configs += [LllConfig(n, 5, p_inclusion=p, seed=seed) for seed in range(3)]
     configs += [LllConfig(12, 4, p_inclusion=0.1, seed=seed) for seed in (1, 2)]
-    # exhausted with both event classes still violated, so one repair queue
-    # orders undersupplied and oversubscribed events together to the end
-    both_live = [
-        LllConfig(10, 3, p_inclusion=0.3, seed=3, max_resamples=50),
-        LllConfig(12, 4, p_inclusion=0.2, seed=5, max_resamples=100),
-    ]
     outcomes = Counter()
-    for cfg in configs + both_live:
+    for cfg in configs + BOTH_LIVE_LLL_RUNS:
         got = _resample_outcome(lll_family, cfg)
         assert got == _resample_outcome(naive_lll_family, cfg), cfg
         outcomes[got[0]] += 1
     assert outcomes["ok"] >= 15 and outcomes["exhausted"] >= 200
-    for cfg in both_live:
+    for cfg in BOTH_LIVE_LLL_RUNS:
         with pytest.raises(ResampleBudgetExceeded) as info:
             lll_family(cfg)
         assert all(info.value.family.violations), cfg
@@ -363,20 +393,51 @@ PINNED_LLL_RUNS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "n, m, p, seed, budget",
-    [(*run, 10**6) for run in PINNED_LLL_RUNS]
-    + [
-        # two of them cut short
-        (24, 4, 0.07, derive_seed(6, 0), 40),
-        (40, 3, 0.02, 6, 500),
-    ],
-)
+BUDGETED_PINNED_LLL_RUNS = [(*run, 10**6) for run in PINNED_LLL_RUNS] + [
+    # two of them cut short
+    (24, 4, 0.07, derive_seed(6, 0), 40),
+    (40, 3, 0.02, 6, 500),
+]
+
+
+@pytest.mark.parametrize("n, m, p, seed, budget", BUDGETED_PINNED_LLL_RUNS)
 def test_lll_family_matches_min_scan_oracle_on_pinned_runs(n, m, p, seed, budget):
     cfg = LllConfig(n, m, p_inclusion=p, seed=seed, max_resamples=budget)
     got = _resample_outcome(lll_family, cfg)
     assert got == _resample_outcome(naive_lll_family, cfg)
     assert got[0] == ("ok" if budget == 10**6 else "exhausted")
+
+
+def _outcome_and_draws(sampler, module, cfg, monkeypatch):
+    draws = 0
+
+    class CountingRandom(random.Random):
+        def random(self):
+            nonlocal draws
+            draws += 1
+            return super().random()
+
+    monkeypatch.setattr(module.random, "Random", CountingRandom)
+    return _resample_outcome(sampler, cfg), draws
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        LllConfig(n, m, p_inclusion=p, seed=seed, max_resamples=budget)
+        for n, m, p, seed, budget in BUDGETED_PINNED_LLL_RUNS
+    ]
+    + BOTH_LIVE_LLL_RUNS,
+    ids=str,
+)
+def test_lll_family_makes_the_min_scan_oracles_draws(cfg, monkeypatch):
+    # Equal families alone would pass a resampler that drew once more after
+    # its last toggle; equal draw counts pin the whole stream it consumes.
+    # A cut-short outcome also carries the resample count.
+    got, draws = _outcome_and_draws(lll_family, constructions, cfg, monkeypatch)
+    want, naive_draws = _outcome_and_draws(naive_lll_family, naive, cfg, monkeypatch)
+    assert got == want
+    assert draws == naive_draws >= comb(cfg.n + cfg.m, cfg.m)
 
 
 @pytest.mark.parametrize("n, m, p, seed", PINNED_LLL_RUNS)

@@ -71,6 +71,17 @@ def test_layer_examples():
     ]
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda: elements_of(-1), lambda: WeightedFamily(8, 3, modp_p=11, modp_d=3).contains(-7)],
+    ids=["elements_of", "modp-contains"],
+)
+def test_a_negative_mask_is_refused(call):
+    # its lowest bit never runs out, so the element walk looped for ever
+    with pytest.raises(ValueError, match=r"^mask -0x[17] is negative$"):
+        call()
+
+
 def test_layer_range_errors():
     with pytest.raises(ValueError):
         list(layer(4, 5))
