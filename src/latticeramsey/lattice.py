@@ -165,7 +165,9 @@ def event_violations(
     f | b (f a member) holds f and (f ^ x) | b for each x in f whose mask
     ups[f ^ x] holds b; `one` / `two` gather the b missing from at least one /
     two of those masks.  Masks are read with .get, so a defaultdict gains none.
-    A layer of (m-1)-sets past SCAN_LIMIT is refused before it is walked.
+    A layer of (m-1)-sets past SCAN_LIMIT is refused before it is walked, and
+    one that ups already covers (a key for every (m-1)-set, each mask holding
+    at least 2 bits) is not walked: it has no undersupplied set.
     """
     check_enumerable(ground, weight - 1, SCAN_LIMIT)
 
@@ -173,7 +175,10 @@ def event_violations(
         return lex_key(entry[0], ground)
 
     full = full_mask(ground)
-    under = [(s, c) for s in layer(ground, weight - 1) if (c := ups.get(s, 0).bit_count()) < 2]
+    if len(ups) == comb(ground, weight - 1) and min(map(int.bit_count, ups.values())) >= 2:
+        under = []  # every (m-1)-set is a key, and each is covered twice
+    else:
+        under = [(s, c) for s in layer(ground, weight - 1) if (c := ups.get(s, 0).bit_count()) < 2]
     over: dict[SetWord, int] = {}
     for f in members:
         one = two = rest = f
@@ -239,7 +244,7 @@ def _json_ints(value, name: str) -> list[int]:
 def _json_int_arrays(value, name: str) -> list[list[int]]:
     """value if it is a JSON array of integer arrays, else ValueError."""
     if type(value) is not list or not (
-        {type(a) for a in value} <= {list} and {type(x) for a in value for x in a} <= {int}
+        set(map(type, value)) <= {list} and set(map(type, chained.from_iterable(value))) <= {int}
     ):
         raise ValueError(f"{name} must be a JSON array of integer arrays")
     return value

@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain as chained, combinations, compress, cycle, islice, repeat
 from math import comb
-from operator import eq, is_, or_
+from operator import eq, is_, ne, or_, xor
 from typing import Optional
 
 from .constructions import low_block_layers, size_window, spread_layers
@@ -39,6 +39,12 @@ LLL_DIGITS = 60  # decimal precision of the local-lemma report
 # m <= 4 take 0.7-0.8 s ((34,4,14,46,1), (36,4,13,37,1)); at m = 5 the
 # per-set loop costs about twice as much a step ((29,5,10,1,0) 1.4 s).
 CODE_STATEMENT_WORK = 7 * 10**6
+# check_min_distance's keys, |F|·C(w, t).  On a 2-core x86 VM 10^6 keys take
+# 0.3-0.4 s at 40 to 780 keys a member, and up to 0.8 s at 4 keys a member or
+# on a failing family (whose witness search files every key twice); the pass
+# then holds about 120 MiB.
+DISTANCE_WORK = 10**6
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")  # binary digit text -> 0/1 bytes
 
 
 @dataclass(frozen=True)
@@ -60,15 +66,44 @@ class CheckResult:
 def check_min_distance(fam: WeightedFamily, bound: int) -> CheckResult:
     """All distinct members at pairwise symmetric difference >= bound.
 
-    Implicit families are materialized (guarded by lattice.ENUMERATION_LIMIT).
-    On failure the witness is the colex-first violating pair.
+    Two distinct w-sets that share s elements lie at distance 2(w - s), so
+    they fall below `bound` exactly when they share t = w + 1 - ceil(bound/2)
+    elements, that is, some t-subset; t is clamped to [0, w + 1] (every pair
+    shares the empty set, none shares w + 1 elements).  One pass files each
+    member under its C(w, t) t-subsets, the member less each r-subset of its
+    bits (r = w - t), and the family passes when no key is filed twice.
+    Otherwise `first` keeps the first member filed under each key; members
+    run in colex order, so a member's earliest too-close partner is the
+    least `first` over its keys, and the least (partner, member) pair is the
+    colex-first violating pair.  Implicit families are materialized (guarded
+    by lattice.ENUMERATION_LIMIT), and a run past DISTANCE_WORK keys is
+    refused before the pass.
     """
     members = fam.enumerated_members()
-    for i, a in enumerate(members):
-        for b in members[i + 1:]:
-            if (a ^ b).bit_count() < bound:
-                return CheckResult(False, (a, b), "pair below distance bound")
-    return CheckResult(True, detail=f"{len(members)} members checked")
+    w, ground = fam.weight, fam.ground_n
+    t = min(max(w + 1 - (bound + 1) // 2, 0), w + 1)
+    each, r = comb(w, t), max(w - t, 0)  # at t = w + 1 there are no keys
+    work = len(members) * each
+    if work > DISTANCE_WORK:
+        raise ValueError(
+            f"{work} subset keys, {len(members)} members of C({w},{t}) each,"
+            f" exceed {DISTANCE_WORK:.0e}"
+        )
+    # every member's bits, high to low, read off its ground-wide binary digits
+    digits = "".join(map(format, members, repeat(f"0{ground}b"))).encode()
+    powers = [1 << i for i in range(ground - 1, -1, -1)]
+    bits = compress(cycle(powers), digits.translate(_DIGIT_BITS))
+    if r != 1:  # the sums of each member's r-subsets of its w bits
+        groups = map(islice, repeat(bits, len(members)), repeat(w))
+        bits = map(sum, chained.from_iterable(map(combinations, groups, repeat(r))))
+    keys = list(map(xor, chained.from_iterable(map(repeat, members, repeat(each))), bits))
+    if len(set(keys)) == work:
+        return CheckResult(True, detail=f"{len(members)} members checked")
+    owners = list(chained.from_iterable(map(repeat, range(len(members)), repeat(each))))
+    first: dict[SetWord, int] = {}
+    mates = list(map(first.setdefault, keys, owners))
+    i, j = min(compress(zip(mates, owners), map(ne, mates, owners)))
+    return CheckResult(False, (members[i], members[j]), "pair below distance bound")
 
 
 @dataclass(frozen=True)
@@ -315,6 +350,9 @@ def certify_red_singleton_bound(coloring: Coloring, n: int, m: int) -> CheckResu
     partial layer's blue family.  At N = n + m that is more than n - 1 exactly
     when S is undersupplied, so the witness is the colex-first undersupplied set.
     """
+    for name, value in (("n", n), ("m", m)):
+        if value < 0:
+            raise ValueError(f"red bound {name} = {value} is negative")
     shape, _, shape_m, fam = _detect_shape(coloring)
     if shape != "low-block" or shape_m != m:
         raise UnknownShape("red-side certificate applies to the resampled shape")

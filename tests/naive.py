@@ -3,14 +3,15 @@
 These deliberately share no machinery with the package: copies are found by
 enumerating injections (or by direct pair logic for the tiny patterns), and
 counts are taken by materializing subsets.  Agreement between these and the
-package's searchers is what the equivalence tests assert.  Four references
+package's searchers is what the equivalence tests assert.  Five references
 are the package's own former code instead: loop_embed, the embedding loop
 that a faster embedder must match record for record, scan_verify_embedding,
 the subset-by-subset re-check that the whole-cube one must match verdict for
 verdict, naive_check_code_statement_stacked, the code-statement loop that
-divides every element of Y out of a stack of whole tables, and the pairwise
-oracle at the end, the searcher that a faster one must match witness for
-witness.
+divides every element of Y out of a stack of whole tables,
+naive_min_distance, the all-pairs distance loop that the shared-subset pass
+must match pair for pair, and the pairwise oracle at the end, the searcher
+that a faster one must match witness for witness.
 forward_checking_find_copy adds the copy search's present pruning to that
 oracle, as the reference for its node counts.
 """
@@ -618,6 +619,21 @@ def scan_verify_embedding(rec, coloring):
         if 1 <= lvl <= k and not is_subset(chain[lvl - 1], rec.images[a]):
             return CheckResult(False, (a,), "chain top not below the image")
     return CheckResult(True, detail="all embedding properties verified")
+
+
+def naive_min_distance(fam, bound):
+    """check_min_distance's verdict from every pair of members.
+
+    The package's original all-pairs loop: members in colex order, the first
+    pair (least first index, then least second) below the bound is the
+    witness.
+    """
+    members = fam.enumerated_members()
+    for i, a in enumerate(members):
+        for b in members[i + 1:]:
+            if (a ^ b).bit_count() < bound:
+                return CheckResult(False, (a, b), "pair below distance bound")
+    return CheckResult(True, detail=f"{len(members)} members checked")
 
 
 def naive_check_conditions(fam):

@@ -303,24 +303,30 @@ def test_verify_scans_the_undersupplied_layer_once(tmp_path, capsys, monkeypatch
         "--p-incl", "0.1", "--seed", "1", "-o", str(out),
     )
     assert code == 0
-    calls = []
-    walk = lattice.layer
+    scans, calls = [], []
+    scan, walk = lattice.event_violations, lattice.layer
+
+    def scanned(ups, members, ground, weight):
+        scans.append((ground, weight))
+        return scan(ups, members, ground, weight)
 
     def counted(ground, size):
         calls.append((ground, size))
         return walk(ground, size)
 
+    monkeypatch.setattr(lattice, "event_violations", scanned)
     monkeypatch.setattr(lattice, "layer", counted)
     # --blue-free and --red-bound read the oversubscribed tops and the
     # undersupplied bottoms off the family's cached violations instead of
-    # scanning the conditions again.
+    # scanning the conditions again.  The family is valid, so every 3-set
+    # lies under two members, and that one scan does not walk their layer.
     code, cert = run_cli(
         capsys, "verify", "--coloring", str(out), "--conditions", "--blue-free", "4",
         "--red-bound", "12,4",
     )
     assert code == 0
     assert cert["result"]["blue_free"]["ok"] and cert["result"]["red_bound"]["ok"]
-    assert calls == [(16, 3)]
+    assert scans == [(16, 4)] and calls == []
 
 
 def test_construct_modp_prime_override(tmp_path, capsys):
@@ -344,6 +350,24 @@ def test_verify_distance_flag(tmp_path, capsys):
     )
     assert code == 0
     assert cert["result"]["distance"]["ok"] is True
+
+
+def test_verify_distance_past_its_key_work_is_usage(tmp_path, capsys, monkeypatch):
+    # six 20-sets over [22] at bound 20: C(20, 11) keys a member, 1,007,760 in
+    # all, refused before the pass takes its first combination
+    from latticeramsey import verifier
+
+    def unreached(*args):
+        raise AssertionError("the pass started")
+
+    monkeypatch.setattr(verifier, "combinations", unreached)
+    extra = [(1 << 22) - 1 ^ 3 << i for i in range(6)]
+    path = tmp_path / "w20.json"
+    path.write_text(dumps(Coloring.structured(22, blue_layers={0}, blue_extra=extra)))
+    assert main(["verify", "--coloring", str(path), "--distance", "20"]) == 2
+    assert usage_error_line(capsys) == (
+        "error: 1007760 subset keys, 6 members of C(20,11) each, exceed 1e+06\n"
+    )
 
 
 def test_construct_pairs_writes_the_pair_code_coloring(tmp_path, capsys):
@@ -693,7 +717,7 @@ def test_verify_without_a_well_formed_check_is_usage(tmp_path, capsys, check, me
     "argv, message",
     [
         (["verify", "--coloring", "{q2}", "--ramsey", "-1,2"], "pattern dimension must be >= 0"),
-        (["verify", "--coloring", "{q9}", "--red-bound", "-2,2"], "applies to the resampled shape"),
+        (["verify", "--coloring", "{q9}", "--red-bound", "-2,2"], "red bound n = -2 is negative"),
         (
             ["verify", "--coloring", "{q2}", "--code-statement", "-36,2,17,37,37"],
             "ground size -36 is negative",

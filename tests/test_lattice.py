@@ -11,6 +11,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from latticeramsey import lattice
 from latticeramsey.embedder import EmbedRecord, embed_with_permutation
 from latticeramsey.lattice import (
     SCAN_LIMIT,
@@ -20,6 +21,8 @@ from latticeramsey.lattice import (
     SetList,
     WeightedFamily,
     elements_of,
+    event_counts,
+    event_violations,
     is_subset,
     iter_submasks,
     json_pieces,
@@ -29,6 +32,7 @@ from latticeramsey.lattice import (
 )
 
 from helpers import assert_same_text, dumps, written
+from naive import naive_check_conditions
 
 masks6 = st.integers(min_value=0, max_value=63)
 
@@ -252,6 +256,11 @@ def _record(**fields) -> dict:
         (EmbedRecord.from_obj, _record(k=True)),
         (EmbedRecord.from_obj, _record(perm=[4.0, 3])),
         (EmbedRecord.from_obj, "2,2"),
+        (Coloring.from_obj, _structured(blue_extra=[[1, True]])),
+        (Coloring.from_obj, _structured(blue_extra=[[1], [2.0]])),
+        (Coloring.from_obj, _structured(blue_extra=[{"1": 2}])),
+        (Chain.from_obj, {"sets": [[1], "2"]}),
+        (Chain.from_obj, {"sets": [[1], [2, None]]}),
     ],
 )
 def test_malformed_family_and_permutation_objects_raise_value_error(decode, obj):
@@ -350,6 +359,37 @@ def test_family_conditions_refuse_a_layer_past_the_scan_limit(ground, weight):
         fam.violations
     assert str(caught.value) == (
         f"layer C({ground},{weight - 1}) too large to enumerate (limit {SCAN_LIMIT})"
+    )
+
+
+@pytest.mark.parametrize(
+    "members, walks",
+    [
+        # every 2-subset of [5]: each 1-set lies under 4 members
+        (list(layer(5, 2)), 0),
+        # every 1-set is a key, but {5} lies under one member only
+        ([mask_of(s) for s in ([1, 2], [1, 3], [2, 3], [2, 4], [3, 4], [3, 5])], 1),
+        # {5} lies under no member, so it is not a key
+        ([mask_of(s) for s in ([1, 2], [1, 3], [2, 3], [2, 4], [3, 4])], 1),
+    ],
+)
+def test_event_violations_walk_the_smaller_layer_only_when_it_is_not_covered(
+    monkeypatch, members, walks
+):
+    fam = WeightedFamily(5, 2, members=tuple(members))
+    calls = []
+
+    def counted(n, s):
+        calls.append((n, s))
+        return layer(n, s)
+
+    monkeypatch.setattr(lattice, "layer", counted)
+    ups = event_counts(members, 5)
+    under, over = event_violations(ups, members, 5, 2)
+    assert calls == [(5, 1)] * walks
+    kinds = (("undersupplied", under), ("oversubscribed", over))
+    assert tuple((kind, s, c) for kind, events in kinds for s, c in events) == (
+        naive_check_conditions(fam)
     )
 
 

@@ -22,6 +22,7 @@ from latticeramsey.lattice import (
     Coloring,
     Permutation,
     WeightedFamily,
+    full_mask,
     layer,
     mask_of,
     sorted_family,
@@ -29,6 +30,7 @@ from latticeramsey.lattice import (
 from latticeramsey.oracle import CopyKind, find_copy
 from latticeramsey.verifier import (
     CODE_STATEMENT_WORK,
+    DISTANCE_WORK,
     CheckResult,
     DpTable,
     UnknownShape,
@@ -53,6 +55,7 @@ from naive import (
     naive_dp_count,
     naive_lll_sides,
     naive_low_block_blue_free,
+    naive_min_distance,
     naive_verify_embedding,
     scan_verify_embedding,
     two_fold_triples_7,
@@ -66,6 +69,51 @@ def test_min_distance_examples():
     bad = sorted_family([mask_of([1, 2]), mask_of([1, 3])], 5, 2)
     res = check_min_distance(bad, 4)
     assert not res.ok and res.witness == (mask_of([1, 2]), mask_of([1, 3]))
+
+
+def test_min_distance_matches_the_pairwise_loop():
+    # seeded explicit families (weight 0 and 1 and one member among them) and
+    # every small mod-p family, at every bound from -1 to 2w + 2: the same
+    # verdict, colex-first pair and detail as the all-pairs loop
+    rng = random.Random(39)
+    fams = [
+        sorted_family([0], 3, 0),
+        sorted_family([mask_of([2])], 4, 1),
+        sorted_family([mask_of([1, 3, 4])], 6, 3),
+        sorted_family([mask_of([1]), mask_of([3]), mask_of([4])], 4, 1),
+    ]
+    for _ in range(300):
+        ground = rng.randint(0, 12)
+        weight = rng.randint(0, ground)
+        pool = list(layer(ground, weight))
+        picked = rng.sample(pool, rng.randint(1, min(len(pool), 25)))
+        fams.append(sorted_family(picked, ground, weight))
+    fams += [
+        WeightedFamily(ground, weight, modp_p=p, modp_d=d)
+        for ground in range(1, 10)
+        for weight in range(ground + 1)
+        for p in (2, 3, 7)
+        for d in range(1, p + 1, 2)
+    ]
+    failures = 0
+    for fam in fams:
+        for bound in range(-1, 2 * fam.weight + 3):
+            res = check_min_distance(fam, bound)
+            assert res == naive_min_distance(fam, bound), (fam, bound)
+            failures += not res.ok
+    assert failures > 1000
+
+
+def test_min_distance_refuses_runs_past_its_key_work():
+    # at bound 20 two 20-sets are too close when they share 11 elements, so
+    # each member is filed under its C(20, 11) 11-subsets: six members pass
+    # the limit, five would not
+    fam = sorted_family([full_mask(22) ^ 3 << i for i in range(6)], 22, 20)
+    keys = comb(20, 11)
+    assert 5 * keys <= DISTANCE_WORK < 6 * keys
+    message = rf"^{6 * keys} subset keys, 6 members of C\(20,11\) each, exceed 1e\+06$"
+    with pytest.raises(ValueError, match=message):
+        check_min_distance(fam, 20)
 
 
 def test_dp_count_examples():
